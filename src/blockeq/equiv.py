@@ -382,45 +382,68 @@ class _Engine:
         out.sort(key=lambda uw: (uw[0].entries, uw[1].entries))
         return out, report, truncated
 
+    def _step(self, word, move_idx):
+        """Extend a word (U, W, U^-1, W^-1) by one move: a left move G gives
+        (G*U, W, U^-1*G^-1, W^-1), a right move H gives (U, W*H, U^-1, H^-1*W^-1)."""
+        u, w, u_inv, w_inv = word
+        axis, move = self.moves[move_idx]
+        inverse = self.inverse_moves[move_idx][1]
+        if axis == _LEFT:
+            return (_apply_move(_LEFT, move, u, self.rows, self.rows), w,
+                    _apply_move(_RIGHT, inverse, u_inv, self.rows, self.rows), w_inv)
+        return (u, _apply_move(_RIGHT, move, w, self.cols, self.cols), u_inv,
+                _apply_move(_LEFT, inverse, w_inv, self.cols, self.cols))
+
     def stabilizer_sweep(self, b: IntMatrix, check):
-        """Enumerate stabilizer pairs (U, W) with U*b*W = b, calling check on
-        each until it returns a result or the budget runs out.
+        """Enumerate stabilizer pairs (U, W) with U*b*W = b, calling
+        check(U, W, W^-1) on each until it returns a result or the budget
+        runs out.
 
         Schreier-style: breadth-first search of the orbit of b keeps a tree
         word for each state, and every non-tree edge X --g--> Y contributes
         the stabilizer element word(Y)^-1 * g * word(X).  A second pass tests
-        pairwise products of the harvested elements within the budget.
+        pairwise products of the harvested elements within the budget.  Tree
+        words carry their inverses, (U, W, U^-1, W^-1), built move by move
+        with the inverse alphabet, so W^-1 comes from matrix products alone
+        and no Smith normal form is computed.  Only the words of records that
+        take part in a harvest are kept.
 
         Returns (result, report, truncated) where result is check's first
         non-None value.
         """
-        ident = (IntMatrix.identity(self.rows), IntMatrix.identity(self.cols))
-        res = check(*ident)
+        rows, cols = self.rows, self.cols
+        mat_mul = _kernels.mat_mul
+        ident_u, ident_w = IntMatrix.identity(rows), IntMatrix.identity(cols)
+        res = check(ident_u, ident_w, ident_w)
         if res is not None:
             return res, BudgetReport(1, 0), False
         side = _Side(b.entries)
-        seen = {(ident[0].entries, ident[1].entries)}
+        seen = {(ident_u.entries, ident_w.entries)}
         sigmas = []
         work = 1
         truncated = False
         depth = 0
+        root = (ident_u.entries, ident_w.entries, ident_u.entries, ident_w.entries)
+        words = {0: root}
 
-        def word_pair(idx):
-            return self._forward_pair(side, idx)
+        def word(idx):
+            if idx not in words:
+                w = root
+                for move_idx in _chain_moves(side, idx):
+                    w = self._step(w, move_idx)
+                words[idx] = w
+            return words[idx]
 
-        pair_cache = {0: (ident[0].entries, ident[1].entries)}
-
-        def cached_pair(idx):
-            if idx not in pair_cache:
-                pair_cache[idx] = word_pair(idx)
-            return pair_cache[idx]
+        def offer(u2, w2, w2_inv):
+            return check(IntMatrix(rows, rows, u2), IntMatrix(cols, cols, w2),
+                         IntMatrix(cols, cols, w2_inv))
 
         while side.frontier and depth < self.budget.max_depth and not truncated:
             new_frontier = []
             for idx in side.frontier:
                 entries = side.records[idx][0]
                 for move_idx, (axis, move) in enumerate(self.moves):
-                    child = _apply_move(axis, move, entries, self.rows, self.cols)
+                    child = _apply_move(axis, move, entries, rows, cols)
                     hit = side.visited.get(child)
                     if hit is None:
                         if work + 1 > self.budget.max_nodes:
@@ -437,37 +460,15 @@ class _Engine:
                         truncated = True
                         break
                     work += 1
-                    ux, wx = cached_pair(idx)
-                    uy, wy = cached_pair(hit)
-                    uy_inv = invert_unimodular(
-                        IntMatrix(self.rows, self.rows, uy)
-                    ).entries
-                    wy_inv = invert_unimodular(
-                        IntMatrix(self.cols, self.cols, wy)
-                    ).entries
-                    kind, a_, b_, sign = move
-                    if axis == _LEFT:
-                        if kind == "t":
-                            gux = _kernels.row_add(ux, self.rows, self.rows, a_, b_, sign)
-                        else:
-                            gux = _kernels.row_negate(ux, self.rows, self.rows, a_)
-                        u2 = _kernels.mat_mul(self.rows, self.rows, uy_inv, self.rows, gux)
-                        w2 = _kernels.mat_mul(self.cols, self.cols, wx, self.cols, wy_inv)
-                    else:
-                        if kind == "t":
-                            hwx = _kernels.col_add(wx, self.cols, self.cols, a_, b_, sign)
-                        else:
-                            hwx = _kernels.col_negate(wx, self.cols, self.cols, b_)
-                        u2 = _kernels.mat_mul(self.rows, self.rows, uy_inv, self.rows, ux)
-                        w2 = _kernels.mat_mul(self.cols, self.cols, hwx, self.cols, wy_inv)
-                    sig = (u2, w2)
+                    gu, gw, _, gw_inv = self._step(word(idx), move_idx)
+                    _, wy, uy_inv, wy_inv = word(hit)
+                    sig = (mat_mul(rows, rows, uy_inv, rows, gu),
+                           mat_mul(cols, cols, gw, cols, wy_inv))
                     if sig in seen:
                         continue
                     seen.add(sig)
-                    um = IntMatrix(self.rows, self.rows, u2)
-                    wm = IntMatrix(self.cols, self.cols, w2)
-                    sigmas.append((um, wm))
-                    res = check(um, wm)
+                    sigmas.append((*sig, mat_mul(cols, cols, wy, cols, gw_inv)))
+                    res = offer(*sigmas[-1])
                     if res is not None:
                         return res, BudgetReport(work, depth + 1), truncated
                 if truncated:
@@ -475,19 +476,20 @@ class _Engine:
             side.frontier = new_frontier
             depth += 1
 
-        # Products of harvested stabilizer elements, budget permitting.
-        for u1, w1 in sigmas:
-            for u2, w2 in sigmas:
+        # Products of harvested stabilizer elements, budget permitting;
+        # (w2*w1)^-1 = w1^-1 * w2^-1.
+        for u1, w1, w1_inv in sigmas:
+            for u2, w2, w2_inv in sigmas:
                 if work + 1 > self.budget.max_nodes:
                     truncated = True
                     break
                 work += 1
-                um, wm = u1 * u2, w2 * w1
-                sig = (um.entries, wm.entries)
+                sig = (mat_mul(rows, rows, u1, rows, u2),
+                       mat_mul(cols, cols, w2, cols, w1))
                 if sig in seen:
                     continue
                 seen.add(sig)
-                res = check(um, wm)
+                res = offer(*sig, mat_mul(cols, cols, w1_inv, cols, w2_inv))
                 if res is not None:
                     return res, BudgetReport(work, depth), truncated
             if truncated:
@@ -552,9 +554,10 @@ def decide_blocked_equivalence(
     witnesses, report, truncated = engine.search(a.matrix, b.matrix)
     if witnesses:
         u, w = witnesses[0]
+        # For "uav-inv", V = W^-1: invert_unimodular has verified W*V = I,
+        # so U*a*W = b is the defining equation on both sides.
         v = w if side == SIDE_UAV else invert_unimodular(w)
-        right = v if side == SIDE_UAV else invert_unimodular(v)
-        if u * a.matrix * right != b.matrix or not _witness_groups_ok(
+        if u * a.matrix * w != b.matrix or not _witness_groups_ok(
             a.shape, group, u, v, unit_indices
         ):  # pragma: no cover - soundness guard
             raise AssertionError("witness failed re-verification")
@@ -638,19 +641,21 @@ def decide_with_unit(
 
     bt = b.matrix.transpose()
 
-    def condition2(v: IntMatrix):
-        vinv_t = invert_unimodular(v).transpose()
-        return solve_integer(bt, vinv_t * x - y) is not None
+    def condition2(v_inv: IntMatrix):
+        return solve_integer(bt, v_inv.transpose() * x - y) is not None
 
     if _pair_group_finite(a.shape):
         left_group = GL if group == UNIT_RESTRICTED else group
         us = _finite_group_elements(a.shape.row_square(), left_group)
-        vs = _finite_group_elements(a.shape.col_square(), group, unit_indices)
+        vs = [
+            (v, invert_unimodular(v))
+            for v in _finite_group_elements(a.shape.col_square(), group, unit_indices)
+        ]
         checked = 0
         for u in us:
-            for v in vs:
+            for v, v_inv in vs:
                 checked += 1
-                if u * a.matrix * invert_unimodular(v) == b.matrix and condition2(v):
+                if u * a.matrix * v_inv == b.matrix and condition2(v_inv):
                     return Verdict.yes(u, v, BudgetReport(checked, 0))
         return Verdict.no(
             Certificate(
@@ -669,19 +674,23 @@ def decide_with_unit(
     if base.is_unknown:
         return base
     u1, v1 = base.witness
-    if condition2(v1):
+    v1_inv = invert_unimodular(v1)
+    if condition2(v1_inv):
         return Verdict.yes(u1, v1, base.report)
 
     # Stabilizer coset sweep: every (1)-witness is (U2*U1, V2*V1) for a
     # stabilizer pair (U2, V2) of b, so test condition (2) along the coset.
     engine = _Engine(a.shape, group, budget, unit_indices)
 
-    def check(u2: IntMatrix, w2: IntMatrix):
-        # u2 * b * w2 = b, so (u2, v2) with v2 = w2^-1 stabilizes b.
-        v2 = invert_unimodular(w2)
-        u, v = u2 * u1, v2 * v1
-        if condition2(v):
-            if u * a.matrix * invert_unimodular(v) != b.matrix:  # pragma: no cover
+    def check(u2: IntMatrix, w2: IntMatrix, w2_inv: IntMatrix):
+        # u2 * b * w2 = b, so (u2, v2) with v2 = w2^-1 stabilizes b, and the
+        # composite V = v2 * v1 has V^-1 = v1^-1 * w2.
+        v_inv = v1_inv * w2
+        if condition2(v_inv):
+            u, v = u2 * u1, w2_inv * v1
+            if v * v_inv != IntMatrix.identity(n) or (
+                u * a.matrix * v_inv != b.matrix
+            ):  # pragma: no cover - soundness guard
                 raise AssertionError("stabilizer composition failed")
             return (u, v)
         return None

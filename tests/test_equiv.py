@@ -364,6 +364,79 @@ class TestDecideWithUnit:
         with pytest.raises(DimensionError):
             decide_with_unit(a, a, IntMatrix.column([1, 2]), IntMatrix.column([0]))
 
+    def test_stabilizer_sweep_runs_no_smith_form_per_edge(self, monkeypatch):
+        # The coset-witness instance above: the sweep carries inverse words,
+        # so only the base witness is ever inverted by a Smith normal form.
+        import blockeq.equiv as equiv
+
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return invert_unimodular(m)
+
+        monkeypatch.setattr(equiv, "invert_unimodular", counted)
+        shape = BlockShape.square(Poset(1), (2,))
+        a = BlockedMatrix(shape, IntMatrix.from_rows([[2, 0], [0, 0]]))
+        x = IntMatrix.column([1, 1])
+        y = IntMatrix.column([0, 1])
+        v = decide_with_unit(a, a, x, y, group=SL, budget=SearchBudget(6, 50_000, 0))
+        assert v.is_yes
+        assert len(calls) <= 3
+
+    # GL scrambles B = U*A*V with y = -V^T x - B^T r, so the witness (-U,
+    # -V^-1) satisfies both conditions while the search's first witness
+    # usually fails (2) and the coset sweep runs.  Seed 19 is found in the
+    # pairwise-product pass, seed 16 runs out of budget.  The expected
+    # outputs pin the sweep's enumeration order and first accepted element.
+    @pytest.mark.parametrize(
+        "seed, max_depth, max_nodes, status, witness, report",
+        [
+            (11, 6, 20_000, "yes",
+             ((-1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+              (-1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)), (263, 2)),
+            (17, 6, 20_000, "yes",
+             ((1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1),
+              (1, 1, -1, 0, 0, -1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1)), (103, 2)),
+            (20, 6, 20_000, "yes",
+             ((1, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1, 0,
+               0, 0, 0, 1, 1),
+              (1, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0,
+               0, 0, 0, 1, 1)), (614, 4)),
+            (27, 6, 20_000, "yes",
+             ((1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+              (1, 0, 0, 0, 0, 1, -2, -2, 0, 0, 0, -1, 0, 0, -1, -1)), (1009, 2)),
+            (45, 6, 20_000, "yes",
+             ((1, 0, 0, 0, -1, -1, 0, 0, 1), (1, 2, 0, 0, -1, 0, 0, 0, -1)),
+             (460, 3)),
+            (19, 2, 20_000, "yes",
+             ((1, 0, 0, -1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0,
+               0, 0, 0, 0, 1),
+              (1, 0, 0, 1, 1, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0,
+               0, 0, 0, 0, 1)), (3295, 2)),
+            (16, 4, 2_000, "unknown", None, (2064, 3)),
+        ],
+    )
+    def test_stabilizer_sweep_pinned_outputs(
+        self, seed, max_depth, max_nodes, status, witness, report
+    ):
+        rng = random.Random(seed)
+        shape = rand_square_shape(rng, max_poset=3, max_block=2)
+        a = rand_blocked(rng, shape, -2, 2)
+        _, v, b = scramble(rng, a, GL, 4)
+        n = shape.total_cols
+        x = IntMatrix.column([rng.randint(-2, 2) for _ in range(n)])
+        r = IntMatrix.column([rng.randint(-1, 1) for _ in range(n)])
+        y = IntMatrix.zero(n, 1) - v.transpose() * x - b.matrix.transpose() * r
+        verdict = decide_with_unit(
+            a, b, x, y, group=GL, budget=SearchBudget(max_depth, max_nodes)
+        )
+        assert verdict.status == status
+        got = verdict.witness and tuple(m.entries for m in verdict.witness)
+        assert got == witness
+        rep = verdict.report
+        assert (rep.nodes_expanded, rep.depth_reached) == report
+
     def test_rectangular_constructed_instances(self):
         # Build instances whose answer is yes by construction:
         # B = U A V^-1 and y = (V^-1)^T x - B^T r.
