@@ -10,11 +10,18 @@ elementary blocked generators applied on the left and right, meeting in the
 middle on exact matrix states.  Exact arithmetic makes state hashing reliable;
 determinism is guaranteed by fixed generator order and the
 lexicographically-least-witness tie-break at the minimal joining depth.
+
+Expansion never rebuilds a child it can already place: for X = m1(P),
+m1^-1(X) is P, and m2(X) = m1(m2(P)) for every m2 commuting with m1.  Such a
+child is an already-visited state, so records, budget counts, joins and
+witnesses are exactly those of the plain expansion.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 
 from . import _kernels
 from .intmat import (
@@ -25,7 +32,8 @@ from .intmat import (
     determinant,
     image_annihilator,
     invert_unimodular,
-    solve_integer,
+    smith_normal_form,
+    solve_with_snf,
 )
 from .poset_block import (
     GL,
@@ -198,13 +206,20 @@ class _Side:
     records[i] = (entries, move_index, parent_record, depth); the visited set
     is keyed by the entry tuples themselves (exact arithmetic makes state
     hashing reliable).  The root is record 0 with no move.
+
+    kids[i] maps each move index to the record holding that child of the
+    expanded record i.  Levels are contiguous in records and expanded in
+    order, so kids is indexed like records and every record below the one
+    being expanded has complete kids: expanding X = m1(P) reads m1^-1(X) = P
+    and m2(X) = kids[kids[P][m2]][m1], for m2 commuting with m1, off them.
     """
 
-    __slots__ = ("records", "visited", "depth", "frontier")
+    __slots__ = ("records", "visited", "depth", "frontier", "kids")
 
     def __init__(self, root_entries):
         self.records = [(root_entries, -1, -1, 0)]
         self.visited = {root_entries: 0}
+        self.kids = []
         self.depth = 0
         self.frontier = [0]
 
@@ -254,6 +269,19 @@ class _Engine:
         rights = generator_moves(shape.col_square(), right_group, right_unit)
         self.moves = [(_LEFT, mv) for mv in lefts] + [(_RIGHT, mv) for mv in rights]
         self.inverse_moves = [(ax, inverse_move(mv)) for ax, mv in self.moves]
+        index = {am: i for i, am in enumerate(self.moves)}
+        self.inverse_index = [index[am] for am in self.inverse_moves]
+        # I+sE[a,b] and I+tE[c,d] on one side commute unless b == c or a == d
+        # (a flip has a == b); moves on opposite sides always commute.  The
+        # inverse alphabet keeps every (a, b), so one table serves both.
+        starts, ends = defaultdict(list), defaultdict(list)
+        for i, (ax, (_, a, b, _)) in enumerate(self.moves):
+            starts[ax, a].append(i)
+            ends[ax, b].append(i)
+        self.noncommuting = [
+            frozenset(starts[ax, b] + ends[ax, a]) - {i}
+            for i, (ax, (_, a, b, _)) in enumerate(self.moves)
+        ]
 
     # -- witness reconstruction ---------------------------------------------
 
@@ -321,23 +349,35 @@ class _Engine:
         new_frontier = []
         count = nodes_used
         moves = self.moves if is_forward else self.inverse_moves
+        kids = side.kids
         for idx in side.frontier:
-            entries = side.records[idx][0]
-            depth = side.records[idx][3]
-            for move_idx, (axis, move) in enumerate(moves):
-                child = _apply_move(axis, move, entries, self.rows, self.cols)
-                if child in side.visited:
+            entries, m1, parent, depth = side.records[idx]
+            if parent < 0:
+                known = [None] * len(moves)
+            else:
+                known = [kids[r][m1] if r < idx else None for r in kids[parent]]
+                for m2 in self.noncommuting[m1]:
+                    known[m2] = None
+                known[self.inverse_index[m1]] = parent
+            for move_idx, rec in enumerate(known):
+                if rec is not None:
                     continue
-                if count + 1 > self.budget.max_nodes:
-                    return joins, count, True
-                rec = len(side.records)
-                side.records.append((child, move_idx, idx, depth + 1))
-                side.visited[child] = rec
-                new_frontier.append(rec)
-                count += 1
-                hit = other.visited.get(child)
-                if hit is not None:
-                    joins.append((rec, hit))
+                axis, move = moves[move_idx]
+                child = _apply_move(axis, move, entries, self.rows, self.cols)
+                rec = side.visited.get(child)
+                if rec is None:
+                    if count + 1 > self.budget.max_nodes:
+                        return joins, count, True
+                    rec = len(side.records)
+                    side.records.append((child, move_idx, idx, depth + 1))
+                    side.visited[child] = rec
+                    new_frontier.append(rec)
+                    count += 1
+                    hit = other.visited.get(child)
+                    if hit is not None:
+                        joins.append((rec, hit))
+                known[move_idx] = rec
+            kids.append(known)
         side.frontier = new_frontier
         side.depth += 1
         return joins, count, False
@@ -395,9 +435,9 @@ class _Engine:
                 _apply_move(_LEFT, inverse, w_inv, self.cols, self.cols))
 
     def stabilizer_sweep(self, b: IntMatrix, check):
-        """Enumerate stabilizer pairs (U, W) with U*b*W = b, calling
-        check(U, W, W^-1) on each until it returns a result or the budget
-        runs out.
+        """Enumerate stabilizer pairs (U, W) with U*b*W = b other than the
+        identity, calling check(U, W, W^-1) on each until it returns a result
+        or the budget runs out.
 
         Schreier-style: breadth-first search of the orbit of b keeps a tree
         word for each state, and every non-tree edge X --g--> Y contributes
@@ -414,9 +454,6 @@ class _Engine:
         rows, cols = self.rows, self.cols
         mat_mul = _kernels.mat_mul
         ident_u, ident_w = IntMatrix.identity(rows), IntMatrix.identity(cols)
-        res = check(ident_u, ident_w, ident_w)
-        if res is not None:
-            return res, BudgetReport(1, 0), False
         side = _Side(b.entries)
         seen = {(ident_u.entries, ident_w.entries)}
         sigmas = []
@@ -542,13 +579,17 @@ def decide_blocked_equivalence(
     if side not in _SIDES:
         raise ValueError(f"unknown side {side!r}")
     _require_same_shape(a, b)
+    return _decide_blocked(a, b, group, side, budget, unit_indices)[0]
 
+
+def _decide_blocked(a, b, group, side, budget, unit_indices):
+    """decide_blocked_equivalence, also returning its engine (None if refuted)."""
     profile_group = GL if group == UNIT_RESTRICTED else group
     pa = invariant_profile(a, profile_group)
     pb = invariant_profile(b, profile_group)
     diffs = pa.differences(pb)
     if diffs:
-        return Verdict.no(diffs[0], BudgetReport(0, 0))
+        return Verdict.no(diffs[0], BudgetReport(0, 0)), None
 
     engine = _Engine(a.shape, group, budget, unit_indices)
     witnesses, report, truncated = engine.search(a.matrix, b.matrix)
@@ -561,8 +602,8 @@ def decide_blocked_equivalence(
             a.shape, group, u, v, unit_indices
         ):  # pragma: no cover - soundness guard
             raise AssertionError("witness failed re-verification")
-        return Verdict.yes(u, v, report)
-    return Verdict.unknown(report)
+        return Verdict.yes(u, v, report), engine
+    return Verdict.unknown(report), engine
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +682,12 @@ def decide_with_unit(
 
     bt = b.matrix.transpose()
 
+    @cache
+    def bt_snf():
+        return smith_normal_form(bt)
+
     def condition2(v_inv: IntMatrix):
-        return solve_integer(bt, v_inv.transpose() * x - y) is not None
+        return solve_with_snf(bt, bt_snf(), v_inv.transpose() * x - y) is not None
 
     if _pair_group_finite(a.shape):
         left_group = GL if group == UNIT_RESTRICTED else group
@@ -666,12 +711,8 @@ def decide_with_unit(
             BudgetReport(checked, 0),
         )
 
-    base = decide_blocked_equivalence(
-        a, b, group=group, side=SIDE_UAV_INV, budget=budget, unit_indices=unit_indices
-    )
-    if base.is_no:
-        return base
-    if base.is_unknown:
+    base, engine = _decide_blocked(a, b, group, SIDE_UAV_INV, budget, unit_indices)
+    if not base.is_yes:
         return base
     u1, v1 = base.witness
     v1_inv = invert_unimodular(v1)
@@ -679,9 +720,8 @@ def decide_with_unit(
         return Verdict.yes(u1, v1, base.report)
 
     # Stabilizer coset sweep: every (1)-witness is (U2*U1, V2*V1) for a
-    # stabilizer pair (U2, V2) of b, so test condition (2) along the coset.
-    engine = _Engine(a.shape, group, budget, unit_indices)
-
+    # stabilizer pair (U2, V2) of b, so test condition (2) along the coset;
+    # the identity pair gives V1 itself, refuted just above.
     def check(u2: IntMatrix, w2: IntMatrix, w2_inv: IntMatrix):
         # u2 * b * w2 = b, so (u2, v2) with v2 = w2^-1 stabilizes b, and the
         # composite V = v2 * v1 has V^-1 = v1^-1 * w2.

@@ -493,7 +493,12 @@ def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """Integer solution X of a*X = b (all columns at once), or None."""
     if a.rows != b.rows:
         raise DimensionError("row count mismatch")
-    dec = smith_normal_form(a)
+    return solve_with_snf(a, smith_normal_form(a), b)
+
+
+def solve_with_snf(a: IntMatrix, dec, b: IntMatrix) -> IntMatrix | None:
+    """solve_matrix with dec = smith_normal_form(a) already computed, so a
+    caller solving many right-hand sides against one a pays for it once."""
     diag = dec.diagonal()
     c = dec.U * b
     cols = []

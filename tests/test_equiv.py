@@ -206,6 +206,130 @@ class TestDecideBlockedEquivalence:
         u, w = v.witness
         assert (u.entries, w.entries) == ((-1,), (1,))
 
+    # Seeded scrambles whose verdict, witness entries and budget report were
+    # recorded before the search learned to skip children it can place from
+    # earlier expansions; the skip must not change any of them.
+    @pytest.mark.parametrize(
+        "seed, group, side, rectangular, max_nodes, status, witness, report",
+        [
+            (16, SL, SIDE_UAV, False, 20_000, "yes",
+             ((1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+              (1, 2, -1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)), (366, 3)),
+            (26, SL, SIDE_UAV_INV, False, 20_000, "yes",
+             ((1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1),
+              (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, -1, 1)), (114, 3)),
+            (20, SL, SIDE_UAV_INV, False, 20_000, "yes",
+             ((2, -1, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, -1,
+               0, 0, 0, 0, 1),
+              (1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0,
+               0, 0, 0, 1, 1)), (310, 4)),
+            (24, GL, SIDE_UAV, False, 20_000, "yes",
+             ((1, -1, 0, 0, 1, 0, 0, 0, 1), (1, -1, -2, 0, 1, 1, 0, 0, 1)),
+             (324, 4)),
+            (26, GL, SIDE_UAV, False, 20_000, "yes",
+             ((1, 0, 0, 0, 0, -1, -1, 0, 0, 0, 1, 0, 0, 0, 0, -1),
+              (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1)), (415, 4)),
+            (16, GL, SIDE_UAV_INV, False, 20_000, "yes",
+             ((1, -1, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+              (-1, -1, -1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1)), (6687, 5)),
+            (9, GL, SIDE_UAV_INV, True, 20_000, "yes",
+             ((-1, 0, 0, 0, 1, 0, 0, 0, -1),
+              (1, 0, 0, 0, 0, 1, 0, -1, 0, 0, 1, 0, 0, 0, 0, 1)), (106, 3)),
+            (27, SL, SIDE_UAV, False, 300, "unknown", None, (300, 3)),
+        ],
+    )
+    def test_search_pinned_outputs(
+        self, seed, group, side, rectangular, max_nodes, status, witness, report
+    ):
+        rng = random.Random(seed)
+        if rectangular:
+            poset = Poset(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 4)])
+            shape = BlockShape(poset, (1, 0, 1, 0, 1), (1, 1, 0, 1, 1))
+        else:
+            shape = rand_square_shape(rng, max_poset=3, max_block=2)
+        a = rand_blocked(rng, shape, -2, 2)
+        _, _, b = scramble(rng, a, group, 6)
+        verdict = decide_blocked_equivalence(
+            a, b, group=group, side=side, budget=SearchBudget(6, max_nodes)
+        )
+        assert verdict.status == status
+        got = verdict.witness and tuple(m.entries for m in verdict.witness)
+        assert got == witness
+        rep = verdict.report
+        assert (rep.nodes_expanded, rep.depth_reached) == report
+
+
+class TestSearchExpansion:
+    @pytest.mark.parametrize(
+        "shape, group, unit_indices",
+        [
+            (BlockShape.square(chain_poset(3), (2, 1, 2)), SL, None),
+            (BlockShape.square(Poset(3, [(1, 3)]), (2, 2, 1)), GL, None),
+            (BlockShape(Poset(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 4)]),
+                        (1, 0, 1, 0, 1), (1, 1, 0, 1, 1)), GL, None),
+            (BlockShape.square(chain_poset(3), (1, 2, 1)), UNIT_RESTRICTED, (1,)),
+        ],
+    )
+    def test_commutation_sets_match_matrix_products(self, shape, group, unit_indices):
+        from blockeq.equiv import _LEFT, _Engine
+        from blockeq.poset_block import move_matrix
+
+        engine = _Engine(shape, group, SearchBudget(), unit_indices)
+        mats = [
+            (ax, move_matrix(mv, shape.total_rows if ax == _LEFT else shape.total_cols))
+            for ax, mv in engine.moves
+        ]
+        assert len(engine.noncommuting) == len(mats)
+        for i, (ax_i, m_i) in enumerate(mats):
+            ax_inv, m_inv = mats[engine.inverse_index[i]]
+            assert ax_inv == ax_i and m_i * m_inv == IntMatrix.identity(m_i.rows)
+            for j, (ax_j, m_j) in enumerate(mats):
+                commute = ax_i != ax_j or m_i * m_j == m_j * m_i
+                assert (j not in engine.noncommuting[i]) == commute, (i, j)
+
+    def test_expansion_skips_known_children(self, monkeypatch):
+        # Six SL generators scramble the 3-chain with 2x2 blocks.  Building
+        # every child takes 10,512 moves; children known from commuting pairs
+        # of moves and from each record's parent are not built again, and the
+        # verdict, witness and report stay exactly as they were.
+        import blockeq.equiv as equiv
+        from blockeq.poset_block import generator_moves, move_matrix
+
+        built = []
+        apply_move = equiv._apply_move
+
+        def counted(*args):
+            built.append(args[0])
+            return apply_move(*args)
+
+        monkeypatch.setattr(equiv, "_apply_move", counted)
+        shape = BlockShape.square(chain_poset(3), (2, 2, 2))
+        moves = generator_moves(shape, SL)
+        rng = random.Random(3)
+        a = IntMatrix.from_rows(
+            [[rng.randint(-2, 2) if c // 2 >= r // 2 else 0 for c in range(6)]
+             for r in range(6)]
+        )
+        u = v = IntMatrix.identity(6)
+        for _ in range(6):
+            m = move_matrix(moves[rng.randrange(len(moves))], 6)
+            if rng.random() < 0.5:
+                u = m * u
+            else:
+                v = v * m
+        verdict = decide_blocked_equivalence(
+            BlockedMatrix(shape, a), BlockedMatrix(shape, u * a * v),
+            group=SL, budget=SearchBudget(6, 20_000),
+        )
+        assert verdict.status == "yes"
+        assert tuple(m.entries for m in verdict.witness) == (
+            (1, 0, 1, 0, 0, 0, 1, 1, 1, 0, -1, 1, 0, 0, 1, 0, 0, 0,
+             0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 1),
+            IntMatrix.identity(6).entries,
+        )
+        assert (verdict.report.nodes_expanded, verdict.report.depth_reached) == (5852, 4)
+        assert len(built) <= 0.65 * 10_512
+
 
 class TestRecoveryAcrossGroups:
     def test_rectangular_scramble_recover(self):
