@@ -330,17 +330,21 @@ def _find_pivot(s, m, n, k):
     return best
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Diagonalize a over Z: returns (U, S, V) with U*a*V = S.
+def _eliminate(a: IntMatrix, transforms: bool):
+    """Smith elimination of a, returning its work rows.
 
-    S is diagonal with s1 | s2 | ..., all si >= 0; U and V are unimodular.
-    Pivoting always picks a nonzero entry of minimal absolute value to limit
-    coefficient growth.  Deterministic for a fixed input.
+    With transforms, row i of S carries row i of U after its n entries, and
+    the n rows of V sit below the m rows of S, so every row operation also
+    updates U and every column operation also updates V.  The pivot search
+    and the divisibility check read only the first m rows and n columns, so
+    the diagonal is the same with or without transforms.
     """
     m, n = a.rows, a.cols
     s = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
+    if transforms:
+        for i, row in enumerate(s):
+            row.extend(1 if j == i else 0 for j in range(m))
+        s.extend([1 if j == i else 0 for j in range(n)] for i in range(n))
 
     k = 0
     limit = min(m, n)
@@ -351,49 +355,37 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         pi, pj = piv
         if pi != k:
             s[k], s[pi] = s[pi], s[k]
-            u[k], u[pi] = u[pi], u[k]
         if pj != k:
             for row in s:
-                row[k], row[pj] = row[pj], row[k]
-            for row in v:
                 row[k], row[pj] = row[pj], row[k]
 
         while True:
             # Clear column k below the pivot; a nonzero remainder becomes the
             # new (strictly smaller) pivot.
             restart = False
+            srk = s[k]
             for i in range(k + 1, m):
                 if s[i][k]:
-                    q = s[i][k] // s[k][k]
+                    q = s[i][k] // srk[k]
                     if q:
-                        srk = s[k]
                         sri = s[i]
-                        for j in range(k, n):
+                        for j in range(k, len(sri)):
                             sri[j] -= q * srk[j]
-                        urk = u[k]
-                        uri = u[i]
-                        for j in range(m):
-                            uri[j] -= q * urk[j]
                     if s[i][k]:
                         s[k], s[i] = s[i], s[k]
-                        u[k], u[i] = u[i], u[k]
                         restart = True
                         break
             if restart:
                 continue
             # Clear row k to the right of the pivot.
             for j in range(k + 1, n):
-                if s[k][j]:
-                    q = s[k][j] // s[k][k]
+                if srk[j]:
+                    q = srk[j] // srk[k]
                     if q:
                         for row in s:
                             row[j] -= q * row[k]
-                        for row in v:
-                            row[j] -= q * row[k]
-                    if s[k][j]:
+                    if srk[j]:
                         for row in s:
-                            row[k], row[j] = row[j], row[k]
-                        for row in v:
                             row[k], row[j] = row[j], row[k]
                         restart = True
                         break
@@ -403,7 +395,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 continue
             # Pivot must divide every remaining entry for the chain to hold.
             offender = None
-            pivot = s[k][k]
+            pivot = srk[k]
             for i in range(k + 1, m):
                 row = s[i]
                 for j in range(k + 1, n):
@@ -414,28 +406,38 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     break
             if offender is None:
                 break
-            srk = s[k]
             sro = s[offender]
-            for j in range(k, n):
+            for j in range(k, len(srk)):
                 srk[j] += sro[j]
-            urk = u[k]
-            uro = u[offender]
-            for j in range(m):
-                urk[j] += uro[j]
         k += 1
 
     for d in range(limit):
         if s[d][d] < 0:
-            for j in range(n):
-                s[d][j] = -s[d][j]
-            for j in range(m):
-                u[d][j] = -u[d][j]
+            s[d] = [-e for e in s[d]]
+    return s
 
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Diagonalize a over Z: returns (U, S, V) with U*a*V = S.
+
+    S is diagonal with s1 | s2 | ..., all si >= 0; U and V are unimodular.
+    Pivoting always picks a nonzero entry of minimal absolute value to limit
+    coefficient growth.  Deterministic for a fixed input.
+    """
+    m, n = a.rows, a.cols
+    s = _eliminate(a, True)
     return SmithDecomposition(
-        IntMatrix.from_rows(u) if m else IntMatrix(0, 0, ()),
-        IntMatrix.from_rows(s) if m else IntMatrix(0, n, ()),
-        IntMatrix.from_rows(v) if n else IntMatrix(0, 0, ()),
+        IntMatrix(m, m, [e for row in s[:m] for e in row[n:]]),
+        IntMatrix(m, n, [e for row in s[:m] for e in row[:n]]),
+        IntMatrix(n, n, [e for row in s[m:] for e in row]),
     )
+
+
+def smith_diagonal(a: IntMatrix) -> tuple:
+    """smith_normal_form(a).diagonal(), by the same elimination without U
+    and V, whose entries grow far larger than the diagonal's."""
+    s = _eliminate(a, False)
+    return tuple(s[i][i] for i in range(min(a.rows, a.cols)))
 
 
 def determinant(a: IntMatrix) -> int:
@@ -464,13 +466,12 @@ def determinant(a: IntMatrix) -> int:
 
 
 def rank(a: IntMatrix) -> int:
-    return smith_normal_form(a).rank
+    return sum(1 for d in smith_diagonal(a) if d != 0)
 
 
 def cokernel(a: IntMatrix) -> FgAbelianGroup:
     """cok(a) = Z^rows / im_Z(a), with the source kept as presentation."""
-    dec = smith_normal_form(a)
-    diag = dec.diagonal()
+    diag = smith_diagonal(a)
     torsion = tuple(d for d in diag if d >= 2)
     r = sum(1 for d in diag if d != 0)
     return FgAbelianGroup(a.rows - r, torsion, presentation=a)
@@ -527,7 +528,11 @@ def solve_with_snf(a: IntMatrix, dec, b: IntMatrix) -> IntMatrix | None:
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns forming a basis of the integer kernel lattice of a."""
-    dec = smith_normal_form(a)
+    return kernel_basis_with_snf(a, smith_normal_form(a))
+
+
+def kernel_basis_with_snf(a: IntMatrix, dec) -> IntMatrix:
+    """kernel_basis with dec = smith_normal_form(a) already computed."""
     diag = dec.diagonal()
     free_cols = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
     basis = dec.V.submatrix(range(a.cols), free_cols)

@@ -39,23 +39,8 @@ class Poset:
     def __init__(self, size, pairs=()):
         if size < 0:
             raise ValueError("negative poset size")
-        rel = {(i, i) for i in range(1, size + 1)}
-        for i, j in pairs:
-            if not (1 <= i <= size and 1 <= j <= size):
-                raise ValueError(f"pair ({i},{j}) out of range 1..{size}")
-            rel.add((i, j))
-        # Transitive closure (sizes are small; cubic pass is fine).
-        changed = True
-        while changed:
-            changed = False
-            for i, j in list(rel):
-                for k in range(1, size + 1):
-                    if (j, k) in rel and (i, k) not in rel:
-                        rel.add((i, k))
-                        changed = True
+        rel = _order_closure(size, pairs)
         for i, j in rel:
-            if i != j and (j, i) in rel:
-                raise ValueError(f"antisymmetry violated at ({i},{j})")
             if i > j:
                 raise ValueError(
                     f"normalization violated: {i} precedes {j} but {i} > {j}; "
@@ -74,22 +59,7 @@ class Poset:
 
         Returns (poset, relabel) where relabel[old - 1] = new label.
         """
-        rel = {(i, i) for i in range(1, size + 1)}
-        for i, j in pairs:
-            if not (1 <= i <= size and 1 <= j <= size):
-                raise ValueError(f"pair ({i},{j}) out of range 1..{size}")
-            rel.add((i, j))
-        changed = True
-        while changed:
-            changed = False
-            for i, j in list(rel):
-                for k in range(1, size + 1):
-                    if (j, k) in rel and (i, k) not in rel:
-                        rel.add((i, k))
-                        changed = True
-        for i, j in rel:
-            if i != j and (j, i) in rel:
-                raise ValueError(f"antisymmetry violated at ({i},{j})")
+        rel = _order_closure(size, pairs)
         # Stable topological order: repeatedly take the minimal original label
         # among elements with no unplaced predecessor.
         remaining = set(range(1, size + 1))
@@ -127,13 +97,32 @@ class Poset:
         return True
 
     def convex_subsets(self):
-        """All nonempty convex subsets, canonically ordered."""
-        out = []
+        """All nonempty convex subsets, by size and then lexicographically.
+
+        Grown from singletons: removing a maximal element keeps a convex set
+        convex, so each one of size k + 1 is some convex C of size k plus an
+        x whose intervals [x, c] and [c, x] to every c in C lie in C + {x}.
+        """
         elems = list(self.elements())
-        for size in range(1, self.size + 1):
-            for comb in combinations(elems, size):
-                if self.is_convex(comb):
-                    out.append(comb)
+        between = {
+            (a, b): frozenset(j for j in elems if self.leq(a, j) and self.leq(j, b))
+            for (a, b) in self.pairs
+        }
+        empty = frozenset()
+        out = []
+        level = {frozenset((x,)) for x in elems}
+        while level:
+            out.extend(sorted(tuple(sorted(c)) for c in level))
+            grown = set()
+            for c in level:
+                for x in elems:
+                    g = c | {x}
+                    if x not in c and g not in grown and all(
+                        between.get((x, y), empty) <= g and between.get((y, x), empty) <= g
+                        for y in c
+                    ):
+                        grown.add(g)
+            level = grown
         return out
 
     def downsets_within(self, subset):
@@ -191,6 +180,29 @@ class Poset:
 
     def __repr__(self):
         return f"Poset({self.size}, {self.strict_pairs()})"
+
+
+def _order_closure(size, pairs):
+    """Reflexive and transitive closure of pairs on 1..size, rejecting pairs
+    out of range and cycles."""
+    rel = {(i, i) for i in range(1, size + 1)}
+    for i, j in pairs:
+        if not (1 <= i <= size and 1 <= j <= size):
+            raise ValueError(f"pair ({i},{j}) out of range 1..{size}")
+        rel.add((i, j))
+    # Transitive closure (sizes are small; cubic pass is fine).
+    changed = True
+    while changed:
+        changed = False
+        for i, j in list(rel):
+            for k in range(1, size + 1):
+                if (j, k) in rel and (i, k) not in rel:
+                    rel.add((i, k))
+                    changed = True
+    for i, j in rel:
+        if i != j and (j, i) in rel:
+            raise ValueError(f"antisymmetry violated at ({i},{j})")
+    return rel
 
 
 def chain_poset(n):

@@ -25,9 +25,10 @@ from .intmat import (
     column_lattice_basis,
     invert_unimodular,
     kernel_basis,
-    lattice_equal,
+    kernel_basis_with_snf,
     smith_normal_form,
     solve_matrix,
+    solve_with_snf,
 )
 from .poset_block import BlockedMatrix, ShapeError
 
@@ -805,17 +806,20 @@ def _sub_cols(shape, subset):
     return [c for j in subset for c in shape.col_range(j)]
 
 
-def _exact_at(f_in, f_out, mid: PresentedGroup, nxt: PresentedGroup) -> bool:
+def _exact_at(f_in, f_out, mid: PresentedGroup, nxt: PresentedGroup, snf) -> bool:
     """Exactness at `mid`: image of f_in equals kernel of f_out, compared as
-    sublattices of the generator lattice (both contain the relations)."""
+    sublattices of the generator lattice (both contain the relations).  snf
+    returns the Smith decomposition of a matrix."""
     rel_mid = mid.relations
     image = f_in.hstack(rel_mid) if f_in.cols else rel_mid
-    rel_next = nxt.relations
-    stacked = f_out.hstack(rel_next)
-    ker = kernel_basis(stacked)
+    stacked = f_out.hstack(nxt.relations)
+    ker = kernel_basis_with_snf(stacked, snf(stacked))
     pre = ker.submatrix(range(f_out.cols), range(ker.cols))
     kernel = pre.hstack(rel_mid)
-    return lattice_equal(image, kernel)
+    return (
+        solve_with_snf(image, snf(image), kernel) is not None
+        and solve_with_snf(kernel, snf(kernel), image) is not None
+    )
 
 
 def build_kweb(b: BlockedMatrix) -> KWeb:
@@ -825,6 +829,17 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
         raise ShapeError("K-webs are built over square shapes")
     poset = shape.poset
     convex = poset.convex_subsets()
+    # One Smith decomposition per distinct matrix: the sequences of
+    # neighbouring splittings share maps and kernels, and the matrix whose
+    # kernel is taken at one position is the image at the next.
+    decs = {}
+
+    def snf(a):
+        dec = decs.get(a)
+        if dec is None:
+            dec = decs[a] = smith_normal_form(a)
+        return dec
+
     nodes = []
     groups = {}
     kernel_bases = {}
@@ -836,7 +851,7 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
         submatrices[s] = sub
         ker_node = KWebNode("ker", s)
         cok_node = KWebNode("cok", s)
-        basis = kernel_basis(sub)
+        basis = kernel_basis_with_snf(sub, snf(sub))
         kernel_bases[ker_node] = basis
         groups[ker_node] = PresentedGroup.free(basis.cols)
         groups[cok_node] = PresentedGroup(sub.rows, sub)
@@ -844,6 +859,7 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
         nodes.append(cok_node)
 
     arrows = []
+    trivial = PresentedGroup.free(0)
     for s in convex:
         col_index = {j: pos for pos, j in enumerate(_sub_cols(shape, s))}
         row_index = {r: pos for pos, r in enumerate(_sub_rows(shape, s))}
@@ -867,18 +883,18 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
             rows_s1 = [row_index[r] for r in _sub_rows(shape, s1)]
 
             # ker B{S1} -> ker B{S}: include and re-express in the S basis.
-            embedded = IntMatrix.zero(nn.rows, n1.cols)
-            emb = embedded.to_rows()
+            emb = IntMatrix.zero(nn.rows, n1.cols).to_rows()
             for pos, c in enumerate(cols_s1):
                 for j in range(n1.cols):
                     emb[c][j] = n1[pos, j]
-            f1 = solve_matrix(nn, IntMatrix.from_rows(emb) if nn.rows else IntMatrix(0, n1.cols, ()))
+            embedded = IntMatrix.from_rows(emb) if nn.rows else IntMatrix(0, n1.cols, ())
+            f1 = solve_with_snf(nn, snf(nn), embedded)
             if f1 is None:  # pragma: no cover - theory
                 raise AssertionError("kernel inclusion failed")
 
             # ker B{S} -> ker B{S2}: project to the S2 coordinates.
             proj = nn.submatrix(cols_s2, range(nn.cols))
-            f2 = solve_matrix(n2, proj)
+            f2 = solve_with_snf(n2, snf(n2), proj)
             if f2 is None:  # pragma: no cover - theory
                 raise AssertionError("kernel projection failed")
 
@@ -912,13 +928,12 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
             seq_maps = [f1, f2, delta, f4, f5]
             zero_in = IntMatrix(seq_groups[0].gens, 0, ())
             zero_out = IntMatrix(0, seq_groups[-1].gens, ())
-            trivial = PresentedGroup.free(0)
             chain_in = [zero_in] + seq_maps
             chain_out = seq_maps + [zero_out]
             chain_next = seq_groups[1:] + [trivial]
             for pos in range(6):
                 if not _exact_at(
-                    chain_in[pos], chain_out[pos], seq_groups[pos], chain_next[pos]
+                    chain_in[pos], chain_out[pos], seq_groups[pos], chain_next[pos], snf
                 ):
                     raise AssertionError(
                         f"six-term sequence not exact at position {pos} for {tag}"

@@ -8,6 +8,7 @@ decided by enumerating raw generator-image tuples.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -19,6 +20,23 @@ from blockeq import (
     smith_normal_form,
 )
 from blockeq.poset_block import generator_moves, move_matrix
+
+
+def count_snf_calls(monkeypatch):
+    """Route every blockeq binding of smith_normal_form through a counter;
+    returns the list the patched calls append their argument to."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return smith_normal_form(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "blockeq" and (
+            getattr(module, "smith_normal_form", None) is smith_normal_form
+        ):
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+    return calls
 
 
 def rand_matrix(rng, rows, cols, lo=-3, hi=3):

@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockeq import (
+    SL,
+    BlockShape,
+    BlockedMatrix,
     DimensionError,
     FgAbelianGroup,
     IntMatrix,
     cokernel,
     determinant,
     image_annihilator,
+    invariant_profile,
     kernel_basis,
     smith_normal_form,
     solve_integer,
@@ -23,10 +27,13 @@ from blockeq.intmat import (
     invert_unimodular,
     lattice_equal,
     rank,
+    smith_diagonal,
     solve_matrix,
 )
+from blockeq.poset_block import chain_poset
+from blockeq.sft import SftMatrix, bowen_franks
 
-from helpers import rand_matrix
+from helpers import count_snf_calls, rand_matrix
 
 
 def assert_snf_valid(a):
@@ -84,7 +91,8 @@ class TestSmithNormalForm:
         for _ in range(60):
             rows = rng.randint(0, 5)
             cols = rng.randint(0, 5)
-            assert_snf_valid(rand_matrix(rng, rows, cols, -9, 9))
+            a = rand_matrix(rng, rows, cols, -9, 9)
+            assert smith_diagonal(a) == assert_snf_valid(a).diagonal()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -98,7 +106,8 @@ class TestSmithNormalForm:
                 st.integers(-30, 30), min_size=rows * cols, max_size=rows * cols
             )
         )
-        assert_snf_valid(IntMatrix(rows, cols, entries))
+        a = IntMatrix(rows, cols, entries)
+        assert smith_diagonal(a) == assert_snf_valid(a).diagonal()
 
 
 class TestDeterminant:
@@ -162,6 +171,29 @@ class TestCokernel:
         g1 = cokernel(IntMatrix.diagonal([2, 3]))
         g2 = cokernel(IntMatrix.from_rows([[6]]))
         assert g1 == g2
+
+    def test_invariants_carry_no_transforms(self, monkeypatch):
+        # Cokernels and ranks read only the Smith diagonal, so neither they
+        # nor the invariants built from them run the transform-carrying form
+        # (13 calls when cokernel ran the full Smith normal form).
+        calls = count_snf_calls(monkeypatch)
+        rng = random.Random(12)
+        a = rand_matrix(rng, 4, 5, -9, 9)
+        assert cokernel(a).free_rank == 4 - rank(a)
+        assert bowen_franks(SftMatrix.from_rows([[1, 1], [1, 0]])).is_trivial
+        shape = BlockShape.square(chain_poset(3), (1, 2, 1))
+        rows = [[rng.randint(-3, 3) if c >= r else 0 for c in range(4)] for r in range(4)]
+        invariant_profile(BlockedMatrix(shape, IntMatrix.from_rows(rows)), SL)
+        assert calls == []
+
+    def test_large_torsion_matches_determinant(self):
+        # A 30x30 matrix with entries in [-9, 9]: the transforms of its full
+        # Smith normal form reach thousands of digits, the diagonal does not.
+        rng = random.Random(30)
+        a = rand_matrix(rng, 30, 30, -9, 9)
+        g = cokernel(a)
+        assert g.free_rank == 0
+        assert g.order() == abs(determinant(a))
 
 
 class TestSolveInteger:

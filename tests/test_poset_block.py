@@ -1,6 +1,7 @@
 """Posets, block shapes, membership, generators, and the corner embedding."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -25,7 +26,7 @@ from blockeq import (
 from blockeq.intmat import DimensionError
 from blockeq.poset_block import antichain_poset, chain_poset
 
-from helpers import rand_blocked, rand_square_shape
+from helpers import rand_blocked, rand_poset, rand_square_shape
 
 
 def five_element_poset():
@@ -65,6 +66,22 @@ class TestPoset:
         p = chain_poset(3)
         assert p.convex_subsets() == [
             (1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3),
+        ]
+
+        # Against a scan of every subset, order included.
+        def scanned(q):
+            return [c for k in range(1, q.size + 1)
+                    for c in combinations(q.elements(), k) if q.is_convex(c)]
+
+        rng = random.Random(64)
+        for _ in range(200):
+            q = rand_poset(rng, rng.randint(0, 7))
+            assert q.convex_subsets() == scanned(q)
+        assert antichain_poset(4).convex_subsets() == scanned(antichain_poset(4))
+        assert len(antichain_poset(4).convex_subsets()) == 15
+        # The convex subsets of a chain are its 136 intervals.
+        assert chain_poset(16).convex_subsets() == [
+            tuple(range(i, i + k)) for k in range(1, 17) for i in range(1, 18 - k)
         ]
 
     def test_downsets_within(self):

@@ -19,7 +19,7 @@ from blockeq import (
     module_to_zrep,
     zrep_to_module,
 )
-from blockeq.poset_block import antichain_poset, chain_poset
+from blockeq.poset_block import Poset, antichain_poset, chain_poset
 from blockeq.quiver import (
     PathModule,
     PresentedGroup,
@@ -27,7 +27,13 @@ from blockeq.quiver import (
     normalize_hom,
 )
 
-from helpers import rand_blocked, rand_square_shape, rep_iso_oracle, scramble
+from helpers import (
+    count_snf_calls,
+    rand_blocked,
+    rand_square_shape,
+    rep_iso_oracle,
+    scramble,
+)
 
 Z = IntMatrix(1, 0, ())  # one generator, no relations
 Z2 = IntMatrix.from_rows([[2]])
@@ -301,6 +307,17 @@ class TestKWeb:
             shape = rand_square_shape(rng)
             rand = rand_blocked(rng, shape)
             build_kweb(rand)  # exactness asserted inside
+
+    def test_one_smith_form_per_web_matrix(self, monkeypatch):
+        # The five-element diamond with 2x2 blocks has 24 convex subsets.
+        # Building its web re-solves the same matrices across splittings
+        # and positions: 1,314 Smith forms without sharing, 314 with it.
+        diamond = Poset(5, [(1, 5), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
+        shape = BlockShape.square(diamond, (2,) * 5)
+        calls = count_snf_calls(monkeypatch)
+        web = build_kweb(rand_blocked(random.Random(5), shape))
+        assert len(web.nodes) == 48
+        assert len(calls) <= 450
 
     def test_kweb_iso_self(self):
         shape = BlockShape.square(chain_poset(2), (1, 1))
