@@ -6,7 +6,6 @@ report), flow-equivalence invariants and reductions for shifts of finite
 type, and isomorphism of Z-quiver representations and K-webs.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .intmat import (
     AnnihilatorMatrix,
     DimensionError,
@@ -85,3 +84,4 @@ from .quiver import (
 )
 
 __version__ = "0.1.0"
+KERNEL_BACKEND = "python"  # the only kernel backend; kept for callers that record it

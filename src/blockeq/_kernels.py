@@ -1,23 +1,56 @@
-"""Kernel backend selection.
+"""Kernels for the hot entry-tuple operations.
 
-Imports the compiled extension when it is built, the pure-Python twin
-otherwise.  Set BLOCKEQ_PURE=1 to force the pure backend (used by the
-benchmark and by differential tests).
+Matrices are flat row-major tuples of Python ints, so every operation here is
+exact at arbitrary precision.
 """
 
-import os
 
-if os.environ.get("BLOCKEQ_PURE"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
+def mat_mul(p, q, a, r, b):
+    """Product of a (p x q) by b (q x r), both flat row-major tuples."""
+    out = [0] * (p * r)
+    for i in range(p):
+        ai = i * q
+        oi = i * r
+        for k in range(q):
+            aik = a[ai + k]
+            if aik:
+                bk = k * r
+                for j in range(r):
+                    out[oi + j] += aik * b[bk + j]
+    return tuple(out)
 
-BACKEND = _impl.BACKEND
-mat_mul = _impl.mat_mul
-row_add = _impl.row_add
-col_add = _impl.col_add
-row_negate = _impl.row_negate
-col_negate = _impl.col_negate
+
+def row_add(entries, rows, cols, dst, src, c):
+    """Left-multiply by I + c*E[dst,src]: row dst += c * row src."""
+    out = list(entries)
+    d = dst * cols
+    s = src * cols
+    for j in range(cols):
+        out[d + j] += c * entries[s + j]
+    return tuple(out)
+
+
+def col_add(entries, rows, cols, src, dst, c):
+    """Right-multiply by I + c*E[src,dst]: col dst += c * col src."""
+    out = list(entries)
+    for i in range(rows):
+        base = i * cols
+        out[base + dst] += c * entries[base + src]
+    return tuple(out)
+
+
+def row_negate(entries, rows, cols, i):
+    """Left-multiply by the diagonal flip at i: row i changes sign."""
+    out = list(entries)
+    base = i * cols
+    for j in range(cols):
+        out[base + j] = -out[base + j]
+    return tuple(out)
+
+
+def col_negate(entries, rows, cols, j):
+    """Right-multiply by the diagonal flip at j: column j changes sign."""
+    out = list(entries)
+    for i in range(rows):
+        out[i * cols + j] = -out[i * cols + j]
+    return tuple(out)

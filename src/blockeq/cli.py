@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_budget(p):
         p.add_argument("--max-depth", type=int, default=8)
         p.add_argument("--max-nodes", type=int, default=1_000_000)
-        p.add_argument("--seed", type=int, default=0)
 
     def add_output(p):
         p.add_argument("--output", "-o", default=None, help="write JSON here instead of stdout")
@@ -144,7 +143,7 @@ def _emit(doc, args) -> None:
 
 def _budget(args) -> SearchBudget:
     try:
-        return SearchBudget(args.max_depth, args.max_nodes, args.seed)
+        return SearchBudget(args.max_depth, args.max_nodes)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 

@@ -62,7 +62,6 @@ class SearchBudget:
 
     max_depth: int = 8
     max_nodes: int = 1_000_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_depth <= 0 or self.max_nodes <= 0:
@@ -224,6 +223,16 @@ class _Side:
         self.frontier = [0]
 
 
+def _unit_blocks(square_shape, unit_indices):
+    """Indices of the diagonal blocks pinned to 1 in the unit-restricted
+    group: the blocks of size 1, unless unit_indices is given."""
+    if unit_indices is not None:
+        return tuple(unit_indices)
+    return tuple(
+        i for i in square_shape.poset.elements() if square_shape.row_sizes[i - 1] == 1
+    )
+
+
 def _apply_move(axis, move, entries, rows, cols):
     kind, a, b, sign = move
     if axis == _LEFT:
@@ -247,7 +256,14 @@ def _chain_moves(side, idx):
 
 
 class _Engine:
-    """Search for (U, W) products of elementary generators with U*A*W = B."""
+    """Search for (U, W) products of elementary generators with U*A*W = B.
+
+    Records hold states and move indices only.  A word (U, W, U^-1, W^-1)
+    is rebuilt on demand by replaying a chain of move indices through
+    _step, the one routine that extends a word; _apply_move is the one
+    routine that applies a move to entries.  A witness therefore carries
+    its inverse, and no unimodular matrix is inverted by a Smith form.
+    """
 
     def __init__(self, shape: BlockShape, group: str, budget: SearchBudget,
                  unit_indices=None):
@@ -259,12 +275,7 @@ class _Engine:
         right_group = GL if group == UNIT_RESTRICTED else group
         right_unit = None
         if group == UNIT_RESTRICTED:
-            if unit_indices is None:
-                right_unit = tuple(
-                    i for i in shape.poset.elements() if shape.col_sizes[i - 1] == 1
-                )
-            else:
-                right_unit = tuple(unit_indices)
+            right_unit = _unit_blocks(shape.col_square(), unit_indices)
         lefts = generator_moves(shape.row_square(), left_group)
         rights = generator_moves(shape.col_square(), right_group, right_unit)
         self.moves = [(_LEFT, mv) for mv in lefts] + [(_RIGHT, mv) for mv in rights]
@@ -283,63 +294,36 @@ class _Engine:
             for i, (ax, (_, a, b, _)) in enumerate(self.moves)
         ]
 
-    # -- witness reconstruction ---------------------------------------------
+    # -- words -------------------------------------------------------------
 
-    def _forward_pair(self, fwd, idx):
+    def _step(self, word, move_idx):
+        """Extend a word (U, W, U^-1, W^-1) by one move: a left move G gives
+        (G*U, W, U^-1*G^-1, W^-1), a right move H gives (U, W*H, U^-1, H^-1*W^-1)."""
+        u, w, u_inv, w_inv = word
+        axis, move = self.moves[move_idx]
+        inverse = self.inverse_moves[move_idx][1]
+        if axis == _LEFT:
+            return (_apply_move(_LEFT, move, u, self.rows, self.rows), w,
+                    _apply_move(_RIGHT, inverse, u_inv, self.rows, self.rows), w_inv)
+        return (u, _apply_move(_RIGHT, move, w, self.cols, self.cols), u_inv,
+                _apply_move(_LEFT, inverse, w_inv, self.cols, self.cols))
+
+    def _replay(self, chain):
+        """The word of a chain of move indices, from the identity word."""
         u = IntMatrix.identity(self.rows).entries
         w = IntMatrix.identity(self.cols).entries
-        for move_idx in _chain_moves(fwd, idx):
-            axis, move = self.moves[move_idx]
-            kind, a, b, sign = move
-            if axis == _LEFT:
-                if kind == "t":
-                    u = _kernels.row_add(u, self.rows, self.rows, a, b, sign)
-                else:
-                    u = _kernels.row_negate(u, self.rows, self.rows, a)
-            else:
-                if kind == "t":
-                    w = _kernels.col_add(w, self.cols, self.cols, a, b, sign)
-                else:
-                    w = _kernels.col_negate(w, self.cols, self.cols, b)
-        return u, w
-
-    def _backward_pair(self, bwd, idx):
-        # Chain moves are the *inverse* alphabet; the original generators wrap
-        # the node as B = G(m1) G(m2) ... X ... H(m2) H(m1).
-        u = IntMatrix.identity(self.rows).entries
-        w = IntMatrix.identity(self.cols).entries
-        chain = _chain_moves(bwd, idx)
+        word = (u, w, u, w)
         for move_idx in chain:
-            axis, move = self.moves[move_idx]
-            kind, a, b, sign = move
-            if axis == _LEFT:
-                # right-multiply the accumulator: u <- u * G
-                if kind == "t":
-                    u = _kernels.col_add(u, self.rows, self.rows, a, b, sign)
-                else:
-                    u = _kernels.col_negate(u, self.rows, self.rows, a)
-        for move_idx in reversed(chain):
-            axis, move = self.moves[move_idx]
-            kind, a, b, sign = move
-            if axis == _RIGHT:
-                # left-multiply the accumulator: w <- H * w ... realized as
-                # w * H applied in reversed order, which gives the same product
-                # H(mj) ... H(m1).
-                if kind == "t":
-                    w = _kernels.col_add(w, self.cols, self.cols, a, b, sign)
-                else:
-                    w = _kernels.col_negate(w, self.cols, self.cols, b)
-        return u, w
+            word = self._step(word, move_idx)
+        return word
 
     def _witness(self, fwd, bwd, f_idx, b_idx):
-        uf, wf = self._forward_pair(fwd, f_idx)
-        ub, wb = self._backward_pair(bwd, b_idx)
-        u = _kernels.mat_mul(self.rows, self.rows, ub, self.rows, uf)
-        w = _kernels.mat_mul(self.cols, self.cols, wf, self.cols, wb)
-        return (
-            IntMatrix(self.rows, self.rows, u),
-            IntMatrix(self.cols, self.cols, w),
-        )
+        """The word (U, W, U^-1, W^-1) with U*a*W = b for a join, as entry
+        tuples.  The forward chain m1..mj reaches X = G(mj)..G(m1) a
+        H(m1)..H(mj); the backward chain n1..nk applies the inverse alphabet
+        to b, so b = G(n1)..G(nk) X H(nk)..H(n1).  Replaying m1..mj, nk..n1
+        from the identity word builds U, W and both inverses."""
+        return self._replay(_chain_moves(fwd, f_idx) + _chain_moves(bwd, b_idx)[::-1])
 
     # -- search drivers ------------------------------------------------------
 
@@ -385,8 +369,8 @@ class _Engine:
     def search(self, a: IntMatrix, b: IntMatrix):
         """Find (U, W) with U*a*W = b; returns (witnesses, report, truncated).
 
-        witnesses is the (possibly empty) list of minimal-depth join pairs as
-        (U, W) matrices, deterministically ordered.
+        witnesses is the (possibly empty) list of the words (U, W, U^-1, W^-1)
+        of minimal-depth joins, as entry tuples, ordered by (U, W).
         """
         fwd = _Side(a.entries)
         bwd = _Side(b.entries)
@@ -419,20 +403,8 @@ class _Engine:
         )
         best = min(depth_of(p) for p in joins)
         out = [self._witness(fwd, bwd, f, b_) for f, b_ in joins if depth_of((f, b_)) == best]
-        out.sort(key=lambda uw: (uw[0].entries, uw[1].entries))
+        out.sort(key=lambda word: word[:2])
         return out, report, truncated
-
-    def _step(self, word, move_idx):
-        """Extend a word (U, W, U^-1, W^-1) by one move: a left move G gives
-        (G*U, W, U^-1*G^-1, W^-1), a right move H gives (U, W*H, U^-1, H^-1*W^-1)."""
-        u, w, u_inv, w_inv = word
-        axis, move = self.moves[move_idx]
-        inverse = self.inverse_moves[move_idx][1]
-        if axis == _LEFT:
-            return (_apply_move(_LEFT, move, u, self.rows, self.rows), w,
-                    _apply_move(_RIGHT, inverse, u_inv, self.rows, self.rows), w_inv)
-        return (u, _apply_move(_RIGHT, move, w, self.cols, self.cols), u_inv,
-                _apply_move(_LEFT, inverse, w_inv, self.cols, self.cols))
 
     def stabilizer_sweep(self, b: IntMatrix, check):
         """Enumerate stabilizer pairs (U, W) with U*b*W = b other than the
@@ -453,22 +425,18 @@ class _Engine:
         """
         rows, cols = self.rows, self.cols
         mat_mul = _kernels.mat_mul
-        ident_u, ident_w = IntMatrix.identity(rows), IntMatrix.identity(cols)
         side = _Side(b.entries)
-        seen = {(ident_u.entries, ident_w.entries)}
+        root = self._replay(())
+        seen = {root[:2]}
         sigmas = []
         work = 1
         truncated = False
         depth = 0
-        root = (ident_u.entries, ident_w.entries, ident_u.entries, ident_w.entries)
         words = {0: root}
 
         def word(idx):
             if idx not in words:
-                w = root
-                for move_idx in _chain_moves(side, idx):
-                    w = self._step(w, move_idx)
-                words[idx] = w
+                words[idx] = self._replay(_chain_moves(side, idx))
             return words[idx]
 
         def offer(u2, w2, w2_inv):
@@ -545,13 +513,9 @@ def _witness_groups_ok(shape, group, u, v, unit_indices):
             return False
         if not group_membership(v, shape.col_square(), GL):
             return False
-        idx = (
-            tuple(i for i in shape.poset.elements() if shape.col_sizes[i - 1] == 1)
-            if unit_indices is None
-            else tuple(unit_indices)
-        )
-        for i in idx:
-            blk = v.submatrix(shape.col_square().row_range(i), shape.col_square().col_range(i))
+        col_square = shape.col_square()
+        for i in _unit_blocks(col_square, unit_indices):
+            blk = v.submatrix(col_square.row_range(i), col_square.col_range(i))
             if blk.entries != (1,):
                 return False
         return True
@@ -583,27 +547,32 @@ def decide_blocked_equivalence(
 
 
 def _decide_blocked(a, b, group, side, budget, unit_indices):
-    """decide_blocked_equivalence, also returning its engine (None if refuted)."""
+    """decide_blocked_equivalence, also returning its engine (None if
+    refuted) and the verified W with U*a*W = b of a yes (else None)."""
     profile_group = GL if group == UNIT_RESTRICTED else group
     pa = invariant_profile(a, profile_group)
     pb = invariant_profile(b, profile_group)
     diffs = pa.differences(pb)
     if diffs:
-        return Verdict.no(diffs[0], BudgetReport(0, 0)), None
+        return Verdict.no(diffs[0], BudgetReport(0, 0)), None, None
 
     engine = _Engine(a.shape, group, budget, unit_indices)
     witnesses, report, truncated = engine.search(a.matrix, b.matrix)
-    if witnesses:
-        u, w = witnesses[0]
-        # For "uav-inv", V = W^-1: invert_unimodular has verified W*V = I,
-        # so U*a*W = b is the defining equation on both sides.
-        v = w if side == SIDE_UAV else invert_unimodular(w)
-        if u * a.matrix * w != b.matrix or not _witness_groups_ok(
-            a.shape, group, u, v, unit_indices
-        ):  # pragma: no cover - soundness guard
-            raise AssertionError("witness failed re-verification")
-        return Verdict.yes(u, v, report), engine
-    return Verdict.unknown(report), engine
+    if not witnesses:
+        return Verdict.unknown(report), engine, None
+    rows, cols = engine.rows, engine.cols
+    u_ent, w_ent, _, w_inv_ent = witnesses[0]
+    u, w = IntMatrix(rows, rows, u_ent), IntMatrix(cols, cols, w_ent)
+    # For "uav-inv", V = W^-1 comes from the word; V*W = I is re-checked, so
+    # U*a*W = b is the defining equation on both sides.
+    v = w if side == SIDE_UAV else IntMatrix(cols, cols, w_inv_ent)
+    if (
+        u * a.matrix * w != b.matrix
+        or (side == SIDE_UAV_INV and v * w != IntMatrix.identity(cols))
+        or not _witness_groups_ok(a.shape, group, u, v, unit_indices)
+    ):  # pragma: no cover - soundness guard
+        raise AssertionError("witness failed re-verification")
+    return Verdict.yes(u, v, report), engine, w
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +605,9 @@ def _finite_group_elements(square_shape: BlockShape, group: str, unit_indices=No
             positions.append((i, k))
     if group == SL:
         return [IntMatrix.identity(n)]
-    blocked = set()
+    blocked = ()
     if group == UNIT_RESTRICTED:
-        blocked = (
-            {i for i in square_shape.poset.elements()
-             if square_shape.row_sizes[i - 1] == 1}
-            if unit_indices is None
-            else set(unit_indices)
-        )
+        blocked = _unit_blocks(square_shape, unit_indices)
     free_positions = [k for (i, k) in positions if i not in blocked]
     out = []
     for mask in range(1 << len(free_positions)):
@@ -711,11 +675,12 @@ def decide_with_unit(
             BudgetReport(checked, 0),
         )
 
-    base, engine = _decide_blocked(a, b, group, SIDE_UAV_INV, budget, unit_indices)
+    base, engine, v1_inv = _decide_blocked(
+        a, b, group, SIDE_UAV_INV, budget, unit_indices
+    )
     if not base.is_yes:
         return base
     u1, v1 = base.witness
-    v1_inv = invert_unimodular(v1)
     if condition2(v1_inv):
         return Verdict.yes(u1, v1, base.report)
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
+from . import _kernels
+
 
 class DimensionError(ValueError):
     """Operands have incompatible dimensions."""
@@ -112,8 +114,6 @@ class IntMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        from . import _kernels
-
         ent = _kernels.mat_mul(self.rows, self.cols, self.entries, other.cols, other.entries)
         return IntMatrix(self.rows, other.cols, ent)
 

@@ -229,9 +229,7 @@ def verdict_to_json(v: Verdict, budget: SearchBudget | None = None) -> dict:
         }
     budget_doc = {}
     if budget is not None:
-        budget_doc.update(
-            max_depth=budget.max_depth, max_nodes=budget.max_nodes, seed=budget.seed
-        )
+        budget_doc.update(max_depth=budget.max_depth, max_nodes=budget.max_nodes)
     report = v.report if v.report is not None else BudgetReport(0, 0)
     budget_doc.update(
         nodes_expanded=report.nodes_expanded, depth_reached=report.depth_reached

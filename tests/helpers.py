@@ -22,20 +22,20 @@ from blockeq import (
 from blockeq.poset_block import generator_moves, move_matrix
 
 
-def count_snf_calls(monkeypatch):
-    """Route every blockeq binding of smith_normal_form through a counter;
-    returns the list the patched calls append their argument to."""
+def count_calls(monkeypatch, fn):
+    """Route every blockeq binding of the one-argument function fn through a
+    counter; returns the list the patched calls append their argument to."""
     calls = []
 
     def counted(a):
         calls.append(a)
-        return smith_normal_form(a)
+        return fn(a)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "blockeq" and (
-            getattr(module, "smith_normal_form", None) is smith_normal_form
+            getattr(module, fn.__name__, None) is fn
         ):
-            monkeypatch.setattr(module, "smith_normal_form", counted)
+            monkeypatch.setattr(module, fn.__name__, counted)
     return calls
 
 

@@ -229,7 +229,7 @@ def test_criterion_08_kweb_necessity():
             b = rand_blocked(rng, shape, -3, 3)
             _, _, moved = scramble(rng, b, SL, 4)
             verdict = decide_kweb_isomorphism(
-                build_kweb(b), build_kweb(moved), SearchBudget(2, 1_000, 0)
+                build_kweb(b), build_kweb(moved), SearchBudget(2, 1_000)
             )
             assert not verdict.is_no
 

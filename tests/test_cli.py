@@ -146,7 +146,11 @@ class TestSubcommands:
             capsys, "blocked-eq", a, b, "--group", "sl", "--max-depth", "1", "--max-nodes", "5"
         )
         assert code == EXIT_UNKNOWN
-        assert parse_stdout(out)["status"] == "unknown"
+        doc = parse_stdout(out)
+        assert doc["status"] == "unknown"
+        assert doc["budget"] == {
+            "max_depth": 1, "max_nodes": 5, "nodes_expanded": 5, "depth_reached": 0,
+        }
 
     def test_unit_eq(self, corpus, capsys):
         code, out, _ = run(
@@ -210,6 +214,8 @@ class TestErrorPaths:
         code, _, err = run(
             capsys, "flow-eq", corpus["full2"], corpus["fib"], "--max-depth", "0"
         )
+        assert code == EXIT_USAGE
+        code, _, err = run(capsys, "flow-eq", corpus["full2"], corpus["fib"], "--seed", "0")
         assert code == EXIT_USAGE
 
     def test_output_file(self, corpus, capsys, tmp_path):

@@ -32,6 +32,7 @@ from blockeq.intmat import DimensionError, invert_unimodular, solve_integer
 from blockeq.poset_block import ShapeError, chain_poset, antichain_poset
 
 from helpers import (
+    count_calls,
     make_solver,
     rand_blocked,
     rand_square_shape,
@@ -194,7 +195,7 @@ class TestDecideBlockedEquivalence:
         a = BlockedMatrix(shape, IntMatrix.from_rows([[2, 0], [0, 0]]))
         x = IntMatrix.column([1, 1])
         y = IntMatrix.column([1, 0])
-        v = decide_with_unit(a, a, x, y, group=SL, budget=SearchBudget(2, 30, 0))
+        v = decide_with_unit(a, a, x, y, group=SL, budget=SearchBudget(2, 30))
         assert v.status in ("yes", "unknown")
 
     def test_witness_is_lex_least_at_min_depth(self):
@@ -271,7 +272,7 @@ class TestSearchExpansion:
         ],
     )
     def test_commutation_sets_match_matrix_products(self, shape, group, unit_indices):
-        from blockeq.equiv import _LEFT, _Engine
+        from blockeq.equiv import _LEFT, _Engine, _apply_move
         from blockeq.poset_block import move_matrix
 
         engine = _Engine(shape, group, SearchBudget(), unit_indices)
@@ -280,6 +281,14 @@ class TestSearchExpansion:
             for ax, mv in engine.moves
         ]
         assert len(engine.noncommuting) == len(mats)
+        # _apply_move is left multiplication by a left move's matrix and
+        # right multiplication by a right move's, at any integer size.
+        rows, cols = shape.total_rows, shape.total_cols
+        rng = random.Random(len(mats))
+        e = IntMatrix(rows, cols, [rng.randint(-10**12, 10**12) for _ in range(rows * cols)])
+        for (ax, mv), (_, m) in zip(engine.moves, mats):
+            product = m * e if ax == _LEFT else e * m
+            assert _apply_move(ax, mv, e.entries, rows, cols) == product.entries
         for i, (ax_i, m_i) in enumerate(mats):
             ax_inv, m_inv = mats[engine.inverse_index[i]]
             assert ax_inv == ax_i and m_i * m_inv == IntMatrix.identity(m_i.rows)
@@ -291,7 +300,8 @@ class TestSearchExpansion:
         # Six SL generators scramble the 3-chain with 2x2 blocks.  Building
         # every child takes 10,512 moves; children known from commuting pairs
         # of moves and from each record's parent are not built again, and the
-        # verdict, witness and report stay exactly as they were.
+        # verdict, witness and report stay exactly as they were.  Replaying
+        # the three witness words adds 24 moves: 5,912 are counted.
         import blockeq.equiv as equiv
         from blockeq.poset_block import generator_moves, move_matrix
 
@@ -476,12 +486,35 @@ class TestDecideWithUnit:
         x = IntMatrix.column([1, 1])
         y = IntMatrix.column([0, 1])
         assert solve_integer(a.matrix.transpose(), x - y) is None
-        v = decide_with_unit(a, a, x, y, group=SL, budget=SearchBudget(6, 50_000, 0))
+        v = decide_with_unit(a, a, x, y, group=SL, budget=SearchBudget(6, 50_000))
         assert v.is_yes
         u, w = v.witness
         vin_t = invert_unimodular(w).transpose()
         assert solve_integer(a.matrix.transpose(), vin_t * x - y) is not None
         assert u * a.matrix * invert_unimodular(w) == a.matrix
+
+    def test_witness_inverses_come_from_words(self, monkeypatch):
+        # A uav-inv yes takes V = W^-1 from the witness word, and
+        # decide_with_unit uses the verified W as V1^-1, so neither runs
+        # invert_unimodular (a Smith-form inversion) outside the finite
+        # branch; they made 1 and 2 calls when only W was rebuilt.
+        shape = BlockShape.square(Poset(1), (2,))
+        a = BlockedMatrix(shape, IntMatrix.from_rows([[2, 1], [0, 3]]))
+        h = IntMatrix.from_rows([[1, 0], [1, 1]]) * IntMatrix.from_rows([[1, 1], [0, 1]])
+        b = BlockedMatrix(shape, a.matrix * invert_unimodular(h))
+        sweep_a = BlockedMatrix(shape, IntMatrix.from_rows([[2, 0], [0, 0]]))
+        x = IntMatrix.column([1, 1])
+        y = IntMatrix.column([0, 1])
+        calls = count_calls(monkeypatch, invert_unimodular)
+
+        verdict = decide_blocked_equivalence(a, b, group=SL, side=SIDE_UAV_INV)
+        assert verdict.is_yes and calls == []
+        u, v = verdict.witness
+        assert u * a.matrix == b.matrix * v
+
+        verdict = decide_with_unit(sweep_a, sweep_a, x, y, group=SL,
+                                   budget=SearchBudget(6, 50_000))
+        assert verdict.is_yes and calls == []
 
     def test_dimension_errors(self):
         a = single_block(1)
@@ -504,7 +537,7 @@ class TestDecideWithUnit:
         a = BlockedMatrix(shape, IntMatrix.from_rows([[2, 0], [0, 0]]))
         x = IntMatrix.column([1, 1])
         y = IntMatrix.column([0, 1])
-        v = decide_with_unit(a, a, x, y, group=SL, budget=SearchBudget(6, 50_000, 0))
+        v = decide_with_unit(a, a, x, y, group=SL, budget=SearchBudget(6, 50_000))
         assert v.is_yes
         assert len(calls) <= 3
 
@@ -575,7 +608,7 @@ class TestDecideWithUnit:
             r = IntMatrix.column([rng.randint(-1, 1) for _ in range(3)])
             y = invert_unimodular(v).transpose() * x - b.matrix.transpose() * r
             verdict = decide_with_unit(a, b, x, y, group=GL,
-                                       budget=SearchBudget(8, 100_000, 0))
+                                       budget=SearchBudget(8, 100_000))
             assert verdict.is_yes
             wu, wv = verdict.witness
             assert wu * a.matrix * invert_unimodular(wv) == b.matrix

@@ -17,6 +17,7 @@ from blockeq import (
     decide_rep_isomorphism,
     is_morphism,
     module_to_zrep,
+    smith_normal_form,
     zrep_to_module,
 )
 from blockeq.poset_block import Poset, antichain_poset, chain_poset
@@ -28,7 +29,7 @@ from blockeq.quiver import (
 )
 
 from helpers import (
-    count_snf_calls,
+    count_calls,
     rand_blocked,
     rand_square_shape,
     rep_iso_oracle,
@@ -237,7 +238,7 @@ class TestDecideRepIsomorphism:
         q = edge_quiver()
         r1 = ZRep(q, [Z, Z], [IntMatrix.from_rows([[5]])])
         r2 = ZRep(q, [Z, Z], [IntMatrix.from_rows([[-5]])])
-        v = decide_rep_isomorphism(r1, r2, q, SearchBudget(1, 2, 0))
+        v = decide_rep_isomorphism(r1, r2, q, SearchBudget(1, 2))
         assert v.is_unknown
 
     def test_oracle_agreement_small(self):
@@ -314,7 +315,7 @@ class TestKWeb:
         # and positions: 1,314 Smith forms without sharing, 314 with it.
         diamond = Poset(5, [(1, 5), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
         shape = BlockShape.square(diamond, (2,) * 5)
-        calls = count_snf_calls(monkeypatch)
+        calls = count_calls(monkeypatch, smith_normal_form)
         web = build_kweb(rand_blocked(random.Random(5), shape))
         assert len(web.nodes) == 48
         assert len(calls) <= 450
@@ -350,7 +351,7 @@ class TestKWeb:
             u, v, moved = scramble(rng, b, SL, 4)
             w1 = build_kweb(b)
             w2 = build_kweb(moved)
-            verdict = decide_kweb_isomorphism(w1, w2, SearchBudget(2, 2_000, 0))
+            verdict = decide_kweb_isomorphism(w1, w2, SearchBudget(2, 2_000))
             assert not verdict.is_no
 
     def test_shape_mismatch(self):

@@ -253,7 +253,7 @@ class TestDecideFlowEquivalence:
                 continue
             found += 1
             a, a2 = pair
-            v = decide_flow_equivalence(a, a2, SearchBudget(8, 400_000, 0))
+            v = decide_flow_equivalence(a, a2, SearchBudget(8, 400_000))
             assert not v.is_no
             assert v.is_yes
         assert found == 5
@@ -286,7 +286,7 @@ class TestDecideFlowEquivalence:
             perm = list(range(n))
             rng.shuffle(perm)
             permuted = SftMatrix(a.matrix.submatrix(perm, perm))
-            v = decide_flow_equivalence(a, permuted, SearchBudget(8, 200_000, 0))
+            v = decide_flow_equivalence(a, permuted, SearchBudget(8, 200_000))
             assert v.is_yes, f"permutation changed the verdict: {v.status}"
 
     def test_unknown_not_no_under_tiny_budget(self):
@@ -297,7 +297,7 @@ class TestDecideFlowEquivalence:
             seed += 1
         a, a2 = pair
         if a.matrix != a2.matrix:
-            v = decide_flow_equivalence(a, a2, SearchBudget(1, 10, 0))
+            v = decide_flow_equivalence(a, a2, SearchBudget(1, 10))
             assert v.status in ("unknown", "yes")
 
     def test_never_no_on_scrambles(self):
@@ -312,6 +312,6 @@ class TestDecideFlowEquivalence:
                 continue
             checked += 1
             a, a2 = pair
-            v = decide_flow_equivalence(a, a2, SearchBudget(2, 500, 0))
+            v = decide_flow_equivalence(a, a2, SearchBudget(2, 500))
             assert not v.is_no
         assert checked == 5
