@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_output(p):
         p.add_argument("--output", "-o", default=None, help="write JSON here instead of stdout")
-        p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("snf", help="Smith normal form of a matrix")
     p.add_argument("matrix")

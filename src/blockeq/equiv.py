@@ -173,22 +173,25 @@ def invariant_profile(a: BlockedMatrix, group: str) -> InvariantProfile:
     if group not in _ENGINE_GROUPS:
         raise ValueError(f"unknown group {group!r}")
     shape = a.shape
-    whole = _group_class(a.matrix)
+    convex = []
+    for s in shape.poset.convex_subsets():
+        rows = [r for i in s for r in shape.row_range(i)]
+        cols = [c for j in s for c in shape.col_range(j)]
+        convex.append((s, _group_class(a.matrix.submatrix(rows, cols))))
+    # The whole poset and every singleton are convex, so the whole matrix
+    # and each diagonal block already have their class in the list.
+    classes = dict(convex)
     diag = []
     signs = []
     for i in shape.poset.elements():
         blk = a.diagonal_block(i)
         if blk.rows == 0 and blk.cols == 0:
             continue
-        diag.append((i, (blk.rows, blk.cols), _group_class(blk)))
+        diag.append((i, (blk.rows, blk.cols), classes[(i,)]))
         if group == SL and blk.rows == blk.cols:
             d = determinant(blk)
             signs.append((i, 0 if d == 0 else (1 if d > 0 else -1)))
-    convex = []
-    for s in shape.poset.convex_subsets():
-        rows = [r for i in s for r in shape.row_range(i)]
-        cols = [c for j in s for c in shape.col_range(j)]
-        convex.append((s, _group_class(a.matrix.submatrix(rows, cols))))
+    whole = classes[tuple(shape.poset.elements())]
     return InvariantProfile(whole, tuple(diag), tuple(signs), tuple(convex))
 
 
@@ -271,13 +274,12 @@ class _Engine:
         self.rows = shape.total_rows
         self.cols = shape.total_cols
         self.budget = budget
-        left_group = GL if group == UNIT_RESTRICTED else group
-        right_group = GL if group == UNIT_RESTRICTED else group
+        move_group = GL if group == UNIT_RESTRICTED else group
         right_unit = None
         if group == UNIT_RESTRICTED:
             right_unit = _unit_blocks(shape.col_square(), unit_indices)
-        lefts = generator_moves(shape.row_square(), left_group)
-        rights = generator_moves(shape.col_square(), right_group, right_unit)
+        lefts = generator_moves(shape.row_square(), move_group)
+        rights = generator_moves(shape.col_square(), move_group, right_unit)
         self.moves = [(_LEFT, mv) for mv in lefts] + [(_RIGHT, mv) for mv in rights]
         self.inverse_moves = [(ax, inverse_move(mv)) for ax, mv in self.moves]
         index = {am: i for i, am in enumerate(self.moves)}
@@ -656,15 +658,13 @@ def decide_with_unit(
     if _pair_group_finite(a.shape):
         left_group = GL if group == UNIT_RESTRICTED else group
         us = _finite_group_elements(a.shape.row_square(), left_group)
-        vs = [
-            (v, invert_unimodular(v))
-            for v in _finite_group_elements(a.shape.col_square(), group, unit_indices)
-        ]
+        # Each V is a +-1 diagonal matrix, hence its own inverse.
+        vs = _finite_group_elements(a.shape.col_square(), group, unit_indices)
         checked = 0
         for u in us:
-            for v, v_inv in vs:
+            for v in vs:
                 checked += 1
-                if u * a.matrix * v_inv == b.matrix and condition2(v_inv):
+                if u * a.matrix * v == b.matrix and condition2(v):
                     return Verdict.yes(u, v, BudgetReport(checked, 0))
         return Verdict.no(
             Certificate(
@@ -759,18 +759,12 @@ def gadget_pack(v: IntMatrix, r) -> Gadget:
     r = tuple(r)
     n = v.rows
     m = len(r)
-    k00 = invert_unimodular(v).transpose()
-    size = n * (m + 1)
-    ent = [[0] * size for _ in range(size)]
-    for a in range(n):
-        for b in range(n):
-            ent[a][b] = k00[a, b]
+    blocks = {(0, 0): invert_unimodular(v).transpose()}
     for j in range(1, m + 1):
-        for a in range(n):
-            ent[a][j * n + a] = -r[j - 1]
-            ent[j * n + a][j * n + a] = 1
-    mat = IntMatrix.from_rows(ent) if size else IntMatrix(0, 0, ())
-    return Gadget(mat, n, m)
+        blocks[0, j] = IntMatrix.diagonal([-r[j - 1]] * n)
+        blocks[j, j] = IntMatrix.identity(n)
+    sizes = [n] * (m + 1)
+    return Gadget(IntMatrix.from_blocks(sizes, sizes, blocks), n, m)
 
 
 def gadget_action(g: Gadget, vectors):

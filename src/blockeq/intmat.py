@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 
 from . import _kernels
@@ -76,6 +77,23 @@ class IntMatrix:
         values = list(values)
         n = len(values)
         return cls(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
+
+    @classmethod
+    def from_blocks(cls, row_sizes, col_sizes, blocks):
+        """Assemble from a {(i, j): IntMatrix} mapping with 0-based block
+        indices; block (i, j) must be row_sizes[i] x col_sizes[j], sizes may
+        be zero, and missing blocks are zero."""
+        row_offsets = list(accumulate(row_sizes, initial=0))
+        col_offsets = list(accumulate(col_sizes, initial=0))
+        rows, cols = row_offsets[-1], col_offsets[-1]
+        ent = [0] * (rows * cols)
+        for (i, j), blk in blocks.items():
+            if (blk.rows, blk.cols) != (row_sizes[i], col_sizes[j]):
+                raise DimensionError(f"block ({i},{j}) has wrong size")
+            for a in range(blk.rows):
+                start = (row_offsets[i] + a) * cols + col_offsets[j]
+                ent[start : start + blk.cols] = blk.row(a)
+        return cls(rows, cols, ent)
 
     # -- accessors ---------------------------------------------------------
 
@@ -486,8 +504,7 @@ def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
         raise DimensionError("right-hand side must be a column")
     if a.rows != b.rows:
         raise DimensionError("row count mismatch")
-    sol = solve_matrix(a, b)
-    return None if sol is None else sol
+    return solve_matrix(a, b)
 
 
 def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:

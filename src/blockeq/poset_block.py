@@ -12,6 +12,7 @@ implies i <= j as integers.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .intmat import DimensionError, IntMatrix, determinant, invert_unimodular
@@ -60,18 +61,24 @@ class Poset:
         Returns (poset, relabel) where relabel[old - 1] = new label.
         """
         rel = _order_closure(size, pairs)
-        # Stable topological order: repeatedly take the minimal original label
-        # among elements with no unplaced predecessor.
-        remaining = set(range(1, size + 1))
+        # Stable topological order (Kahn's algorithm with a heap): repeatedly
+        # take the minimal original label among elements with no unplaced
+        # predecessor.
+        waiting = [0] * (size + 1)
+        above = [[] for _ in range(size + 1)]
+        for i, j in rel:
+            if i != j:
+                waiting[j] += 1
+                above[i].append(j)
+        ready = [x for x in range(1, size + 1) if not waiting[x]]
         order = []
-        while remaining:
-            ready = [
-                x
-                for x in sorted(remaining)
-                if all(p == x or p not in remaining for (p, q) in rel if q == x)
-            ]
-            order.append(ready[0])
-            remaining.remove(ready[0])
+        while ready:
+            x = heappop(ready)
+            order.append(x)
+            for y in above[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    heappush(ready, y)
         relabel = [0] * size
         for new, old in enumerate(order, start=1):
             relabel[old - 1] = new
@@ -185,21 +192,22 @@ class Poset:
 def _order_closure(size, pairs):
     """Reflexive and transitive closure of pairs on 1..size, rejecting pairs
     out of range and cycles."""
-    rel = {(i, i) for i in range(1, size + 1)}
+    succ = [set() for _ in range(size + 1)]
     for i, j in pairs:
         if not (1 <= i <= size and 1 <= j <= size):
             raise ValueError(f"pair ({i},{j}) out of range 1..{size}")
-        rel.add((i, j))
-    # Transitive closure (sizes are small; cubic pass is fine).
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(rel):
-            for k in range(1, size + 1):
-                if (j, k) in rel and (i, k) not in rel:
-                    rel.add((i, k))
-                    changed = True
-    for i, j in rel:
+        succ[i].add(j)
+    # One reachability pass per element.
+    rel = set()
+    for i in range(1, size + 1):
+        reached = {i}
+        stack = [i]
+        while stack:
+            for k in succ[stack.pop()] - reached:
+                reached.add(k)
+                stack.append(k)
+        rel.update((i, k) for k in reached)
+    for i, j in sorted(rel):
         if i != j and (j, i) in rel:
             raise ValueError(f"antisymmetry violated at ({i},{j})")
     return rel
@@ -344,19 +352,12 @@ class BlockedMatrix:
 
     @classmethod
     def from_blocks(cls, shape, blocks):
-        """Assemble from a {(i, j): IntMatrix} mapping; missing blocks are 0."""
-        rows = shape.total_rows
-        cols = shape.total_cols
-        ent = [0] * (rows * cols)
-        for (i, j), blk in blocks.items():
-            ri = list(shape.row_range(i))
-            cj = list(shape.col_range(j))
-            if blk.rows != len(ri) or blk.cols != len(cj):
-                raise DimensionError(f"block ({i},{j}) has wrong size")
-            for a, r in enumerate(ri):
-                for b, c in enumerate(cj):
-                    ent[r * cols + c] = blk[a, b]
-        return cls(shape, IntMatrix(rows, cols, ent))
+        """Assemble from a {(i, j): IntMatrix} mapping with 1-based poset
+        indices; missing blocks are 0.  A leading empty block row and column
+        let IntMatrix.from_blocks take the keys as they are."""
+        return cls(shape, IntMatrix.from_blocks(
+            (0, *shape.row_sizes), (0, *shape.col_sizes), blocks
+        ))
 
     def block(self, i, j):
         """Block (i, j) as a (possibly empty) IntMatrix."""
@@ -519,20 +520,16 @@ def iota_embed(m: BlockedMatrix, target_sizes) -> BlockedMatrix:
     for r, s in zip(target_sizes, shape.row_sizes):
         if r < s:
             raise ShapeError("target sizes must dominate the source sizes")
-    out_shape = BlockShape.square(shape.poset, target_sizes)
-    n = out_shape.total_rows
-    ent = [[0] * n for _ in range(n)]
-    for i in shape.poset.elements():
-        oi = out_shape.row_offsets[i - 1]
-        si = shape.row_sizes[i - 1]
-        for k in range(si, target_sizes[i - 1]):
-            ent[oi + k][oi + k] = 1
-        for j in shape.poset.elements():
-            if not shape.poset.leq(i, j):
-                continue
-            oj = out_shape.col_offsets[j - 1]
-            blk = m.block(i, j)
-            for a in range(blk.rows):
-                for b in range(blk.cols):
-                    ent[oi + a][oj + b] = blk[a, b]
-    return BlockedMatrix(out_shape, IntMatrix.from_rows(ent) if n else IntMatrix(0, 0, ()))
+    # Target block i splits into the corner (block 2i - 2 of the finer sizes)
+    # and the identity remainder (block 2i - 1).
+    sizes = []
+    blocks = {}
+    for i, (s, t) in enumerate(zip(shape.row_sizes, target_sizes), start=1):
+        sizes += [s, t - s]
+        blocks[2 * i - 1, 2 * i - 1] = IntMatrix.identity(t - s)
+    for i, j in shape.poset.pairs:
+        blocks[2 * i - 2, 2 * j - 2] = m.block(i, j)
+    return BlockedMatrix(
+        BlockShape.square(shape.poset, target_sizes),
+        IntMatrix.from_blocks(sizes, sizes, blocks),
+    )

@@ -191,15 +191,9 @@ def homs_equal(f: IntMatrix, g: IntMatrix, dst: PresentedGroup) -> bool:
 
 
 def _orders_relation_matrix(g: PresentedGroup) -> IntMatrix:
-    """Normal-coordinate relations: diag(d_i) restricted to torsion rows."""
-    cols = []
-    for i, d in enumerate(g.orders):
-        if d:
-            col = [0] * g.normal_gens
-            col[i] = d
-            cols.append(col)
-    ent = [col[i] for i in range(g.normal_gens) for col in cols]
-    return IntMatrix(g.normal_gens, len(cols), ent)
+    """Normal-coordinate relations: diag(d_i) restricted to torsion columns."""
+    torsion = [i for i, d in enumerate(g.orders) if d]
+    return IntMatrix.diagonal(g.orders).submatrix(range(g.normal_gens), torsion)
 
 
 def hom_cokernel_class(f_normal, src, dst) -> tuple:
@@ -380,34 +374,16 @@ def zrep_to_module(rep: ZRep, quiver: Quiver) -> PathModule:
     if rep.quiver != quiver:
         raise ValueError("representation lives on a different quiver")
     gens = [g.gens for g in rep.groups]
-    offset = [0]
-    for g in gens:
-        offset.append(offset[-1] + g)
-    total = offset[-1]
-    rel_cols = []
-    for v, g in enumerate(rep.groups):
-        for j in range(g.relations.cols):
-            col = [0] * total
-            for i in range(g.gens):
-                col[offset[v] + i] = g.relations[i, j]
-            rel_cols.append(col)
-    relations = IntMatrix(
-        total, len(rel_cols), [col[i] for i in range(total) for col in rel_cols]
-    )
-    group = PresentedGroup(total, relations)
-    projections = []
-    for v in range(quiver.vertices):
-        ent = [[0] * total for _ in range(total)]
-        for i in range(gens[v]):
-            ent[offset[v] + i][offset[v] + i] = 1
-        projections.append(IntMatrix.from_rows(ent) if total else IntMatrix(0, 0, ()))
-    actions = []
-    for e, f in zip(quiver.edges, rep.edge_maps):
-        ent = [[0] * total for _ in range(total)]
-        for i in range(f.rows):
-            for j in range(f.cols):
-                ent[offset[e.dst] + i][offset[e.src] + j] = f[i, j]
-        actions.append(IntMatrix.from_rows(ent) if total else IntMatrix(0, 0, ()))
+    relations = _block_diagonal([g.relations for g in rep.groups])
+    group = PresentedGroup(sum(gens), relations)
+    projections = [
+        IntMatrix.from_blocks(gens, gens, {(v, v): IntMatrix.identity(gens[v])})
+        for v in range(quiver.vertices)
+    ]
+    actions = [
+        IntMatrix.from_blocks(gens, gens, {(e.dst, e.src): f})
+        for e, f in zip(quiver.edges, rep.edge_maps)
+    ]
     return PathModule(quiver, group, projections, actions)
 
 
@@ -718,17 +694,10 @@ def decide_rep_isomorphism(
 
 
 def _block_diagonal(mats):
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    ent = [[0] * cols for _ in range(rows)]
-    r = c = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                ent[r + i][c + j] = m[i, j]
-        r += m.rows
-        c += m.cols
-    return IntMatrix.from_rows(ent) if rows else IntMatrix(0, cols, ())
+    return IntMatrix.from_blocks(
+        [m.rows for m in mats], [m.cols for m in mats],
+        {(k, k): m for k, m in enumerate(mats)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +832,9 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
     for s in convex:
         col_index = {j: pos for pos, j in enumerate(_sub_cols(shape, s))}
         row_index = {r: pos for pos, r in enumerate(_sub_rows(shape, s))}
+        n_rows, n_cols = len(row_index), len(col_index)
+        row_ident = IntMatrix.identity(n_rows)
+        col_ident = IntMatrix.identity(n_cols)
         for s1 in poset.downsets_within(s):
             s2 = tuple(x for x in s if x not in s1)
             ker1, ker, ker2 = (
@@ -883,12 +855,8 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
             rows_s1 = [row_index[r] for r in _sub_rows(shape, s1)]
 
             # ker B{S1} -> ker B{S}: include and re-express in the S basis.
-            emb = IntMatrix.zero(nn.rows, n1.cols).to_rows()
-            for pos, c in enumerate(cols_s1):
-                for j in range(n1.cols):
-                    emb[c][j] = n1[pos, j]
-            embedded = IntMatrix.from_rows(emb) if nn.rows else IntMatrix(0, n1.cols, ())
-            f1 = solve_with_snf(nn, snf(nn), embedded)
+            emb = col_ident.submatrix(range(n_cols), cols_s1)
+            f1 = solve_with_snf(nn, snf(nn), emb * n1)
             if f1 is None:  # pragma: no cover - theory
                 raise AssertionError("kernel inclusion failed")
 
@@ -902,16 +870,11 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
             x = submatrices[s].submatrix(rows_s1, cols_s2)
             delta = x * n2
 
-            # cok B{S1} -> cok B{S}: include the S1 rows.
-            rows_s = _sub_rows(shape, s)
-            inc = [[0] * len(_sub_rows(shape, s1)) for _ in rows_s]
-            for pos, r in enumerate(_sub_rows(shape, s1)):
-                inc[row_index[r]][pos] = 1
-            f4 = IntMatrix.from_rows(inc) if rows_s else IntMatrix(0, len(_sub_rows(shape, s1)), ())
-
-            # cok B{S} -> cok B{S2}: project onto the S2 rows.
+            # cok B{S1} -> cok B{S} includes the S1 rows; cok B{S} ->
+            # cok B{S2} projects onto the S2 rows.
+            f4 = row_ident.submatrix(range(n_rows), rows_s1)
             rows_s2 = [row_index[r] for r in _sub_rows(shape, s2)]
-            f5 = IntMatrix.identity(len(rows_s)).submatrix(rows_s2, range(len(rows_s)))
+            f5 = row_ident.submatrix(rows_s2, range(n_rows))
 
             tag = f"S={list(s)}|S1={list(s1)}"
             arrows.append(KWebArrow(ker1, ker, f1, f"ker-incl[{tag}]"))

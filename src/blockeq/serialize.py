@@ -135,6 +135,13 @@ def shape_to_json(s: BlockShape) -> dict:
 
 
 def shape_from_json(doc) -> BlockShape:
+    shape, _ = _shape_from_json_with_relabel(doc)
+    return shape
+
+
+def _shape_from_json_with_relabel(doc):
+    """The shape and the relabelling its poset received (see
+    Poset.normalized), applied to the size vectors as well."""
     _require_keys(doc, ("poset", "m", "n"), "shape")
     poset, relabel = poset_from_json_with_relabel(doc["poset"])
     for key in ("m", "n"):
@@ -153,7 +160,7 @@ def shape_from_json(doc) -> BlockShape:
         m2[relabel[old] - 1] = m[old]
         n2[relabel[old] - 1] = n[old]
     try:
-        return BlockShape(poset, m2, n2)
+        return BlockShape(poset, m2, n2), relabel
     except ValueError as exc:
         raise SchemaError(f"shape: {exc}") from exc
 
@@ -164,9 +171,7 @@ def blocked_to_json(b: BlockedMatrix) -> dict:
 
 def blocked_from_json(doc) -> BlockedMatrix:
     _require_keys(doc, ("shape", "matrix"), "blocked matrix")
-    shape = shape_from_json(doc["shape"])
-    poset_doc = doc["shape"]["poset"]
-    _, relabel = poset_from_json_with_relabel(poset_doc)
+    shape, relabel = _shape_from_json_with_relabel(doc["shape"])
     matrix = matrix_from_json(doc["matrix"])
     if relabel != tuple(range(1, shape.poset.size + 1)):
         # Permute matrix rows/columns consistently with the poset relabelling.

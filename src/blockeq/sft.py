@@ -180,10 +180,24 @@ def decide_flow_equivalence_irreducible(a: SftMatrix, a2: SftMatrix) -> bool:
     or neither trivial and the FlowInvariants agree."""
     if not is_irreducible(a) or not is_irreducible(a2):
         raise ValueError("both inputs must be irreducible")
+    return _irreducible_certificate(a, a2) is None
+
+
+def _irreducible_certificate(a: SftMatrix, a2: SftMatrix) -> Certificate | None:
+    """The invariant separating two irreducible shifts, or None when they are
+    flow equivalent: single-cycle flags, then Parry-Sullivan, then
+    Bowen-Franks."""
     t1, t2 = is_single_cycle(a), is_single_cycle(a2)
     if t1 or t2:
-        return t1 and t2
-    return FlowInvariant.of(a) == FlowInvariant.of(a2)
+        return None if t1 and t2 else Certificate("single-cycle", str(t1), str(t2))
+    i1, i2 = FlowInvariant.of(a), FlowInvariant.of(a2)
+    if i1.parry_sullivan != i2.parry_sullivan:
+        return Certificate(
+            "parry-sullivan", str(i1.parry_sullivan), str(i2.parry_sullivan)
+        )
+    if i1.bowen_franks != i2.bowen_franks:
+        return Certificate("bowen-franks", str(i1.bowen_franks), str(i2.bowen_franks))
+    return None
 
 
 @dataclass(frozen=True)
@@ -218,57 +232,24 @@ def condense(a: SftMatrix) -> CondensedForm:
     n = a.size
     if n == 0:
         raise ValueError("cannot condense an empty adjacency matrix")
-    comps = _digraph_sccs(a)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    k = len(comps)
-    succ = [set() for _ in range(k)]
-    pred_count = [0] * k
-    for u in range(n):
-        for v in range(n):
-            if a.matrix[u, v] > 0 and comp_of[u] != comp_of[v]:
-                if comp_of[v] not in succ[comp_of[u]]:
-                    succ[comp_of[u]].add(comp_of[v])
-    for ci in range(k):
-        for cj in succ[ci]:
-            pred_count[cj] += 1
-    # Stable topological order on components: among sources, least original
-    # vertex first.
-    remaining = set(range(k))
-    order = []
-    counts = list(pred_count)
-    while remaining:
-        ready = sorted(
-            (comps[ci][0], ci) for ci in remaining if counts[ci] == 0
-        )
-        _, ci = ready[0]
-        order.append(ci)
-        remaining.remove(ci)
-        for cj in succ[ci]:
-            counts[cj] -= 1
-    position = {ci: p for p, ci in enumerate(order)}
-    # Reachability closure gives the component poset.
-    reach = [set([ci]) for ci in range(k)]
-    for ci in reversed(order):
-        for cj in succ[ci]:
-            reach[ci] |= reach[cj]
-    pairs = {
-        (position[ci] + 1, position[cj] + 1)
-        for ci in range(k)
-        for cj in reach[ci]
+    # Labelling components by least vertex makes Poset.normalized's tie-break
+    # (least label among the ready sources) the least original vertex.
+    comps = sorted(_digraph_sccs(a))
+    label = {v: ci for ci, comp in enumerate(comps, start=1) for v in comp}
+    edges = {
+        (label[u], label[v])
+        for u in range(n)
+        for v in range(n)
+        if a.matrix[u, v] > 0 and label[u] != label[v]
     }
-    poset = Poset(k, pairs)
-    sizes = tuple(len(comps[ci]) for ci in order)
-    permutation = tuple(v for ci in order for v in comps[ci])
-    i_minus_a = _i_minus_a(a)
-    permuted = i_minus_a.submatrix(permutation, permutation)
-    shape = BlockShape.square(poset, sizes)
-    blocked = BlockedMatrix(shape, permuted)
+    poset, relabel = Poset.normalized(len(comps), edges)
+    order = sorted(comps, key=lambda comp: relabel[label[comp[0]] - 1])
+    sizes = tuple(len(comp) for comp in order)
+    permutation = tuple(v for comp in order for v in comp)
+    permuted = _i_minus_a(a).submatrix(permutation, permutation)
+    blocked = BlockedMatrix(BlockShape.square(poset, sizes), permuted)
     trivial = tuple(
-        len(comps[ci]) == 1 and a.matrix[comps[ci][0], comps[ci][0]] == 0
-        for ci in order
+        len(comp) == 1 and a.matrix[comp[0], comp[0]] == 0 for comp in order
     )
     return CondensedForm(poset, sizes, permutation, blocked, trivial)
 
@@ -361,25 +342,10 @@ def decide_flow_equivalence(
         )
 
     if is_irreducible(a) and is_irreducible(a2):
-        if decide_flow_equivalence_irreducible(a, a2):
+        cert = _irreducible_certificate(a, a2)
+        if cert is None:
             return Verdict("yes", report=BudgetReport(0, 0))
-        t1, t2 = is_single_cycle(a), is_single_cycle(a2)
-        if t1 != t2:
-            return Verdict.no(
-                Certificate("single-cycle", str(t1), str(t2)), BudgetReport(0, 0)
-            )
-        i1, i2 = FlowInvariant.of(a), FlowInvariant.of(a2)
-        if i1.parry_sullivan != i2.parry_sullivan:
-            return Verdict.no(
-                Certificate(
-                    "parry-sullivan", str(i1.parry_sullivan), str(i2.parry_sullivan)
-                ),
-                BudgetReport(0, 0),
-            )
-        return Verdict.no(
-            Certificate("bowen-franks", str(i1.bowen_franks), str(i2.bowen_franks)),
-            BudgetReport(0, 0),
-        )
+        return Verdict.no(cert, BudgetReport(0, 0))
 
     c1 = condense(a)
     c2 = condense(a2)

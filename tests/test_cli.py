@@ -217,6 +217,8 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         code, _, err = run(capsys, "flow-eq", corpus["full2"], corpus["fib"], "--seed", "0")
         assert code == EXIT_USAGE
+        code, _, err = run(capsys, "ps", corpus["fib"], "--format", "json")
+        assert code == EXIT_USAGE
 
     def test_output_file(self, corpus, capsys, tmp_path):
         out_path = tmp_path / "out.json"

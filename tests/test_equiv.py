@@ -18,6 +18,7 @@ from blockeq import (
     Poset,
     SearchBudget,
     blocked_identity,
+    cokernel,
     decide_blocked_equivalence,
     decide_with_unit,
     gadget_action,
@@ -70,6 +71,20 @@ class TestInvariantProfile:
             for group in (SL, GL):
                 _, _, b = scramble(rng, a, group, 5)
                 assert invariant_profile(a, group) == invariant_profile(b, group)
+
+    def test_whole_and_block_classes_read_from_convex_list(self, monkeypatch):
+        # The whole set and each singleton are convex, so a 5-chain runs one
+        # cokernel per interval: 15, where a separate whole-matrix and
+        # per-block pass made 21.
+        shape = BlockShape.square(chain_poset(5), (1, 2, 1, 2, 1))
+        a = rand_blocked(random.Random(5), shape)
+        calls = count_calls(monkeypatch, cokernel)
+        p = invariant_profile(a, SL)
+        assert len(calls) == 15
+        assert p.cokernel == cokernel(a.matrix)
+        assert [cls for _, _, cls in p.diagonal_blocks] == [
+            cokernel(a.diagonal_block(i)) for i in range(1, 6)
+        ]
 
     def test_rectangular_accepted(self):
         shape = BlockShape(chain_poset(2), (1, 2), (2, 1))
@@ -515,6 +530,23 @@ class TestDecideWithUnit:
         verdict = decide_with_unit(sweep_a, sweep_a, x, y, group=SL,
                                    budget=SearchBudget(6, 50_000))
         assert verdict.is_yes and calls == []
+
+    def test_finite_branch_inverts_nothing(self, monkeypatch):
+        # Every V the finite branch enumerates is a +-1 diagonal matrix and
+        # so its own inverse; inverting each one took 16 Smith forms here.
+        shape = BlockShape.square(antichain_poset(4), (1, 1, 1, 1))
+        a = BlockedMatrix(shape, IntMatrix.diagonal([2, 3, 5, 7]))
+        b = BlockedMatrix(shape, IntMatrix.diagonal([-2, 3, 5, -7]))
+        x = IntMatrix.column([1, 2, 3, 4])
+        y = IntMatrix.column([1, -2, 3, 4])
+        calls = count_calls(monkeypatch, invert_unimodular)
+        verdict = decide_with_unit(a, b, x, y, group=GL)
+        assert calls == []
+        assert verdict.is_yes
+        u, v = verdict.witness
+        assert v * v == IntMatrix.identity(4)
+        assert u * a.matrix * v == b.matrix
+        assert solve_integer(b.matrix.transpose(), v.transpose() * x - y) is not None
 
     def test_dimension_errors(self):
         a = single_block(1)

@@ -314,6 +314,35 @@ class TestImageAnnihilator:
         assert inside and outside
 
 
+class TestFromBlocks:
+    def test_places_blocks_and_zero_fills(self):
+        m = IntMatrix.from_blocks(
+            (1, 2),
+            (2, 1),
+            {(0, 0): IntMatrix.from_rows([[1, 2]]), (1, 1): IntMatrix.column([3, 4])},
+        )
+        assert m == IntMatrix.from_rows([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+
+    def test_zero_size_blocks(self):
+        # 0 x c and r x 0 blocks take no room but keep the other sizes.
+        m = IntMatrix.from_blocks(
+            (0, 2),
+            (3, 0),
+            {(0, 0): IntMatrix(0, 3, ()), (1, 1): IntMatrix(2, 0, ()),
+             (1, 0): IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])},
+        )
+        assert m == IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert IntMatrix.from_blocks((0,), (3,), {}) == IntMatrix(0, 3, ())
+        assert IntMatrix.from_blocks((2,), (0,), {}) == IntMatrix(2, 0, ())
+        assert IntMatrix.from_blocks((), (), {}) == IntMatrix(0, 0, ())
+
+    def test_wrong_size(self):
+        with pytest.raises(DimensionError, match=r"block \(1,0\) has wrong size"):
+            IntMatrix.from_blocks((1, 2), (2,), {(1, 0): IntMatrix.zero(1, 2)})
+        with pytest.raises(DimensionError):
+            IntMatrix.from_blocks((1,), (0,), {(0, 0): IntMatrix.zero(1, 1)})
+
+
 class TestLatticeHelpers:
     def test_column_lattice_basis(self):
         a = IntMatrix.from_rows([[2, 4], [0, 0]])

@@ -56,6 +56,28 @@ class TestPoset:
         assert p.leq(1, 2)
         assert relabel == (2, 1)
 
+    def test_normalized_least_label_first(self):
+        # Against a plain scan over a brute-force closure: repeatedly place
+        # the least label whose predecessors are all placed.
+        rng = random.Random(65)
+        for _ in range(200):
+            size = rng.randint(0, 7)
+            perm = rng.sample(range(1, size + 1), size)
+            pairs = [(perm[i], perm[j]) for i in range(size)
+                     for j in range(i + 1, size) if rng.random() < 0.3]
+            below = set(pairs) | {(x, x) for x in range(1, size + 1)}
+            for _ in range(size):
+                below |= {(a, d) for (a, b) in below for (c, d) in below if b == c}
+            order = []
+            while len(order) < size:
+                order.append(min(
+                    x for x in range(1, size + 1) if x not in order
+                    and all(p in order for (p, q) in below if q == x and p != x)
+                ))
+            p, relabel = Poset.normalized(size, pairs)
+            assert relabel == tuple(order.index(x) + 1 for x in range(1, size + 1))
+            assert p.pairs == {(relabel[a - 1], relabel[b - 1]) for a, b in below}
+
     def test_normalized_stable(self):
         # Already-normalized input keeps the identity labelling.
         p, relabel = Poset.normalized(3, [(1, 3)])
@@ -211,6 +233,15 @@ class TestBlockedArithmetic:
         m = rand_blocked(rng, shape)
         z = BlockedMatrix(shape, IntMatrix.zero(shape.total_rows, shape.total_cols))
         assert multiply_blocked(m, z).matrix.is_zero()
+
+    def test_from_blocks_one_based(self):
+        shape = BlockShape.square(chain_poset(2), (1, 2))
+        m = BlockedMatrix.from_blocks(
+            shape, {(1, 2): IntMatrix.from_rows([[4, 5]]), (2, 2): IntMatrix.identity(2)}
+        )
+        assert m.matrix == IntMatrix.from_rows([[0, 4, 5], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(DimensionError, match=r"block \(2,1\) has wrong size"):
+            BlockedMatrix.from_blocks(shape, {(2, 1): IntMatrix.zero(1, 1)})
 
     def test_shape_mismatch(self):
         s1 = BlockShape.square(chain_poset(2), (1, 1))

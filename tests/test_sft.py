@@ -166,6 +166,50 @@ class TestCondense:
                 assert i <= j
 
 
+    def test_against_brute_force_reference(self):
+        # Components ordered by a scan that places, among the components no
+        # unplaced component reaches, the one with the least vertex first.
+        rng = random.Random(44)
+        ties = 0
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            a = SftMatrix(IntMatrix(
+                n, n, [1 if rng.random() < 0.15 else 0 for _ in range(n * n)]
+            ))
+            reach = [[u == v or a.matrix[u, v] > 0 for v in range(n)] for u in range(n)]
+            for k in range(n):
+                for u in range(n):
+                    for v in range(n):
+                        reach[u][v] = reach[u][v] or (reach[u][k] and reach[k][v])
+            comps = sorted({
+                tuple(v for v in range(n) if reach[u][v] and reach[v][u])
+                for u in range(n)
+            })
+            order = []
+            while len(order) < len(comps):
+                sources = [
+                    c for c in comps if c not in order and not any(
+                        reach[d[0]][c[0]] for d in comps if d != c and d not in order
+                    )
+                ]
+                ties += len(sources) > 1
+                order.append(sources[0])
+            pairs = [
+                (i, j)
+                for i, c in enumerate(order, start=1)
+                for j, d in enumerate(order, start=1)
+                if reach[c[0]][d[0]]
+            ]
+            cond = condense(a)
+            assert cond.poset == Poset(len(order), pairs)
+            assert cond.sizes == tuple(len(c) for c in order)
+            assert cond.permutation == tuple(v for c in order for v in c)
+            assert cond.trivial_flags == tuple(
+                len(c) == 1 and a.matrix[c[0], c[0]] == 0 for c in order
+            )
+        assert ties > 100
+
+
 class TestStabilizationTarget:
     def test_all_ones(self):
         assert stabilization_target((1, 1), (1, 1)) == (1, 1)
