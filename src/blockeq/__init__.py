@@ -11,7 +11,6 @@ from .intmat import (
     DimensionError,
     FgAbelianGroup,
     IntMatrix,
-    QMatrix,
     SmithDecomposition,
     cokernel,
     determinant,

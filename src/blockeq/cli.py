@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import serialize
 from .equiv import (
@@ -52,7 +53,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state."""
     parser = _Parser(prog="blockeq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

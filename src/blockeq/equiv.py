@@ -790,7 +790,7 @@ def is_image_endomorphism(d: IntMatrix, c: IntMatrix) -> bool:
     if d.cols != c.rows:
         raise DimensionError("dimension mismatch")
     ann = image_annihilator(c)
-    return ann.matrix.mul_int(d * c).is_zero()
+    return (ann.matrix * (d * c)).is_zero()
 
 
 class StabilizerError(ValueError):

@@ -1,16 +1,15 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here is computed over Z (or Q where annihilators need it) with
-arbitrary-precision arithmetic: Smith normal forms with recorded unimodular
-transforms, determinants, cokernels as finitely generated abelian groups,
-integer linear system solving with verified witnesses, kernel lattice bases,
-and rational image annihilators.
+Everything here is computed over Z with arbitrary-precision arithmetic:
+Smith normal forms with recorded unimodular transforms, determinants,
+cokernels as finitely generated abelian groups, integer linear system
+solving with verified witnesses, kernel lattice bases, and integral
+annihilators of rational images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from math import prod
 
@@ -193,67 +192,6 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
 
 
-class QMatrix:
-    """Dense matrix of exact rationals (fractions.Fraction entries)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(Fraction(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise DimensionError("entry count mismatch")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
-
-    @classmethod
-    def from_int_matrix(cls, m):
-        return cls(m.rows, m.cols, m.entries)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def mul_int(self, other):
-        """Exact product with an IntMatrix on the right."""
-        if self.cols != other.rows:
-            raise DimensionError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                acc = Fraction(0)
-                for k in range(self.cols):
-                    acc += self.entries[base + k] * other.entries[k * other.cols + j]
-                out.append(acc)
-        return QMatrix(self.rows, other.cols, out)
-
-    def is_zero(self):
-        return all(e == 0 for e in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        rows = [
-            [str(self.entries[i * self.cols + j]) for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-        return f"QMatrix({self.rows}x{self.cols}, {rows})"
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U*A*V = S with U, V unimodular and S diagonal with a divisibility chain."""
@@ -320,9 +258,9 @@ class FgAbelianGroup:
 
 @dataclass(frozen=True)
 class AnnihilatorMatrix:
-    """Rational matrix M with M*C = 0 and ker M = im_Q(C) for the source C."""
+    """Integer matrix M with M*C = 0 and ker_Q M = im_Q(C) for the source C."""
 
-    matrix: QMatrix
+    matrix: IntMatrix
     source_cols: int
 
 
@@ -559,16 +497,15 @@ def kernel_basis_with_snf(a: IntMatrix, dec) -> IntMatrix:
 
 
 def column_lattice_basis(a: IntMatrix) -> IntMatrix:
-    """A basis (as columns) of the lattice generated by the columns of a."""
+    """A basis (as columns) of the lattice generated by the columns of a.
+
+    With U*a*V = S, column i of a*V is d_i * U^-1 e_i, so the columns of
+    a*V at the nonzero diagonal entries are the basis, and U is never
+    inverted.
+    """
     dec = smith_normal_form(a)
-    diag = dec.diagonal()
-    u_inv = invert_unimodular(dec.U)
-    cols = []
-    for i, d in enumerate(diag):
-        if d != 0:
-            cols.append([d * u_inv[r, i] for r in range(a.rows)])
-    ent = [col[r] for r in range(a.rows) for col in cols]
-    return IntMatrix(a.rows, len(cols), ent)
+    nonzero = [i for i, d in enumerate(dec.diagonal()) if d != 0]
+    return a * dec.V.submatrix(range(a.cols), nonzero)
 
 
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
@@ -586,15 +523,10 @@ def invert_unimodular(a: IntMatrix) -> IntMatrix:
 
 
 def image_annihilator(c: IntMatrix) -> AnnihilatorMatrix:
-    """A rational M with M*c = 0 and M*x = 0 iff x lies in im_Q(c).
-
-    The rows are the last rows of the left Smith transform of c, so this
-    particular annihilator is integral; the type stays rational.
-    """
+    """An integer M with M*c = 0 and M*x = 0 iff x lies in im_Q(c): the rows
+    of the left Smith transform of c below its rank."""
     dec = smith_normal_form(c)
-    r = dec.rank
-    rows = [dec.U.row(i) for i in range(r, c.rows)]
-    m = QMatrix(c.rows - r, c.rows, [e for row in rows for e in row])
+    m = dec.U.submatrix(range(dec.rank, c.rows), range(c.rows))
     return AnnihilatorMatrix(m, c.cols)
 
 
@@ -602,7 +534,7 @@ def in_rational_image(ann: AnnihilatorMatrix, x: IntMatrix) -> bool:
     """Membership of the column x in the rational image the annihilator cuts out."""
     if x.cols != 1 or x.rows != ann.matrix.cols:
         raise DimensionError("column of wrong length")
-    return ann.matrix.mul_int(x).is_zero()
+    return (ann.matrix * x).is_zero()
 
 
 def lattice_contains(a: IntMatrix, b: IntMatrix) -> bool:

@@ -129,19 +129,20 @@ class PresentedGroup:
     def iso_class(self):
         return self.group.iso_class()
 
-    def reduce_normal(self, entries):
-        """Canonical representative of a normal-coordinate tuple."""
-        return tuple(
-            e % d if d else e for e, d in zip(entries, self.orders)
+    def reduce(self, m: IntMatrix) -> IntMatrix:
+        """m, one row per normal generator, with each row reduced modulo its
+        order; rows of free generators (order 0) are kept as they are."""
+        if m.rows != self.normal_gens:
+            raise DimensionError("one row per normal generator required")
+        return IntMatrix(
+            m.rows,
+            m.cols,
+            [e % d if d else e for i, d in enumerate(self.orders) for e in m.row(i)],
         )
 
-    def contains_relation(self, column: IntMatrix) -> bool:
-        """Whether a raw-coordinate column is zero in the group."""
-        normal = self.to_normal * column
-        return all(
-            (e % d == 0) if d else (e == 0)
-            for e, d in zip(normal.column_values(0), self.orders)
-        )
+    def contains_relation(self, m: IntMatrix) -> bool:
+        """Whether every raw-coordinate column of m is zero in the group."""
+        return self.reduce(self.to_normal * m).is_zero()
 
     def __repr__(self):
         return f"PresentedGroup({self.gens} gens, {self.group})"
@@ -149,13 +150,7 @@ class PresentedGroup:
 
 def normalize_hom(f_raw: IntMatrix, src: PresentedGroup, dst: PresentedGroup) -> IntMatrix:
     """Convert a raw-generator matrix to normal coordinates (reduced)."""
-    f = dst.to_normal * f_raw * src.from_normal
-    ent = []
-    for i in range(f.rows):
-        d = dst.orders[i]
-        for j in range(f.cols):
-            ent.append(f[i, j] % d if d else f[i, j])
-    return IntMatrix(f.rows, f.cols, ent)
+    return dst.reduce(dst.to_normal * f_raw * src.from_normal)
 
 
 def raw_hom(f_normal: IntMatrix, src: PresentedGroup, dst: PresentedGroup) -> IntMatrix:
@@ -164,30 +159,13 @@ def raw_hom(f_normal: IntMatrix, src: PresentedGroup, dst: PresentedGroup) -> In
 
 
 def hom_well_defined(f_normal: IntMatrix, src: PresentedGroup, dst: PresentedGroup) -> bool:
-    """d_j * f(e_j) must vanish in the target for every torsion source gen."""
-    for j, dj in enumerate(src.orders):
-        if dj == 0:
-            continue
-        for i, di in enumerate(dst.orders):
-            v = dj * f_normal[i, j]
-            if di:
-                if v % di:
-                    return False
-            elif v:
-                return False
-    return True
+    """d_j * f(e_j) must vanish in the target for every torsion source gen;
+    free source columns are multiplied by their order 0."""
+    return dst.reduce(f_normal * IntMatrix.diagonal(src.orders)).is_zero()
 
 
 def homs_equal(f: IntMatrix, g: IntMatrix, dst: PresentedGroup) -> bool:
-    for i, di in enumerate(dst.orders):
-        for j in range(f.cols):
-            diff = f[i, j] - g[i, j]
-            if di:
-                if diff % di:
-                    return False
-            elif diff:
-                return False
-    return True
+    return dst.reduce(f - g).is_zero()
 
 
 def _orders_relation_matrix(g: PresentedGroup) -> IntMatrix:
@@ -237,13 +215,7 @@ def hom_inverse(f_normal, src: PresentedGroup, dst: PresentedGroup) -> IntMatrix
     sol = solve_matrix(f_normal.hstack(rel), IntMatrix.identity(dst.normal_gens))
     if sol is None:
         raise ValueError("map is not surjective")
-    g = sol.submatrix(range(src.normal_gens), range(dst.normal_gens))
-    ent = []
-    for i in range(src.normal_gens):
-        d = src.orders[i]
-        for j in range(dst.normal_gens):
-            ent.append(g[i, j] % d if d else g[i, j])
-    g = IntMatrix(src.normal_gens, dst.normal_gens, ent)
+    g = src.reduce(sol.submatrix(range(src.normal_gens), range(dst.normal_gens)))
     if not hom_is_isomorphism(g, dst, src):  # pragma: no cover - theory
         raise AssertionError("inverse is not an isomorphism")
     return g
@@ -251,9 +223,10 @@ def hom_inverse(f_normal, src: PresentedGroup, dst: PresentedGroup) -> IntMatrix
 
 class ZRep:
     """A Z-representation: per-vertex presented groups plus edge matrices in
-    raw generator coordinates (columns = images of source generators)."""
+    raw generator coordinates (columns = images of source generators).
+    The normal-coordinate edge maps are kept from validation."""
 
-    __slots__ = ("quiver", "groups", "edge_maps")
+    __slots__ = ("quiver", "groups", "edge_maps", "normal_edge_maps")
 
     def __init__(self, quiver: Quiver, presentations, edge_maps):
         presentations = list(presentations)
@@ -266,6 +239,7 @@ class ZRep:
             p if isinstance(p, PresentedGroup) else PresentedGroup(p.rows, p)
             for p in presentations
         )
+        normal_edge_maps = []
         for e, f in zip(quiver.edges, edge_maps):
             src, dst = groups[e.src], groups[e.dst]
             if f.rows != dst.gens or f.cols != src.gens:
@@ -275,18 +249,17 @@ class ZRep:
             fn = normalize_hom(f, src, dst)
             if not hom_well_defined(fn, src, dst):
                 raise ValueError(f"edge {e.id}: map does not respect relations")
+            normal_edge_maps.append(fn)
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "edge_maps", tuple(edge_maps))
+        object.__setattr__(self, "normal_edge_maps", tuple(normal_edge_maps))
 
     def __setattr__(self, name, value):
         raise AttributeError("ZRep is immutable")
 
     def normal_edge_map(self, idx) -> IntMatrix:
-        e = self.quiver.edges[idx]
-        return normalize_hom(
-            self.edge_maps[idx], self.groups[e.src], self.groups[e.dst]
-        )
+        return self.normal_edge_maps[idx]
 
     def vertex_class(self, v):
         return self.groups[v].iso_class()
@@ -320,36 +293,26 @@ class PathModule:
             if m.rows != g or m.cols != g:
                 raise DimensionError("actions act on the module generators")
 
-        def congruent(m1, m2):
-            diff = m1 - m2
-            return all(
-                group.contains_relation(diff.submatrix(range(g), [j]))
-                for j in range(g)
-            )
-
+        # Every law is a matrix whose columns must be zero in the group.
+        vanishes = group.contains_relation
         for m in projections + edge_actions:
             # Well-defined action: relations map into relations.
-            prod_rel = m * group.relations
-            for j in range(group.relations.cols):
-                if not group.contains_relation(
-                    prod_rel.submatrix(range(g), [j])
-                ):
-                    raise ValueError("action does not respect relations")
-        total = IntMatrix.zero(g, g)
+            if not vanishes(m * group.relations):
+                raise ValueError("action does not respect relations")
+        total = IntMatrix.identity(g)
         for p in projections:
-            total = total + p
-        if not congruent(total, IntMatrix.identity(g)):
+            total = total - p
+        if not vanishes(total):
             raise ValueError("projections do not sum to the identity")
         for u, pu in enumerate(projections):
             for v, pv in enumerate(projections):
-                expected = pu if u == v else IntMatrix.zero(g, g)
-                if not congruent(pu * pv, expected):
+                if not vanishes(pu * pv - pu if u == v else pu * pv):
                     raise ValueError("projections are not orthogonal idempotents")
         for e, act in zip(quiver.edges, edge_actions):
             for v, pv in enumerate(projections):
-                if v != e.src and not congruent(act * pv, IntMatrix.zero(g, g)):
+                if v != e.src and not vanishes(act * pv):
                     raise ValueError(f"edge {e.id} acts outside its source summand")
-            if not congruent(act, projections[e.dst] * act * projections[e.src]):
+            if not vanishes(act - projections[e.dst] * act * projections[e.src]):
                 raise ValueError(f"edge {e.id} does not land in its target summand")
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "group", group)

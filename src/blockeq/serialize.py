@@ -1,16 +1,15 @@
 """JSON schemas for every wire format the toolkit speaks.
 
 Integers travel as canonical decimal strings (no leading zeros, '-' only on
-negatives) so arbitrary precision survives any JSON parser; rationals as
-"p/q" with q >= 1 and gcd(p, q) = 1.  Parsing is exact and strict; emission
-is canonical, so emit(parse(emit(x))) == emit(x) byte for byte.
+negatives) so arbitrary precision survives any JSON parser.  Parsing is exact
+and strict; emission is canonical, so emit(parse(emit(x))) == emit(x) byte
+for byte.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .equiv import BudgetReport, Certificate, SearchBudget, Verdict
 from .intmat import FgAbelianGroup, IntMatrix
@@ -32,24 +31,6 @@ def int_from_str(s) -> int:
     if not isinstance(s, str) or not _INT_RE.match(s):
         raise SchemaError(f"not a canonical integer string: {s!r}")
     return int(s)
-
-
-def fraction_to_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def fraction_from_str(s) -> Fraction:
-    if not isinstance(s, str):
-        raise SchemaError(f"not a rational string: {s!r}")
-    num, slash, den = s.partition("/")
-    if not _INT_RE.match(num):
-        raise SchemaError(f"not a rational string: {s!r}")
-    if slash:
-        if not _INT_RE.match(den) or den.startswith("-") or int(den) == 0:
-            raise SchemaError(f"not a rational string: {s!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
 
 
 def _require_keys(doc, keys, what):

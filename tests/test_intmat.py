@@ -294,7 +294,7 @@ class TestImageAnnihilator:
         for _ in range(100):
             c = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -3, 3)
             ann = image_annihilator(c)
-            assert ann.matrix.mul_int(c).is_zero()
+            assert (ann.matrix * c).is_zero()
             assert ann.matrix.rows == c.rows - rank(c)
             x = rand_matrix(rng, c.rows, 1, -5, 5)
             # Rational solvability of C w = x must agree with M x = 0.
@@ -312,6 +312,22 @@ class TestImageAnnihilator:
             else:
                 outside += 1
         assert inside and outside
+
+    def test_integral_rows_of_left_transform(self):
+        # The annihilator is the IntMatrix of rows rank.. of the left Smith
+        # transform, with its column count kept when it has no rows.
+        rng = random.Random(13)
+        for _ in range(60):
+            c = rand_matrix(rng, rng.randint(0, 4), rng.randint(0, 4), -3, 3)
+            dec = smith_normal_form(c)
+            ann = image_annihilator(c)
+            assert isinstance(ann.matrix, IntMatrix)
+            assert ann.matrix == IntMatrix(
+                c.rows - dec.rank,
+                c.rows,
+                [e for i in range(dec.rank, c.rows) for e in dec.U.row(i)],
+            )
+            assert ann.source_cols == c.cols
 
 
 class TestFromBlocks:
@@ -348,6 +364,30 @@ class TestLatticeHelpers:
         a = IntMatrix.from_rows([[2, 4], [0, 0]])
         basis = column_lattice_basis(a)
         assert lattice_equal(basis, IntMatrix.from_rows([[2], [0]]))
+
+    def test_column_lattice_basis_without_inversion(self, monkeypatch):
+        # Column i of the basis is d_i * U^-1 e_i for each nonzero d_i, read
+        # off a*V instead of inverting U.
+        rng = random.Random(14)
+        cases = [
+            rand_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), -4, 4)
+            for _ in range(60)
+        ]
+        expected = []
+        for a in cases:
+            dec = smith_normal_form(a)
+            u_inv = invert_unimodular(dec.U) if a.rows else dec.U
+            nonzero = [i for i, d in enumerate(dec.diagonal()) if d]
+            expected.append(
+                IntMatrix(
+                    a.rows,
+                    len(nonzero),
+                    [dec.S[i, i] * u_inv[r, i] for r in range(a.rows) for i in nonzero],
+                )
+            )
+        calls = count_calls(monkeypatch, invert_unimodular)
+        assert [column_lattice_basis(a) for a in cases] == expected
+        assert calls == []
 
     def test_invert_unimodular(self):
         u = IntMatrix.from_rows([[1, 3], [0, 1]])

@@ -8,6 +8,7 @@ from blockeq import (
     SL,
     BlockShape,
     BlockedMatrix,
+    DimensionError,
     IntMatrix,
     Quiver,
     SearchBudget,
@@ -20,17 +21,21 @@ from blockeq import (
     smith_normal_form,
     zrep_to_module,
 )
+from blockeq.intmat import solve_matrix
 from blockeq.poset_block import Poset, antichain_poset, chain_poset
 from blockeq.quiver import (
     PathModule,
     PresentedGroup,
     enumerate_isomorphisms,
+    hom_well_defined,
+    homs_equal,
     normalize_hom,
 )
 
 from helpers import (
     count_calls,
     rand_blocked,
+    rand_matrix,
     rand_square_shape,
     rep_iso_oracle,
     scramble,
@@ -104,6 +109,138 @@ class TestPresentedGroup:
         assert hom_kernel_class(to_torsion, free, z4) == (1, ())
         assert hom_image_class(to_torsion, free, z4) == (0, (4,))
         assert hom_cokernel_class(to_torsion, free, z4) == (0, ())
+
+
+def _mixed_group(rng):
+    """A seeded PresentedGroup with at most as many relations as generators,
+    so free and torsion generators both occur across a batch."""
+    gens = rng.randint(1, 4)
+    rels = rng.randint(0, gens)
+    return PresentedGroup(gens, rand_matrix(rng, gens, rels, -4, 4))
+
+
+def _reduced(m, orders):
+    return [
+        [m[i, j] % d if d else m[i, j] for j in range(m.cols)]
+        for i, d in enumerate(orders)
+    ]
+
+
+def _is_zero_mod(entries, orders):
+    """Entrywise: row i of entries vanishes modulo orders[i] (0 = free)."""
+    return all(
+        (e % d == 0) if d else e == 0
+        for row, d in zip(entries, orders)
+        for e in row
+    )
+
+
+class TestNormalCoordinates:
+    """PresentedGroup.reduce and the hom helpers built on it, against
+    entrywise definitions, on groups that mix free and torsion generators."""
+
+    def groups(self, seed, count=40):
+        rng = random.Random(seed)
+        gs = [_mixed_group(rng) for _ in range(count)]
+        assert any(g.group.free_rank for g in gs)
+        assert any(g.group.torsion for g in gs)
+        assert any(g.group.free_rank and g.group.torsion for g in gs)
+        return rng, gs
+
+    def test_reduce(self):
+        rng, gs = self.groups(60)
+        for g in gs:
+            m = rand_matrix(rng, g.normal_gens, rng.randint(0, 3), -20, 20)
+            flat = [e for row in _reduced(m, g.orders) for e in row]
+            assert g.reduce(m) == IntMatrix(m.rows, m.cols, flat)
+            with pytest.raises(DimensionError):
+                g.reduce(IntMatrix.zero(g.normal_gens + 1, 1))
+
+    def test_normalize_hom(self):
+        rng, gs = self.groups(61)
+        for src, dst in zip(gs, gs[1:]):
+            f = rand_matrix(rng, dst.gens, src.gens, -5, 5)
+            product = dst.to_normal * f * src.from_normal
+            flat = [e for row in _reduced(product, dst.orders) for e in row]
+            expected = IntMatrix(dst.normal_gens, src.normal_gens, flat)
+            assert normalize_hom(f, src, dst) == expected
+
+    def test_hom_well_defined(self):
+        rng, gs = self.groups(62)
+        outcomes = set()
+        for src, dst in zip(gs, gs[1:]):
+            for _ in range(4):
+                f = rand_matrix(rng, dst.normal_gens, src.normal_gens, -6, 6)
+                if rng.random() < 0.5:
+                    # Zero the torsion-to-free entries so some maps pass.
+                    f = IntMatrix(
+                        f.rows,
+                        f.cols,
+                        [
+                            0 if src.orders[j] and not dst.orders[i] else f[i, j]
+                            for i in range(f.rows)
+                            for j in range(f.cols)
+                        ],
+                    )
+                expected = all(
+                    (dj * f[i, j] % di == 0) if di else dj * f[i, j] == 0
+                    for j, dj in enumerate(src.orders)
+                    if dj
+                    for i, di in enumerate(dst.orders)
+                )
+                assert hom_well_defined(f, src, dst) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_homs_equal(self):
+        rng, gs = self.groups(63)
+        outcomes = set()
+        for src, dst in zip(gs, gs[1:]):
+            f = rand_matrix(rng, dst.normal_gens, src.normal_gens, -6, 6)
+            # g = f plus multiples of the orders, sometimes plus noise.
+            shift = [
+                [rng.randint(-2, 2) * d for _ in range(f.cols)] for d in dst.orders
+            ]
+            g = f + IntMatrix(f.rows, f.cols, [e for row in shift for e in row])
+            if rng.random() < 0.5:
+                g = g + rand_matrix(rng, f.rows, f.cols, -1, 1)
+            expected = _is_zero_mod((f - g).to_rows(), dst.orders)
+            assert homs_equal(f, g, dst) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_contains_relation_many_columns(self):
+        rng, gs = self.groups(64)
+        outcomes = set()
+        for g in gs:
+            k = rng.randint(0, 3)
+            rel = g.relations
+            # Columns drawn from the relation lattice, sometimes disturbed.
+            m = rel * rand_matrix(rng, rel.cols, k, -3, 3)
+            if k and rng.random() < 0.5:
+                m = m + rand_matrix(rng, m.rows, k, -1, 1)
+            expected = _is_zero_mod((g.to_normal * m).to_rows(), g.orders)
+            assert g.contains_relation(m) == expected
+            assert expected == all(
+                solve_matrix(rel, m.submatrix(range(m.rows), [j])) is not None
+                for j in range(k)
+            )
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_zrep_keeps_normal_edge_maps(self):
+        rng, gs = self.groups(65, count=20)
+        q = Quiver(3, [("a", 0, 1), ("b", 1, 2), ("c", 0, 2), ("d", 2, 2)])
+        for _ in range(10):
+            groups = [rng.choice(gs) for _ in range(3)]
+            maps = [
+                _random_hom(rng, groups[e.src], groups[e.dst]) for e in q.edges
+            ]
+            rep = ZRep(q, groups, maps)
+            for idx, e in enumerate(q.edges):
+                assert rep.normal_edge_map(idx) == normalize_hom(
+                    maps[idx], groups[e.src], groups[e.dst]
+                )
 
 
 class TestZRepAndModules:
@@ -264,8 +401,6 @@ class TestDecideRepIsomorphism:
 
 def _random_hom(rng, src: PresentedGroup, dst: PresentedGroup) -> IntMatrix:
     """Random well-defined raw map src -> dst (rejection sampling)."""
-    from blockeq.quiver import hom_well_defined
-
     while True:
         f = IntMatrix(
             dst.gens, src.gens, [rng.randint(-3, 3) for _ in range(dst.gens * src.gens)]

@@ -1,7 +1,6 @@
 """Wire formats: exact parsing, canonical emission, strict schemas."""
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -26,20 +25,6 @@ class TestIntegers:
     def test_big_integers_exact(self):
         v = 10**40 + 7
         assert serialize.int_from_str(serialize.int_to_str(v)) == v
-
-
-class TestRationals:
-    def test_round_trip(self):
-        q = Fraction(-3, 7)
-        assert serialize.fraction_from_str(serialize.fraction_to_str(q)) == q
-
-    def test_plain_integer_accepted(self):
-        assert serialize.fraction_from_str("4") == Fraction(4)
-
-    def test_rejects(self):
-        for bad in ("1/0", "1/-2", "a/b", "1//2"):
-            with pytest.raises(SchemaError):
-                serialize.fraction_from_str(bad)
 
 
 class TestMatrix:
