@@ -27,12 +27,7 @@ from .equiv import (
 from .intmat import cokernel, smith_normal_form
 from .quiver import build_kweb, decide_rep_isomorphism
 from .serialize import SchemaError
-from .sft import (
-    FlowInvariant,
-    SftMatrix,
-    decide_flow_equivalence,
-    is_irreducible,
-)
+from .sft import SftMatrix, _decide_flow
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -198,16 +193,9 @@ def _run(args) -> int:
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
         budget = _budget(args)
-        verdict = decide_flow_equivalence(a, a2, budget)
+        verdict, inv = _decide_flow(a, a2, budget)
         doc = serialize.verdict_to_json(verdict, budget)
-        if (
-            verdict.is_yes
-            and a.size
-            and a2.size
-            and is_irreducible(a)
-            and is_irreducible(a2)
-        ):
-            inv = FlowInvariant.of(a)
+        if inv is not None:
             doc["flow_invariants"] = {
                 "bowen_franks": serialize.group_to_json(inv.bowen_franks),
                 "parry_sullivan": serialize.int_to_str(inv.parry_sullivan),

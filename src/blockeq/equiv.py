@@ -14,7 +14,10 @@ lexicographically-least-witness tie-break at the minimal joining depth.
 Expansion never rebuilds a child it can already place: for X = m1(P),
 m1^-1(X) is P, and m2(X) = m1(m2(P)) for every m2 commuting with m1.  Such a
 child is an already-visited state, so records, budget counts, joins and
-witnesses are exactly those of the plain expansion.
+witnesses are exactly those of the plain expansion.  The stabilizer sweep
+walks the orbit of b by the same rule, and it skips the harvest of a placed
+child when that harvest is the identity: the edge back to P, and the edge
+X --m2--> Y for commuting m2 when P --m2--> m2(P) --m1--> Y are tree edges.
 """
 
 from __future__ import annotations
@@ -213,7 +216,9 @@ class _Side:
     expanded record i.  Levels are contiguous in records and expanded in
     order, so kids is indexed like records and every record below the one
     being expanded has complete kids: expanding X = m1(P) reads m1^-1(X) = P
-    and m2(X) = kids[kids[P][m2]][m1], for m2 commuting with m1, off them.
+    and m2(X) = kids[kids[P][m2]][m1], for m2 commuting with m1, off them
+    (_Engine._known_children).  The search and the stabilizer sweep both
+    fill kids this way.
     """
 
     __slots__ = ("records", "visited", "depth", "frontier", "kids")
@@ -295,6 +300,9 @@ class _Engine:
             frozenset(starts[ax, b] + ends[ax, a]) - {i}
             for i, (ax, (_, a, b, _)) in enumerate(self.moves)
         ]
+        u = IntMatrix.identity(self.rows).entries
+        w = IntMatrix.identity(self.cols).entries
+        self.identity_word = (u, w, u, w)
 
     # -- words -------------------------------------------------------------
 
@@ -312,9 +320,7 @@ class _Engine:
 
     def _replay(self, chain):
         """The word of a chain of move indices, from the identity word."""
-        u = IntMatrix.identity(self.rows).entries
-        w = IntMatrix.identity(self.cols).entries
-        word = (u, w, u, w)
+        word = self.identity_word
         for move_idx in chain:
             word = self._step(word, move_idx)
         return word
@@ -329,37 +335,49 @@ class _Engine:
 
     # -- search drivers ------------------------------------------------------
 
+    def _known_children(self, side, idx):
+        """The kids row of records[idx] as far as earlier expansions place it:
+        for X = m1(P), m1^-1(X) is P and m2(X) = kids[kids[P][m2]][m1] for
+        every m2 commuting with m1 whose child of P is already expanded.  The
+        other entries are None and must be built."""
+        _, m1, parent, _ = side.records[idx]
+        if parent < 0:
+            return [None] * len(self.moves)
+        kids = side.kids
+        known = [kids[r][m1] if r < idx else None for r in kids[parent]]
+        for m2 in self.noncommuting[m1]:
+            known[m2] = None
+        known[self.inverse_index[m1]] = parent
+        return known
+
     def _expand(self, side, other, is_forward, nodes_used):
         """Expand one full level of `side`; returns (joins, nodes, truncated)."""
         joins = []
         new_frontier = []
         count = nodes_used
         moves = self.moves if is_forward else self.inverse_moves
-        kids = side.kids
+        rows, cols, max_nodes = self.rows, self.cols, self.budget.max_nodes
+        records, visited, kids = side.records, side.visited, side.kids
+        other_get = other.visited.get
+        apply_move = _apply_move
         for idx in side.frontier:
-            entries, m1, parent, depth = side.records[idx]
-            if parent < 0:
-                known = [None] * len(moves)
-            else:
-                known = [kids[r][m1] if r < idx else None for r in kids[parent]]
-                for m2 in self.noncommuting[m1]:
-                    known[m2] = None
-                known[self.inverse_index[m1]] = parent
+            entries, _, _, depth = records[idx]
+            known = self._known_children(side, idx)
             for move_idx, rec in enumerate(known):
                 if rec is not None:
                     continue
                 axis, move = moves[move_idx]
-                child = _apply_move(axis, move, entries, self.rows, self.cols)
-                rec = side.visited.get(child)
-                if rec is None:
-                    if count + 1 > self.budget.max_nodes:
+                child = apply_move(axis, move, entries, rows, cols)
+                new = len(records)
+                rec = visited.setdefault(child, new)
+                if rec == new:
+                    if count + 1 > max_nodes:
+                        del visited[child]
                         return joins, count, True
-                    rec = len(side.records)
-                    side.records.append((child, move_idx, idx, depth + 1))
-                    side.visited[child] = rec
+                    records.append((child, move_idx, idx, depth + 1))
                     new_frontier.append(rec)
                     count += 1
-                    hit = other.visited.get(child)
+                    hit = other_get(child)
                     if hit is not None:
                         joins.append((rec, hit))
                 known[move_idx] = rec
@@ -422,6 +440,13 @@ class _Engine:
         and no Smith normal form is computed.  Only the words of records that
         take part in a harvest are kept.
 
+        Children are placed by the known-children rule of the search, without
+        a move or a lookup.  For X = m1(P), two kinds of non-tree edge give
+        the identity, which seen holds from the start, and are not
+        harvested: X --m1^-1--> P, and X --m2--> Y for m2 commuting with m1
+        when P --m2--> Q and Q --m1--> Y are tree edges, as then word(Y) =
+        m1*m2*word(P).  Each such edge still costs one unit of budget.
+
         Returns (result, report, truncated) where result is check's first
         non-None value.
         """
@@ -445,28 +470,51 @@ class _Engine:
             return check(IntMatrix(rows, rows, u2), IntMatrix(cols, cols, w2),
                          IntMatrix(cols, cols, w2_inv))
 
+        records, visited, kids = side.records, side.visited, side.kids
+        moves, inverse_index = self.moves, self.inverse_index
+        max_nodes = self.budget.max_nodes
+        apply_move = _apply_move
         while side.frontier and depth < self.budget.max_depth and not truncated:
             new_frontier = []
             for idx in side.frontier:
-                entries = side.records[idx][0]
-                for move_idx, (axis, move) in enumerate(self.moves):
-                    child = _apply_move(axis, move, entries, rows, cols)
-                    hit = side.visited.get(child)
+                entries, m1, parent, _ = records[idx]
+                known = self._known_children(side, idx)
+                for move_idx, hit in enumerate(known):
                     if hit is None:
-                        if work + 1 > self.budget.max_nodes:
-                            truncated = True
-                            break
-                        rec = len(side.records)
-                        side.records.append((child, move_idx, idx, depth + 1))
-                        side.visited[child] = rec
-                        new_frontier.append(rec)
-                        work += 1
-                        continue
-                    # Non-tree edge: harvest word(Y)^-1 * g * word(X).
-                    if work + 1 > self.budget.max_nodes:
+                        axis, move = moves[move_idx]
+                        child = apply_move(axis, move, entries, rows, cols)
+                        hit = visited.get(child)
+                        if hit is None:
+                            if work + 1 > max_nodes:
+                                truncated = True
+                                break
+                            hit = len(records)
+                            records.append((child, move_idx, idx, depth + 1))
+                            visited[child] = hit
+                            new_frontier.append(hit)
+                            work += 1
+                            known[move_idx] = hit
+                            continue
+                        known[move_idx] = hit
+                        identity = False
+                    else:
+                        # X --m2--> Y with X = m1(P), Y known: the harvest is
+                        # the identity when Y is P by m1^-1, or when m2
+                        # commutes with m1 and Y is reached by the tree edges
+                        # P --m2--> Q --m1--> Y.
+                        q = kids[parent][move_idx]
+                        identity = move_idx == inverse_index[m1] or (
+                            records[hit][1] == m1 and records[hit][2] == q
+                            and records[q][1] == move_idx and records[q][2] == parent
+                        )
+                    # Non-tree edge: harvest word(Y)^-1 * g * word(X), which
+                    # seen already holds when it is the identity.
+                    if work + 1 > max_nodes:
                         truncated = True
                         break
                     work += 1
+                    if identity:
+                        continue
                     gu, gw, _, gw_inv = self._step(word(idx), move_idx)
                     _, wy, uy_inv, wy_inv = word(hit)
                     sig = (mat_mul(rows, rows, uy_inv, rows, gu),
@@ -480,6 +528,7 @@ class _Engine:
                         return res, BudgetReport(work, depth + 1), truncated
                 if truncated:
                     break
+                kids.append(known)
             side.frontier = new_frontier
             depth += 1
 

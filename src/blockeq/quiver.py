@@ -246,10 +246,9 @@ class ZRep:
                 raise DimensionError(
                     f"edge {e.id}: map must be {dst.gens}x{src.gens}"
                 )
-            fn = normalize_hom(f, src, dst)
-            if not hom_well_defined(fn, src, dst):
+            if not dst.contains_relation(f * src.relations):
                 raise ValueError(f"edge {e.id}: map does not respect relations")
-            normal_edge_maps.append(fn)
+            normal_edge_maps.append(normalize_hom(f, src, dst))
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "edge_maps", tuple(edge_maps))
@@ -392,10 +391,9 @@ def is_morphism(family, rep1: ZRep, rep2: ZRep, quiver: Quiver) -> bool:
         src, dst = rep1.groups[v], rep2.groups[v]
         if f.rows != dst.gens or f.cols != src.gens:
             raise DimensionError(f"vertex {v}: matrix must be {dst.gens}x{src.gens}")
-        fn = normalize_hom(f, src, dst)
-        if not hom_well_defined(fn, src, dst):
+        if not dst.contains_relation(f * src.relations):
             return False
-        normals.append(fn)
+        normals.append(normalize_hom(f, src, dst))
     for idx, e in enumerate(quiver.edges):
         lhs = normals[e.dst] * rep1.normal_edge_map(idx)
         rhs = rep2.normal_edge_map(idx) * normals[e.src]

@@ -180,24 +180,27 @@ def decide_flow_equivalence_irreducible(a: SftMatrix, a2: SftMatrix) -> bool:
     or neither trivial and the FlowInvariants agree."""
     if not is_irreducible(a) or not is_irreducible(a2):
         raise ValueError("both inputs must be irreducible")
-    return _irreducible_certificate(a, a2) is None
+    return _irreducible_certificate(a, a2)[0] is None
 
 
-def _irreducible_certificate(a: SftMatrix, a2: SftMatrix) -> Certificate | None:
-    """The invariant separating two irreducible shifts, or None when they are
-    flow equivalent: single-cycle flags, then Parry-Sullivan, then
-    Bowen-Franks."""
+def _irreducible_certificate(a: SftMatrix, a2: SftMatrix):
+    """(certificate, invariant): the invariant separating two irreducible
+    shifts, or None when they are flow equivalent (single-cycle flags, then
+    Parry-Sullivan, then Bowen-Franks), and the FlowInvariant of `a` when it
+    was computed (else None)."""
     t1, t2 = is_single_cycle(a), is_single_cycle(a2)
     if t1 or t2:
-        return None if t1 and t2 else Certificate("single-cycle", str(t1), str(t2))
+        if t1 and t2:
+            return None, None
+        return Certificate("single-cycle", str(t1), str(t2)), None
     i1, i2 = FlowInvariant.of(a), FlowInvariant.of(a2)
     if i1.parry_sullivan != i2.parry_sullivan:
         return Certificate(
             "parry-sullivan", str(i1.parry_sullivan), str(i2.parry_sullivan)
-        )
+        ), i1
     if i1.bowen_franks != i2.bowen_franks:
-        return Certificate("bowen-franks", str(i1.bowen_franks), str(i2.bowen_franks))
-    return None
+        return Certificate("bowen-franks", str(i1.bowen_franks), str(i2.bowen_franks)), i1
+    return None, i1
 
 
 @dataclass(frozen=True)
@@ -331,21 +334,31 @@ def decide_flow_equivalence(
     alignment of the component posets is stabilized and handed to the blocked
     SL engine.  Yes propagates immediately; No needs every alignment refuted.
     """
+    return _decide_flow(a, a2, budget)[0]
+
+
+def _decide_flow(a: SftMatrix, a2: SftMatrix, budget: SearchBudget):
+    """(verdict, invariant): the verdict of decide_flow_equivalence, and the
+    FlowInvariant of `a` on a yes for two irreducible inputs (else None).
+    The CLI calls this directly, so a CLI flow-eq op is not traced as
+    decide_flow_equivalence."""
     if a.size == 0 or a2.size == 0:
         if a.size == a2.size:
             return Verdict.yes(IntMatrix(0, 0, ()), IntMatrix(0, 0, ()),
-                               BudgetReport(0, 0))
+                               BudgetReport(0, 0)), None
         return Verdict.no(
             Certificate("condensation-alignment",
                         f"{a.size} vertices", f"{a2.size} vertices"),
             BudgetReport(0, 0),
-        )
+        ), None
 
     if is_irreducible(a) and is_irreducible(a2):
-        cert = _irreducible_certificate(a, a2)
-        if cert is None:
-            return Verdict("yes", report=BudgetReport(0, 0))
-        return Verdict.no(cert, BudgetReport(0, 0))
+        cert, inv = _irreducible_certificate(a, a2)
+        if cert is not None:
+            return Verdict.no(cert, BudgetReport(0, 0)), None
+        if inv is None:
+            inv = FlowInvariant.of(a)
+        return Verdict("yes", report=BudgetReport(0, 0)), inv
 
     c1 = condense(a)
     c2 = condense(a2)
@@ -358,7 +371,7 @@ def decide_flow_equivalence(
                 _condensation_summary(c2),
             ),
             BudgetReport(0, 0),
-        )
+        ), None
 
     total_nodes = 0
     max_depth = 0
@@ -381,12 +394,12 @@ def decide_flow_equivalence(
                 verdict.witness[0],
                 verdict.witness[1],
                 BudgetReport(total_nodes, max_depth),
-            )
+            ), None
         if verdict.is_no:
             if first_no is None:
                 first_no = verdict.certificate
         else:
             all_no = False
     if all_no and first_no is not None:
-        return Verdict.no(first_no, BudgetReport(total_nodes, max_depth))
-    return Verdict.unknown(BudgetReport(total_nodes, max_depth))
+        return Verdict.no(first_no, BudgetReport(total_nodes, max_depth)), None
+    return Verdict.unknown(BudgetReport(total_nodes, max_depth)), None

@@ -22,15 +22,19 @@ from blockeq import (
 from blockeq.poset_block import generator_moves, move_matrix
 
 
-def count_calls(monkeypatch, fn):
-    """Route every blockeq binding of the one-argument function fn through a
-    counter; returns the list the patched calls append their argument to."""
+def count_calls(monkeypatch, fn, holder=None):
+    """Route fn through a counter; returns the list each call appends its
+    positional arguments to.  With a holder (a class, say) only the holder's
+    attribute named like fn is patched, else every blockeq binding of fn."""
     calls = []
 
-    def counted(a):
-        calls.append(a)
-        return fn(a)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
 
+    if holder is not None:
+        monkeypatch.setattr(holder, fn.__name__, counted)
+        return calls
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "blockeq" and (
             getattr(module, fn.__name__, None) is fn

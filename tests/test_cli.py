@@ -7,6 +7,8 @@ import pytest
 from blockeq import serialize
 from blockeq.cli import EXIT_DATA, EXIT_NO, EXIT_UNKNOWN, EXIT_USAGE, EXIT_YES, execute
 
+from helpers import count_calls
+
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
@@ -107,6 +109,40 @@ class TestSubcommands:
         assert doc["status"] == "yes"
         assert doc["flow_invariants"]["parry_sullivan"] == "-1"
 
+    def test_flow_eq_decides_once(self, corpus, capsys, monkeypatch):
+        # The CLI takes the left invariant from the decision instead of
+        # checking irreducibility and computing FlowInvariant.of again.
+        from blockeq.sft import (
+            SftMatrix, bowen_franks, decide_flow_equivalence, is_irreducible,
+        )
+
+        irreducible = count_calls(monkeypatch, is_irreducible)
+        groups = count_calls(monkeypatch, bowen_franks)
+        decide_flow_equivalence(
+            SftMatrix.from_rows([[1, 1], [1, 0]]), SftMatrix.from_rows([[2]])
+        )
+        bare = (len(irreducible), len(groups))
+        irreducible.clear()
+        groups.clear()
+        code, out, _ = run(capsys, "flow-eq", corpus["fib"], corpus["full2"])
+        assert code == EXIT_YES
+        assert parse_stdout(out)["flow_invariants"]["parry_sullivan"] == "-1"
+        assert (len(irreducible), len(groups)) == bare == (4, 2)
+
+    def test_flow_eq_single_cycles(self, capsys, tmp_path):
+        cycle2 = write(tmp_path, "c2.json", {"rows": 2, "cols": 2,
+                                             "entries": ["0", "1", "1", "0"]})
+        cycle1 = write(tmp_path, "c1.json", {"rows": 1, "cols": 1, "entries": ["1"]})
+        code, out, _ = run(capsys, "flow-eq", cycle2, cycle1)
+        assert code == EXIT_YES
+        assert parse_stdout(out) == {
+            "budget": {"depth_reached": 0, "max_depth": 8, "max_nodes": 1000000,
+                       "nodes_expanded": 0},
+            "flow_invariants": {"bowen_franks": {"free_rank": 1, "torsion": []},
+                                "parry_sullivan": "0"},
+            "status": "yes",
+        }
+
     def test_flow_eq_no(self, corpus, capsys):
         code, out, _ = run(capsys, "flow-eq", corpus["full2"], corpus["full3"])
         assert code == EXIT_NO
@@ -185,6 +221,23 @@ class TestSubcommands:
         assert parse_stdout(out) == {"schema": "matrix", "valid": True}
         code, out, _ = run(capsys, "validate", corpus["web"], "--schema", "blocked")
         assert code == EXIT_YES
+
+    def test_rep_iso_rejects_map_breaking_relations(self, capsys, tmp_path):
+        # The edge map sends a relation of C9 (presented with a unit
+        # invariant factor) outside the relations of the target Z.
+        quiver = write(tmp_path, "q.json", {
+            "vertices": 2, "edges": [{"id": "e", "src": 0, "dst": 1}]})
+        rep = write(tmp_path, "r.json", {
+            "vertex_presentations": [
+                {"rows": 2, "cols": 2, "entries": ["-3", "-3", "2", "-1"]},
+                {"rows": 2, "cols": 1, "entries": ["1", "3"]},
+            ],
+            "edge_maps": [{"rows": 2, "cols": 2, "entries": ["0", "-2", "0", "-1"]}],
+        })
+        code, out, err = run(capsys, "rep-iso", quiver, rep, rep)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "does not respect relations" in err
 
 
 class TestErrorPaths:

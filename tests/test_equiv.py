@@ -355,6 +355,19 @@ class TestSearchExpansion:
         assert (verdict.report.nodes_expanded, verdict.report.depth_reached) == (5852, 4)
         assert len(built) <= 0.65 * 10_512
 
+    def test_truncated_level_leaves_every_visit_recorded(self):
+        # The child that overruns the budget is not recorded, so it must not
+        # stay visited either.
+        import blockeq.equiv as equiv
+
+        shape = BlockShape.square(chain_poset(2), (2, 1))
+        engine = equiv._Engine(shape, SL, SearchBudget(4, 3))
+        a = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [0, 0, 5]])
+        side, other = equiv._Side(a.entries), equiv._Side(a.entries)
+        _, count, truncated = engine._expand(side, other, True, 1)
+        assert truncated and count == 3 and len(side.records) == 3
+        assert sorted(side.visited.values()) == [0, 1, 2]
+
 
 class TestRecoveryAcrossGroups:
     def test_rectangular_scramble_recover(self):
@@ -646,6 +659,202 @@ class TestDecideWithUnit:
             assert wu * a.matrix * invert_unimodular(wv) == b.matrix
             diff = invert_unimodular(wv).transpose() * x - y
             assert solve_integer(b.matrix.transpose(), diff) is not None
+
+
+def reference_sweep(engine, b, check):
+    """The stabilizer sweep without the known-children rule: every child is
+    built by a move and looked up, and every non-tree edge is harvested."""
+    from blockeq import _kernels
+    from blockeq.equiv import BudgetReport, _apply_move, _chain_moves, _Side
+
+    rows, cols = engine.rows, engine.cols
+    mat_mul = _kernels.mat_mul
+    side = _Side(b.entries)
+    root = engine._replay(())
+    seen = {root[:2]}
+    sigmas = []
+    work = 1
+    truncated = False
+    depth = 0
+    words = {0: root}
+
+    def word(idx):
+        if idx not in words:
+            words[idx] = engine._replay(_chain_moves(side, idx))
+        return words[idx]
+
+    def offer(u2, w2, w2_inv):
+        return check(IntMatrix(rows, rows, u2), IntMatrix(cols, cols, w2),
+                     IntMatrix(cols, cols, w2_inv))
+
+    while side.frontier and depth < engine.budget.max_depth and not truncated:
+        new_frontier = []
+        for idx in side.frontier:
+            entries = side.records[idx][0]
+            for move_idx, (axis, move) in enumerate(engine.moves):
+                child = _apply_move(axis, move, entries, rows, cols)
+                hit = side.visited.get(child)
+                if hit is None:
+                    if work + 1 > engine.budget.max_nodes:
+                        truncated = True
+                        break
+                    rec = len(side.records)
+                    side.records.append((child, move_idx, idx, depth + 1))
+                    side.visited[child] = rec
+                    new_frontier.append(rec)
+                    work += 1
+                    continue
+                if work + 1 > engine.budget.max_nodes:
+                    truncated = True
+                    break
+                work += 1
+                gu, gw, _, gw_inv = engine._step(word(idx), move_idx)
+                _, wy, uy_inv, wy_inv = word(hit)
+                sig = (mat_mul(rows, rows, uy_inv, rows, gu),
+                       mat_mul(cols, cols, gw, cols, wy_inv))
+                if sig in seen:
+                    continue
+                seen.add(sig)
+                sigmas.append((*sig, mat_mul(cols, cols, wy, cols, gw_inv)))
+                res = offer(*sigmas[-1])
+                if res is not None:
+                    return res, BudgetReport(work, depth + 1), truncated
+            if truncated:
+                break
+        side.frontier = new_frontier
+        depth += 1
+
+    for u1, w1, w1_inv in sigmas:
+        for u2, w2, w2_inv in sigmas:
+            if work + 1 > engine.budget.max_nodes:
+                truncated = True
+                break
+            work += 1
+            sig = (mat_mul(rows, rows, u1, rows, u2),
+                   mat_mul(cols, cols, w2, cols, w1))
+            if sig in seen:
+                continue
+            seen.add(sig)
+            res = offer(*sig, mat_mul(cols, cols, w1_inv, cols, w2_inv))
+            if res is not None:
+                return res, BudgetReport(work, depth), truncated
+        if truncated:
+            break
+    return None, BudgetReport(work, depth), truncated
+
+
+def sweep_instance(seed, group):
+    """A decide_with_unit instance as in the pinned sweep outputs: B = U*A*V
+    with y = -V^T x - B^T r, whose first search witness usually fails the
+    unit condition, so the stabilizer sweep runs."""
+    rng = random.Random(seed)
+    shape = rand_square_shape(rng, max_poset=3, max_block=2)
+    a = rand_blocked(rng, shape, -2, 2)
+    _, v, b = scramble(rng, a, group, 4)
+    n = shape.total_cols
+    x = IntMatrix.column([rng.randint(-2, 2) for _ in range(n)])
+    r = IntMatrix.column([rng.randint(-1, 1) for _ in range(n)])
+    y = IntMatrix.zero(n, 1) - v.transpose() * x - b.matrix.transpose() * r
+    return a, b, x, y
+
+
+def recorded_sweep(sweep, engine, b):
+    """Run a sweep whose check accepts nothing; returns every offered
+    element's entries in order, the report and the truncation flag."""
+    offered = []
+
+    def check(u, w, w_inv):
+        offered.append((u.entries, w.entries, w_inv.entries))
+
+    _, report, truncated = sweep(engine, b, check)
+    return offered, report, truncated
+
+
+class TestStabilizerSweepKnownChildren:
+    # Budgets alternate between ample and tight, so some sweeps are cut off
+    # inside a level and some inside the pairwise-product pass.
+    BUDGETS = (SearchBudget(4, 3_000), SearchBudget(6, 600), SearchBudget(3, 150))
+
+    def test_outputs_match_full_rebuild(self, monkeypatch):
+        import blockeq.equiv as equiv
+
+        swept = []
+        truncated = []
+        fast = equiv._Engine.stabilizer_sweep
+
+        def spy(sweep):
+            def run(engine, b, check):
+                result = sweep(engine, b, check)
+                swept.append(result[1])
+                truncated.append(result[2])
+                return result
+            return run
+
+        for seed in range(150):
+            for group in (GL, SL):
+                a, b, x, y = sweep_instance(seed, group)
+                budget = self.BUDGETS[seed % len(self.BUDGETS)]
+                got = []
+                for sweep in (fast, reference_sweep):
+                    monkeypatch.setattr(equiv._Engine, "stabilizer_sweep", spy(sweep))
+                    got.append(decide_with_unit(a, b, x, y, group=group, budget=budget))
+                fast_v, ref_v = got
+                assert fast_v.status == ref_v.status, (seed, group)
+                assert fast_v.report == ref_v.report, (seed, group)
+                assert (fast_v.witness and [m.entries for m in fast_v.witness]) == (
+                    ref_v.witness and [m.entries for m in ref_v.witness]
+                ), (seed, group)
+                assert fast_v.certificate == ref_v.certificate
+        # Every sweep ran once through each implementation.
+        assert swept[::2] == swept[1::2] and truncated[::2] == truncated[1::2]
+        assert len(swept) >= 2 * 40
+        assert any(truncated) and not all(truncated)
+
+    @pytest.mark.parametrize("seed, group", [(16, GL), (27, GL), (20, SL), (5, SL)])
+    def test_offers_every_element_in_the_same_order(self, seed, group):
+        import blockeq.equiv as equiv
+
+        _, b, _, _ = sweep_instance(seed, group)
+        for budget in (SearchBudget(4, 3_000), SearchBudget(3, 700)):
+            engine = equiv._Engine(b.shape, group, budget)
+            fast = recorded_sweep(equiv._Engine.stabilizer_sweep, engine, b.matrix)
+            assert fast == recorded_sweep(reference_sweep, engine, b.matrix)
+            assert fast[0]
+
+    def test_identity_harvests_multiply_nothing(self, monkeypatch):
+        # Harvests along X = m1(P) --m1^-1--> P and around commuting squares
+        # are the identity pair, which the reference multiplies out only to
+        # find it already seen.
+        import blockeq._kernels as kernels
+        import blockeq.equiv as equiv
+
+        _, b, _, _ = sweep_instance(16, GL)
+        engine = equiv._Engine(b.shape, GL, SearchBudget(4, 3_000))
+        counts = []
+        for sweep in (equiv._Engine.stabilizer_sweep, reference_sweep):
+            calls = count_calls(monkeypatch, kernels.mat_mul)
+            recorded_sweep(sweep, engine, b.matrix)
+            counts.append(len(calls))
+            monkeypatch.undo()
+        fast, reference = counts
+        assert 0 < fast < reference
+
+    def test_replay_builds_no_identity_matrix(self, monkeypatch):
+        import blockeq.equiv as equiv
+
+        shape = BlockShape.square(chain_poset(2), (2, 1))
+        engine = equiv._Engine(shape, SL, SearchBudget(4, 2_000))
+        calls = count_calls(monkeypatch, IntMatrix.identity, IntMatrix)
+        assert engine._replay(()) == (IntMatrix.identity(3).entries,) * 4
+        calls.clear()
+        a = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [0, 0, 5]])
+        b = IntMatrix.from_rows([[2, 3, 1], [0, 3, 1], [0, 0, 5]])
+        witnesses, _, _ = engine.search(a, b)
+        assert witnesses
+        for chain in ([0], [1, 2, 0], list(range(len(engine.moves)))):
+            engine._replay(chain)
+        engine.stabilizer_sweep(b, lambda u, w, w_inv: None)
+        assert calls == []
 
 
 class TestGadget:

@@ -30,6 +30,7 @@ from blockeq.quiver import (
     hom_well_defined,
     homs_equal,
     normalize_hom,
+    raw_hom,
 )
 
 from helpers import (
@@ -48,6 +49,15 @@ Z3 = IntMatrix.from_rows([[3]])
 
 def edge_quiver():
     return Quiver(2, [("e", 0, 1)])
+
+
+# C9 presented on two generators (invariant factors 1 and 9), Z presented on
+# two generators, and a raw map sending a C9 relation outside the Z relation
+# lattice.  Normal coordinates drop the unit factor, so only a check of the
+# raw map against the raw relations sees that the map is not a homomorphism.
+C9_WITH_UNIT = IntMatrix.from_rows([[-3, -3], [2, -1]])
+Z_ON_TWO = IntMatrix.from_rows([[1], [3]])
+BREAKS_RELATIONS = IntMatrix.from_rows([[0, -2], [0, -1]])
 
 
 class TestPresentedGroup:
@@ -314,6 +324,14 @@ class TestZRepAndModules:
         back = module_to_zrep(mod, q)
         assert back.groups[0].iso_class() == mod.group.iso_class()
 
+    def test_edge_map_breaking_unit_factor_relations(self):
+        q = edge_quiver()
+        with pytest.raises(ValueError, match="does not respect relations"):
+            ZRep(q, [C9_WITH_UNIT, Z_ON_TWO], [BREAKS_RELATIONS])
+        # The zero map respects every relation, and the module is built.
+        rep = ZRep(q, [C9_WITH_UNIT, Z_ON_TWO], [IntMatrix.zero(2, 2)])
+        assert zrep_to_module(rep, q).group.iso_class() == (1, (9,))
+
 
 class TestIsMorphism:
     def test_identity_family(self):
@@ -331,6 +349,12 @@ class TestIsMorphism:
         rep_id = ZRep(q, [Z2, Z2], [IntMatrix.from_rows([[1]])])
         rep_zero = ZRep(q, [Z2, Z2], [IntMatrix.zero(1, 1)])
         assert not is_morphism([IntMatrix.identity(1)] * 2, rep_id, rep_zero, q)
+
+    def test_family_breaking_unit_factor_relations(self):
+        q = Quiver(1, [])
+        src, dst = ZRep(q, [C9_WITH_UNIT], []), ZRep(q, [Z_ON_TWO], [])
+        assert not is_morphism([BREAKS_RELATIONS], src, dst, q)
+        assert is_morphism([IntMatrix.zero(2, 2)], src, dst, q)
 
 
 class TestDecideRepIsomorphism:
@@ -400,13 +424,19 @@ class TestDecideRepIsomorphism:
 
 
 def _random_hom(rng, src: PresentedGroup, dst: PresentedGroup) -> IntMatrix:
-    """Random well-defined raw map src -> dst (rejection sampling)."""
+    """Random well-defined raw map src -> dst (rejection sampling).  A draw
+    whose normal map is well defined but which sends a raw source relation
+    outside the target's relation lattice (possible when the source has unit
+    invariant factors) is replaced by the raw lift of its normal map."""
     while True:
         f = IntMatrix(
             dst.gens, src.gens, [rng.randint(-3, 3) for _ in range(dst.gens * src.gens)]
         )
-        if hom_well_defined(normalize_hom(f, src, dst), src, dst):
-            return f
+        fn = normalize_hom(f, src, dst)
+        if hom_well_defined(fn, src, dst):
+            if dst.contains_relation(f * src.relations):
+                return f
+            return raw_hom(fn, src, dst)
 
 
 class TestKWeb:
