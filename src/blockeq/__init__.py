@@ -32,7 +32,6 @@ from .poset_block import (
     chain_poset,
     elementary_generators,
     group_membership,
-    invert_blocked,
     iota_embed,
     multiply_blocked,
     validate_membership,
@@ -70,7 +69,6 @@ from .sft import (
 from .quiver import (
     Edge,
     KWeb,
-    PathModule,
     PresentedGroup,
     Quiver,
     ZRep,
@@ -78,8 +76,6 @@ from .quiver import (
     decide_kweb_isomorphism,
     decide_rep_isomorphism,
     is_morphism,
-    module_to_zrep,
-    zrep_to_module,
 )
 
 __version__ = "0.1.0"

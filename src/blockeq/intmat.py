@@ -457,12 +457,13 @@ def solve_with_snf(a: IntMatrix, dec, b: IntMatrix) -> IntMatrix | None:
     caller solving many right-hand sides against one a pays for it once."""
     diag = dec.diagonal()
     c = dec.U * b
+    ce, nb = c.entries, b.cols
     cols = []
-    for jb in range(b.cols):
+    for jb in range(nb):
         w = [0] * a.cols
         ok = True
         for i in range(a.rows):
-            ci = c[i, jb]
+            ci = ce[i * nb + jb]
             if i < len(diag) and diag[i] != 0:
                 if ci % diag[i]:
                     ok = False

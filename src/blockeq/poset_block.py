@@ -15,7 +15,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import combinations
 
-from .intmat import DimensionError, IntMatrix, determinant, invert_unimodular
+from .intmat import DimensionError, IntMatrix, determinant
 
 GL = "gl"
 SL = "sl"
@@ -410,17 +410,6 @@ def multiply_blocked(m1: BlockedMatrix, m2: BlockedMatrix) -> BlockedMatrix:
         raise ShapeError("inner block sizes do not compose")
     out_shape = BlockShape(m1.shape.poset, m1.shape.row_sizes, m2.shape.col_sizes)
     return BlockedMatrix(out_shape, m1.matrix * m2.matrix)
-
-
-def invert_blocked(u: BlockedMatrix, group: str) -> BlockedMatrix:
-    """Inverse of a blocked unit; stays in the same group."""
-    if not group_membership(u.matrix, u.shape, group):
-        raise ValueError("matrix is not a unit of the requested blocked group")
-    inv = invert_unimodular(u.matrix)
-    out = BlockedMatrix(u.shape, inv)
-    if not group_membership(inv, u.shape, group):  # pragma: no cover - theory
-        raise AssertionError("inverse left the group")
-    return out
 
 
 def blocked_identity(shape: BlockShape) -> BlockedMatrix:

@@ -1,4 +1,4 @@
-"""Z-representations of quivers, path-ring modules, and K-webs.
+"""Z-representations of quivers and K-webs.
 
 A representation assigns a finitely presented abelian group to each vertex
 and an integer matrix (images of source generators in target generators) to
@@ -22,7 +22,6 @@ from .intmat import (
     FgAbelianGroup,
     IntMatrix,
     cokernel,
-    column_lattice_basis,
     invert_unimodular,
     kernel_basis,
     kernel_basis_with_snf,
@@ -92,10 +91,13 @@ class PresentedGroup:
         "from_normal",
     )
 
-    def __init__(self, gens: int, relations: IntMatrix):
+    def __init__(self, gens: int, relations: IntMatrix, dec=None):
+        """dec, when given, is smith_normal_form(relations) already computed,
+        as in solve_with_snf."""
         if relations.rows != gens:
             raise DimensionError("relations must have one row per generator")
-        dec = smith_normal_form(relations)
+        if dec is None:
+            dec = smith_normal_form(relations)
         diag = dec.diagonal()
         torsion_idx = [i for i, d in enumerate(diag) if d >= 2]
         free_idx = [i for i, d in enumerate(diag) if d == 0]
@@ -262,117 +264,6 @@ class ZRep:
 
     def vertex_class(self, v):
         return self.groups[v].iso_class()
-
-
-# ---------------------------------------------------------------------------
-# Path-ring modules
-
-
-class PathModule:
-    """A module over the path ring of a quiver, finitely generated over Z:
-    one presented group with an action matrix per empty path (projection) and
-    per edge.
-
-    Construction validates the path-ring laws exactly modulo relations:
-    projections are orthogonal idempotents summing to the identity, and each
-    edge action factors through its source and target projections.
-    """
-
-    __slots__ = ("quiver", "group", "projections", "edge_actions")
-
-    def __init__(self, quiver, group: PresentedGroup, projections, edge_actions):
-        projections = tuple(projections)
-        edge_actions = tuple(edge_actions)
-        if len(projections) != quiver.vertices:
-            raise DimensionError("one projection per vertex required")
-        if len(edge_actions) != len(quiver.edges):
-            raise DimensionError("one action per edge required")
-        g = group.gens
-        for m in projections + edge_actions:
-            if m.rows != g or m.cols != g:
-                raise DimensionError("actions act on the module generators")
-
-        # Every law is a matrix whose columns must be zero in the group.
-        vanishes = group.contains_relation
-        for m in projections + edge_actions:
-            # Well-defined action: relations map into relations.
-            if not vanishes(m * group.relations):
-                raise ValueError("action does not respect relations")
-        total = IntMatrix.identity(g)
-        for p in projections:
-            total = total - p
-        if not vanishes(total):
-            raise ValueError("projections do not sum to the identity")
-        for u, pu in enumerate(projections):
-            for v, pv in enumerate(projections):
-                if not vanishes(pu * pv - pu if u == v else pu * pv):
-                    raise ValueError("projections are not orthogonal idempotents")
-        for e, act in zip(quiver.edges, edge_actions):
-            for v, pv in enumerate(projections):
-                if v != e.src and not vanishes(act * pv):
-                    raise ValueError(f"edge {e.id} acts outside its source summand")
-            if not vanishes(act - projections[e.dst] * act * projections[e.src]):
-                raise ValueError(f"edge {e.id} does not land in its target summand")
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "projections", projections)
-        object.__setattr__(self, "edge_actions", edge_actions)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PathModule is immutable")
-
-    def act_path(self, edge_indices) -> IntMatrix:
-        """Action of a path given as edge indices applied right-to-left."""
-        g = self.group.gens
-        out = IntMatrix.identity(g)
-        for idx in edge_indices:
-            out = self.edge_actions[idx] * out
-        return out
-
-
-def zrep_to_module(rep: ZRep, quiver: Quiver) -> PathModule:
-    """Direct-sum module: projections are the block identities, each edge
-    acts by its matrix from the source summand into the target summand."""
-    if rep.quiver != quiver:
-        raise ValueError("representation lives on a different quiver")
-    gens = [g.gens for g in rep.groups]
-    relations = _block_diagonal([g.relations for g in rep.groups])
-    group = PresentedGroup(sum(gens), relations)
-    projections = [
-        IntMatrix.from_blocks(gens, gens, {(v, v): IntMatrix.identity(gens[v])})
-        for v in range(quiver.vertices)
-    ]
-    actions = [
-        IntMatrix.from_blocks(gens, gens, {(e.dst, e.src): f})
-        for e, f in zip(quiver.edges, rep.edge_maps)
-    ]
-    return PathModule(quiver, group, projections, actions)
-
-
-def module_to_zrep(mod: PathModule, quiver: Quiver) -> ZRep:
-    """Recover a representation: vertex group v is the image of projection v
-    with its induced presentation, edges act by restriction."""
-    if mod.quiver != quiver:
-        raise ValueError("module lives on a different quiver")
-    g = mod.group.gens
-    rel = mod.group.relations
-    bases = []
-    pres = []
-    for p in mod.projections:
-        span = p.hstack(rel)
-        basis = column_lattice_basis(span)
-        ker = kernel_basis(basis.hstack(rel))
-        relations = ker.submatrix(range(basis.cols), range(ker.cols))
-        bases.append(basis)
-        pres.append(PresentedGroup(basis.cols, relations))
-    maps = []
-    for e, act in zip(quiver.edges, mod.edge_actions):
-        image = act * bases[e.src]
-        f = solve_matrix(bases[e.dst].hstack(rel), image)
-        if f is None:  # pragma: no cover - guaranteed by module laws
-            raise AssertionError("edge action escaped the target summand")
-        maps.append(f.submatrix(range(bases[e.dst].cols), range(image.cols)))
-    return ZRep(quiver, pres, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +581,12 @@ class KWeb:
           -> cok B{S1} -> cok B{S} -> cok B{S2} -> 0
 
     for every splitting of a convex S into a down-set S1 and its complement.
-    Exactness of every sequence is asserted at construction time.
+    Exactness of every sequence is asserted at construction time, at each
+    position as two lattice inclusions: the image lies in the kernel when the
+    composition with the next map vanishes modulo the next relations (a
+    product, no Smith form), and the kernel lies in the image when a basis of
+    the kernel solves against the image (one Smith form of the image, which
+    is the matrix whose kernel the previous position took).
     """
 
     __slots__ = ("shape", "nodes", "groups", "arrows", "kernel_bases")
@@ -737,19 +633,22 @@ def _sub_cols(shape, subset):
 
 
 def _exact_at(f_in, f_out, mid: PresentedGroup, nxt: PresentedGroup, snf) -> bool:
-    """Exactness at `mid`: image of f_in equals kernel of f_out, compared as
-    sublattices of the generator lattice (both contain the relations).  snf
-    returns the Smith decomposition of a matrix."""
-    rel_mid = mid.relations
-    image = f_in.hstack(rel_mid) if f_in.cols else rel_mid
+    """Exactness at `mid`, compared as sublattices of its generator lattice.
+
+    With image = [f_in | mid relations] and K = {x : f_out x = 0 in nxt},
+    image in K holds when f_out * image vanishes in nxt, which is a product
+    and a reduction; K in image holds when the preimage part of
+    ker [f_out | nxt relations], which spans K, solves against image.  snf
+    returns the Smith decomposition of a matrix; the matrix whose kernel is
+    taken here is the image at the next position of a six-term sequence.
+    """
+    image = f_in.hstack(mid.relations)
+    if not nxt.contains_relation(f_out * image):
+        return False
     stacked = f_out.hstack(nxt.relations)
     ker = kernel_basis_with_snf(stacked, snf(stacked))
     pre = ker.submatrix(range(f_out.cols), range(ker.cols))
-    kernel = pre.hstack(rel_mid)
-    return (
-        solve_with_snf(image, snf(image), kernel) is not None
-        and solve_with_snf(kernel, snf(kernel), image) is not None
-    )
+    return solve_with_snf(image, snf(image), pre) is not None
 
 
 def build_kweb(b: BlockedMatrix) -> KWeb:
@@ -784,7 +683,7 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
         basis = kernel_basis_with_snf(sub, snf(sub))
         kernel_bases[ker_node] = basis
         groups[ker_node] = PresentedGroup.free(basis.cols)
-        groups[cok_node] = PresentedGroup(sub.rows, sub)
+        groups[cok_node] = PresentedGroup(sub.rows, sub, snf(sub))
         nodes.append(ker_node)
         nodes.append(cok_node)
 

@@ -18,12 +18,11 @@ from blockeq import (
     determinant,
     elementary_generators,
     group_membership,
-    invert_blocked,
     iota_embed,
     multiply_blocked,
     validate_membership,
 )
-from blockeq.intmat import DimensionError
+from blockeq.intmat import DimensionError, invert_unimodular
 from blockeq.poset_block import antichain_poset, chain_poset
 
 from helpers import rand_blocked, rand_poset, rand_square_shape
@@ -261,20 +260,25 @@ class TestBlockedArithmetic:
             u, v, out = scramble(rng, m, GL, 4)
             assert validate_membership(out.matrix, shape)
 
+    # The blocked unit groups are closed under inversion: the unimodular
+    # inverse of a member is again a member.
+
     def test_invert_identity(self):
         shape = BlockShape.square(Poset(1), (2,))
         ident = blocked_identity(shape)
-        assert invert_blocked(ident, SL) == ident
+        assert invert_unimodular(ident.matrix) == ident.matrix
 
     def test_invert_transvection(self):
         shape = BlockShape.square(chain_poset(2), (1, 1))
-        u = BlockedMatrix(shape, IntMatrix.from_rows([[1, 3], [0, 1]]))
-        assert invert_blocked(u, SL).matrix == IntMatrix.from_rows([[1, -3], [0, 1]])
+        inv = invert_unimodular(IntMatrix.from_rows([[1, 3], [0, 1]]))
+        assert inv == IntMatrix.from_rows([[1, -3], [0, 1]])
+        assert group_membership(inv, shape, SL)
 
     def test_invert_sign_involution(self):
         shape = BlockShape.square(antichain_poset(2), (1, 1))
-        u = BlockedMatrix(shape, IntMatrix.diagonal([-1, 1]))
-        assert invert_blocked(u, GL) == u
+        u = IntMatrix.diagonal([-1, 1])
+        assert invert_unimodular(u) == u
+        assert group_membership(u, shape, GL)
 
     def test_invert_two_sided_involution(self):
         rng = random.Random(4)
@@ -283,17 +287,20 @@ class TestBlockedArithmetic:
             from helpers import scramble
 
             u, v, _ = scramble(rng, blocked_identity(shape), GL, 5)
-            b = BlockedMatrix(shape, u * v)
-            inv = invert_blocked(b, GL)
+            b = u * v
+            inv = invert_unimodular(b)
             n = shape.total_rows
-            assert b.matrix * inv.matrix == IntMatrix.identity(n)
-            assert inv.matrix * b.matrix == IntMatrix.identity(n)
-            assert invert_blocked(inv, GL) == b
+            assert b * inv == IntMatrix.identity(n)
+            assert inv * b == IntMatrix.identity(n)
+            assert group_membership(inv, shape, GL)
+            assert invert_unimodular(inv) == b
 
     def test_invert_rejects_non_unit(self):
         shape = BlockShape.square(Poset(1), (1,))
+        two = IntMatrix.from_rows([[2]])
+        assert not group_membership(two, shape, GL)
         with pytest.raises(ValueError):
-            invert_blocked(BlockedMatrix(shape, IntMatrix.from_rows([[2]])), GL)
+            invert_unimodular(two)
 
 
 class TestElementaryGenerators:

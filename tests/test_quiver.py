@@ -1,6 +1,7 @@
-"""Representations, path modules, isomorphism decisions, K-webs."""
+"""Representations, isomorphism decisions, K-webs."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -17,15 +18,18 @@ from blockeq import (
     decide_kweb_isomorphism,
     decide_rep_isomorphism,
     is_morphism,
-    module_to_zrep,
     smith_normal_form,
-    zrep_to_module,
 )
-from blockeq.intmat import solve_matrix
+from blockeq.intmat import (
+    kernel_basis,
+    kernel_basis_with_snf,
+    solve_matrix,
+    solve_with_snf,
+)
 from blockeq.poset_block import Poset, antichain_poset, chain_poset
 from blockeq.quiver import (
-    PathModule,
     PresentedGroup,
+    _exact_at,
     enumerate_isomorphisms,
     hom_well_defined,
     homs_equal,
@@ -254,27 +258,26 @@ class TestNormalCoordinates:
 
 
 class TestZRepAndModules:
+    """A representation of a quiver is a module over its path ring; these
+    check the per-vertex groups and normal edge maps directly."""
+
     def test_single_vertex_free(self):
         q = Quiver(1, [])
         rep = ZRep(q, [Z], [])
-        mod = zrep_to_module(rep, q)
-        assert mod.group.iso_class() == (1, ())
-        assert mod.projections[0] == IntMatrix.identity(1)
+        assert rep.vertex_class(0) == (1, ())
+        assert rep.groups[0].to_normal == IntMatrix.identity(1)
 
     def test_mod2_example(self):
         q = edge_quiver()
         rep = ZRep(q, [Z, Z2], [IntMatrix.from_rows([[1]])])
-        mod = zrep_to_module(rep, q)
-        assert mod.group.iso_class() == (1, (2,))
-        # Edge action: (x, y) -> (0, x mod 2) on generators.
-        act = mod.edge_actions[0]
-        assert act == IntMatrix.from_rows([[0, 0], [1, 0]])
+        assert [rep.vertex_class(v) for v in range(2)] == [(1, ()), (0, (2,))]
+        # The edge sends the generator of Z to the generator of Z/2.
+        assert rep.normal_edge_map(0) == IntMatrix.from_rows([[1]])
 
     def test_zero_maps(self):
         q = edge_quiver()
         rep = ZRep(q, [Z2, Z3], [IntMatrix.zero(1, 1)])
-        mod = zrep_to_module(rep, q)
-        assert mod.edge_actions[0].is_zero()
+        assert rep.normal_edge_map(0).is_zero()
 
     def test_rejects_bad_hom(self):
         q = edge_quiver()
@@ -289,48 +292,22 @@ class TestZRepAndModules:
             [Z, Z, Z],
             [IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])],
         )
-        mod = zrep_to_module(rep, q)
-        # Path fe acts by 6 on the first summand (right-to-left composition).
-        act = mod.act_path([0, 1])
-        assert act[2, 0] == 6
-
-    def test_module_laws_validated(self):
-        q = Quiver(1, [])
-        group = PresentedGroup(1, Z2)
-        with pytest.raises(ValueError):
-            PathModule(q, group, [IntMatrix.from_rows([[2]])], [])
-
-    def test_roundtrip_examples(self):
-        q = edge_quiver()
-        cases = [
-            ZRep(q, [Z, Z2], [IntMatrix.from_rows([[1]])]),
-            ZRep(q, [Z2, Z2], [IntMatrix.from_rows([[1]])]),
-            ZRep(q, [Z3, Z3], [IntMatrix.zero(1, 1)]),
-        ]
-        for rep in cases:
-            back = module_to_zrep(zrep_to_module(rep, q), q)
-            assert decide_rep_isomorphism(rep, back, q).is_yes
+        # Path fe acts by 6 (right-to-left composition).
+        act = rep.normal_edge_map(1) * rep.normal_edge_map(0)
+        assert act == IntMatrix.from_rows([[6]])
 
     def test_trivial_module(self):
         q = Quiver(2, [])
         rep = ZRep(q, [IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])], [])
-        back = module_to_zrep(zrep_to_module(rep, q), q)
-        assert all(g.group.is_trivial for g in back.groups)
-
-    def test_single_vertex_module_recovers_whole_group(self):
-        q = Quiver(1, [])
-        rep = ZRep(q, [IntMatrix.diagonal([2, 0])], [])
-        mod = zrep_to_module(rep, q)
-        back = module_to_zrep(mod, q)
-        assert back.groups[0].iso_class() == mod.group.iso_class()
+        assert all(g.group.is_trivial and g.normal_gens == 0 for g in rep.groups)
 
     def test_edge_map_breaking_unit_factor_relations(self):
         q = edge_quiver()
         with pytest.raises(ValueError, match="does not respect relations"):
             ZRep(q, [C9_WITH_UNIT, Z_ON_TWO], [BREAKS_RELATIONS])
-        # The zero map respects every relation, and the module is built.
+        # The zero map respects every relation, and the representation is built.
         rep = ZRep(q, [C9_WITH_UNIT, Z_ON_TWO], [IntMatrix.zero(2, 2)])
-        assert zrep_to_module(rep, q).group.iso_class() == (1, (9,))
+        assert [rep.vertex_class(v) for v in range(2)] == [(0, (9,)), (1, ())]
 
 
 class TestIsMorphism:
@@ -485,6 +462,19 @@ class TestKWeb:
         assert len(web.nodes) == 48
         assert len(calls) <= 450
 
+    def test_exactness_one_smith_form_and_one_solve_per_position(self, monkeypatch):
+        # The same diamond web: exactness proves image in kernel by a product
+        # and kernel in image by one solve against the image, whose Smith
+        # form the previous position already took.
+        diamond = Poset(5, [(1, 5), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
+        shape = BlockShape.square(diamond, (2,) * 5)
+        snfs = count_calls(monkeypatch, smith_normal_form)
+        solves = count_calls(monkeypatch, solve_with_snf)
+        web = build_kweb(rand_blocked(random.Random(5), shape))
+        assert len(web.nodes) == 48
+        assert len(snfs) <= 190
+        assert len(solves) <= 470
+
     def test_kweb_iso_self(self):
         shape = BlockShape.square(chain_poset(2), (1, 1))
         web = build_kweb(BlockedMatrix(shape, IntMatrix.from_rows([[2, 1], [0, 3]])))
@@ -528,3 +518,134 @@ class TestKWeb:
 
         with pytest.raises(ShapeError):
             decide_kweb_isomorphism(w1, w2)
+
+
+# ---------------------------------------------------------------------------
+# Exactness at one position of a sequence
+
+
+def _exact_at_two_solves(f_in, f_out, mid, nxt, snf):
+    """Reference: image and kernel lattices compared by two solves, each
+    against its own Smith form."""
+    rel_mid = mid.relations
+    image = f_in.hstack(rel_mid) if f_in.cols else rel_mid
+    stacked = f_out.hstack(nxt.relations)
+    ker = kernel_basis_with_snf(stacked, snf(stacked))
+    pre = ker.submatrix(range(f_out.cols), range(ker.cols))
+    kernel = pre.hstack(rel_mid)
+    return (
+        solve_with_snf(image, snf(image), kernel) is not None
+        and solve_with_snf(kernel, snf(kernel), image) is not None
+    )
+
+
+def _lifted_hom(rng, src: PresentedGroup, dst: PresentedGroup) -> IntMatrix:
+    """Random raw map src -> dst that respects relations by construction:
+    column j of the normal map is killed by the order of source generator j,
+    and the raw lift is moved by a random element of the target relations.
+    _random_hom's rejection sampling rarely draws a map from a torsion group
+    into a free one, so it cannot supply hundreds of these pairs."""
+    flat = []
+    for e in dst.orders:
+        for d in src.orders:
+            if e:
+                flat.append(rng.randint(-3, 3) * (e // gcd(d, e)))
+            else:
+                flat.append(0 if d else rng.randint(-3, 3))
+    fn = IntMatrix(dst.normal_gens, src.normal_gens, flat)
+    shift = dst.relations * rand_matrix(rng, dst.relations.cols, src.gens, -1, 1)
+    return raw_hom(fn, src, dst) + shift
+
+
+class TestExactAt:
+    """_exact_at rejects a sequence whose composition is nonzero and one
+    whose kernel is strictly larger than its image, on free and torsion
+    groups, and agrees with the two-solve reference."""
+
+    Z = PresentedGroup.free(1)
+    C2 = PresentedGroup(1, IntMatrix.from_rows([[2]]))
+    C4 = PresentedGroup(1, IntMatrix.from_rows([[4]]))
+    ZERO = PresentedGroup.free(0)
+    FROM_ZERO = IntMatrix(1, 0, ())  # the map 0 --> a one-generator group
+    TO_ZERO = IntMatrix(0, 1, ())  # the map from a one-generator group --> 0
+
+    @staticmethod
+    def exact(f_in, f_out, mid, nxt):
+        calls = []
+
+        def snf(a):
+            calls.append(a)
+            return smith_normal_form(a)
+
+        return _exact_at(f_in, f_out, mid, nxt, snf), calls
+
+    @staticmethod
+    def m(x):
+        return IntMatrix.from_rows([[x]])
+
+    def test_composition_nonzero(self):
+        z, c2, c4, m = self.Z, self.C2, self.C4, self.m
+        for f_in, f_out, mid, nxt in (
+            (m(1), m(1), z, z),  # Z --1--> Z --1--> Z
+            (m(1), m(1), c4, c4),  # Z --1--> C4 --1--> C4
+            (m(1), m(1), c4, c2),  # Z --1--> C4 --1--> C2
+            (m(3), m(2), c4, c4),  # Z --3--> C4 --2--> C4
+        ):
+            ok, calls = self.exact(f_in, f_out, mid, nxt)
+            assert not ok
+            assert calls == []  # refuted by the product, before any Smith form
+
+    def test_kernel_larger_than_image(self):
+        z, c2, c4, m = self.Z, self.C2, self.C4, self.m
+        for f_in, f_out, mid, nxt in (
+            (m(2), m(0), z, z),  # Z --2--> Z --0--> Z
+            (self.FROM_ZERO, m(0), z, z),  # 0 --> Z --0--> Z
+            (m(2), self.TO_ZERO, z, self.ZERO),  # Z --2--> Z --> 0
+            (m(2), m(0), c4, c2),  # Z --2--> C4 --0--> C2
+            (m(0), m(2), c4, c4),  # Z --0--> C4 --2--> C4
+            (m(4), m(1), z, c2),  # Z --4--> Z --1--> C2
+        ):
+            ok, calls = self.exact(f_in, f_out, mid, nxt)
+            assert not ok
+            assert calls  # the composition vanishes; the solve refutes
+
+    def test_exact_controls(self):
+        z, c2, c4, m = self.Z, self.C2, self.C4, self.m
+        for f_in, f_out, mid, nxt in (
+            (m(1), m(0), z, z),  # Z --1--> Z --0--> Z
+            (m(2), m(1), z, c2),  # Z --2--> Z --1--> C2
+            (self.FROM_ZERO, m(2), z, z),  # 0 --> Z --2--> Z
+            (m(2), m(1), c4, c2),  # Z --2--> C4 --1--> C2
+            (m(2), m(2), c4, c4),  # Z --2--> C4 --2--> C4
+            (m(1), self.TO_ZERO, c4, self.ZERO),  # Z --1--> C4 --> 0
+        ):
+            assert self.exact(f_in, f_out, mid, nxt)[0]
+
+    def test_agrees_with_two_solve_reference(self):
+        rng = random.Random(61)
+        outcomes = {"exact": 0, "composition": 0, "kernel": 0}
+        for _ in range(240):
+            mid, nxt = _mixed_group(rng), _mixed_group(rng)
+            f_out = _lifted_hom(rng, mid, nxt)
+            ker = kernel_basis(f_out.hstack(nxt.relations))
+            pre = ker.submatrix(range(mid.gens), range(ker.cols))
+            kind = rng.randrange(4)
+            if kind == 0:  # the whole kernel
+                f_in = pre
+            elif kind == 1:  # a random sublattice of the kernel
+                f_in = pre * rand_matrix(rng, pre.cols, rng.randint(0, 2), -2, 2)
+            elif kind == 2:  # twice the kernel
+                f_in = pre + pre
+            else:  # anything
+                f_in = rand_matrix(rng, mid.gens, rng.randint(0, 2))
+            ok = _exact_at(f_in, f_out, mid, nxt, smith_normal_form)
+            assert ok == _exact_at_two_solves(
+                f_in, f_out, mid, nxt, smith_normal_form
+            )
+            if ok:
+                outcomes["exact"] += 1
+            elif nxt.contains_relation(f_out * f_in):
+                outcomes["kernel"] += 1
+            else:
+                outcomes["composition"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
