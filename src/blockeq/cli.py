@@ -1,9 +1,9 @@
 """Command-line front end: one subcommand per decision procedure.
 
 Exit codes: 0 = yes / success-with-result, 1 = no, 2 = unknown,
-64 = usage error, 65 = malformed input.  Output is canonical JSON on stdout
-(or --output); diagnostics go to stderr.  Runs are deterministic for fixed
-inputs and budget flags.
+64 = usage error, 65 = malformed input, 70 = internal error.  Output is
+canonical JSON on stdout (or --output); diagnostics go to stderr.  Runs are
+deterministic for fixed inputs and budget flags.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_INTERNAL = 70
 
 _GROUP_FLAGS = {"gl": GL, "sl": SL, "unit": UNIT_RESTRICTED}
 _SIDE_FLAGS = {"uav": SIDE_UAV, "uav-inv": SIDE_UAV_INV}
@@ -288,6 +289,9 @@ def execute(argv=None) -> int:
     except SchemaError as exc:
         print(f"blockeq: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:  # a crash must not exit with a verdict's code
+        print(f"blockeq: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

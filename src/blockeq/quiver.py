@@ -21,6 +21,7 @@ from .intmat import (
     DimensionError,
     FgAbelianGroup,
     IntMatrix,
+    SmithDecomposition,
     cokernel,
     invert_unimodular,
     kernel_basis,
@@ -122,7 +123,10 @@ class PresentedGroup:
 
     @classmethod
     def free(cls, rank):
-        return cls(rank, IntMatrix(rank, 0, ()))
+        """Z^rank, whose rank x 0 relation matrix is its own Smith form."""
+        relations = IntMatrix(rank, 0, ())
+        dec = SmithDecomposition(IntMatrix.identity(rank), relations, IntMatrix(0, 0, ()))
+        return cls(rank, relations, dec)
 
     @property
     def normal_gens(self):

@@ -23,14 +23,37 @@ class SchemaError(ValueError):
     """Input does not match the declared schema."""
 
 
+# Python limits str(int) and int(str) to sys.get_int_max_str_digits() digits,
+# at least 640; pieces below these sizes convert directly under any setting,
+# and longer values are split at a power of ten, so no process-wide limit is
+# touched.
+_DIRECT_BITS = 2000
+_DIRECT_DIGITS = 600
+
+
 def int_to_str(v: int) -> str:
-    return str(v)
+    if v.bit_length() <= _DIRECT_BITS:
+        return str(v)
+    if v < 0:
+        return "-" + int_to_str(-v)
+    k = v.bit_length() * 3 // 20  # about half the digits (log10 2 > 0.3)
+    hi, lo = divmod(v, 10**k)
+    return int_to_str(hi) + int_to_str(lo).zfill(k)
+
+
+def _int_from_digits(s: str) -> int:
+    if len(s) <= _DIRECT_DIGITS:
+        return int(s)
+    k = len(s) // 2
+    return _int_from_digits(s[:-k]) * 10**k + _int_from_digits(s[-k:])
 
 
 def int_from_str(s) -> int:
     if not isinstance(s, str) or not _INT_RE.match(s):
         raise SchemaError(f"not a canonical integer string: {s!r}")
-    return int(s)
+    if s[0] == "-":
+        return -_int_from_digits(s[1:])
+    return _int_from_digits(s)
 
 
 def _require_keys(doc, keys, what):

@@ -1,13 +1,23 @@
 """CLI conformance: JSON round-trips, exit codes matching verdict status."""
 
 import json
+import random
 
 import pytest
 
-from blockeq import serialize
-from blockeq.cli import EXIT_DATA, EXIT_NO, EXIT_UNKNOWN, EXIT_USAGE, EXIT_YES, execute
+from blockeq import cli, serialize
+from blockeq.cli import (
+    EXIT_DATA,
+    EXIT_INTERNAL,
+    EXIT_NO,
+    EXIT_UNKNOWN,
+    EXIT_USAGE,
+    EXIT_YES,
+    execute,
+)
+from blockeq.intmat import IntMatrix, determinant
 
-from helpers import count_calls
+from helpers import count_calls, rand_matrix
 
 
 def write(tmp_path, name, doc):
@@ -96,6 +106,36 @@ class TestSubcommands:
         v = serialize.matrix_from_json(doc["V"])
         fib = serialize.matrix_from_json(json.load(open(corpus["fib"])))
         assert u * fib * v == s
+
+    def test_snf_30x30_exits_0(self, tmp_path, capsys):
+        # The transforms of this matrix once ran to tens of thousands of
+        # digits, past what str() converts, and the command crashed.
+        a = rand_matrix(random.Random(30), 30, 30, -9, 9)
+        path = write(tmp_path, "a.json", serialize.matrix_to_json(a))
+        code, out, err = run(capsys, "snf", path)
+        assert (code, err) == (EXIT_YES, "")
+        doc = parse_stdout(out)
+        u, s, v = (serialize.matrix_from_json(doc[k]) for k in "USV")
+        assert u * a * v == s
+        assert s == IntMatrix.diagonal(s.entries[:: s.cols + 1])
+        assert abs(determinant(u)) == abs(determinant(v)) == 1
+
+    def test_ten_thousand_digit_entries(self, tmp_path, capsys):
+        n = 7**11832
+        big = serialize.int_to_str(n)
+        assert len(big) == 10_000
+        path = write(tmp_path, "big.json", {"rows": 1, "cols": 1, "entries": [big]})
+        code, out, _ = run(capsys, "cokernel", path)
+        assert code == EXIT_YES
+        assert parse_stdout(out) == {"free_rank": 0, "torsion": [big]}
+        doc = {"rows": 2, "cols": 2, "entries": [big, "0", "0", "3"]}
+        path = write(tmp_path, "big2.json", doc)
+        code, out, _ = run(capsys, "snf", path)
+        assert code == EXIT_YES
+        doc = parse_stdout(out)
+        assert doc["S"]["entries"][3] == serialize.int_to_str(3 * n)
+        u, s, v = (serialize.matrix_from_json(doc[k]) for k in "USV")
+        assert u * IntMatrix.diagonal([n, 3]) * v == s
 
     def test_cokernel(self, corpus, capsys):
         code, out, _ = run(capsys, "cokernel", corpus["full2"])
@@ -241,6 +281,17 @@ class TestSubcommands:
 
 
 class TestErrorPaths:
+    def test_internal_error(self, corpus, capsys, monkeypatch):
+        # A crash exits 70, which no verdict uses, with one stderr line.
+        def broken(a):
+            raise RuntimeError("simulated fault")
+
+        monkeypatch.setattr(cli, "smith_normal_form", broken)
+        code, out, err = run(capsys, "snf", corpus["fib"])
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == "blockeq: internal error: RuntimeError: simulated fault\n"
+
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "no-such-command")
         assert code == EXIT_USAGE

@@ -1,6 +1,7 @@
 """Exact linear algebra: normal forms, cokernels, solvability, annihilators."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,8 @@ from blockeq import (
     solve_integer,
 )
 from blockeq.intmat import (
-    column_lattice_basis,
     in_rational_image,
     invert_unimodular,
-    lattice_equal,
     rank,
     smith_diagonal,
     solve_matrix,
@@ -108,6 +107,35 @@ class TestSmithNormalForm:
         )
         a = IntMatrix(rows, cols, entries)
         assert smith_diagonal(a) == assert_snf_valid(a).diagonal()
+
+    def test_property_seeded_shapes(self):
+        # Every shape from 0x0 to 7x7, full rank, low rank (products of
+        # thinner factors), sparse and wide-entried, against the diagonal
+        # of the transform-free elimination.
+        rng = random.Random(13)
+        for _ in range(800):
+            rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+            kind = rng.randrange(4)
+            if kind == 0:
+                a = rand_matrix(rng, rows, cols, -9, 9)
+            elif kind == 1:
+                inner = rng.randint(0, 3)
+                a = rand_matrix(rng, rows, inner, -4, 4) * rand_matrix(rng, inner, cols, -4, 4)
+            elif kind == 2:
+                ent = [rng.choice((0, 0, 0, 1, -2, 6)) for _ in range(rows * cols)]
+                a = IntMatrix(rows, cols, ent)
+            else:
+                a = rand_matrix(rng, rows, cols, -1000, 1000)
+            assert smith_diagonal(a) == assert_snf_valid(a).diagonal()
+
+    def test_transforms_stay_small(self):
+        # Without the Hermite row phase the transforms of this matrix reach
+        # tens of thousands of digits and take minutes to verify.
+        a = rand_matrix(random.Random(1), 40, 40, -9, 9)
+        start = time.perf_counter()
+        dec = assert_snf_valid(a)
+        assert time.perf_counter() - start < 5
+        assert max(abs(e) for m in (dec.U, dec.V) for e in m.entries) < 10**200
 
 
 class TestDeterminant:
@@ -360,37 +388,37 @@ class TestFromBlocks:
 
 
 class TestLatticeHelpers:
-    def test_column_lattice_basis(self):
-        a = IntMatrix.from_rows([[2, 4], [0, 0]])
-        basis = column_lattice_basis(a)
-        assert lattice_equal(basis, IntMatrix.from_rows([[2], [0]]))
-
-    def test_column_lattice_basis_without_inversion(self, monkeypatch):
-        # Column i of the basis is d_i * U^-1 e_i for each nonzero d_i, read
-        # off a*V instead of inverting U.
-        rng = random.Random(14)
-        cases = [
-            rand_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), -4, 4)
-            for _ in range(60)
-        ]
-        expected = []
-        for a in cases:
-            dec = smith_normal_form(a)
-            u_inv = invert_unimodular(dec.U) if a.rows else dec.U
-            nonzero = [i for i, d in enumerate(dec.diagonal()) if d]
-            expected.append(
-                IntMatrix(
-                    a.rows,
-                    len(nonzero),
-                    [dec.S[i, i] * u_inv[r, i] for r in range(a.rows) for i in nonzero],
-                )
-            )
-        calls = count_calls(monkeypatch, invert_unimodular)
-        assert [column_lattice_basis(a) for a in cases] == expected
-        assert calls == []
-
     def test_invert_unimodular(self):
         u = IntMatrix.from_rows([[1, 3], [0, 1]])
         assert invert_unimodular(u) == IntMatrix.from_rows([[1, -3], [0, 1]])
         with pytest.raises(ValueError):
             invert_unimodular(IntMatrix.diagonal([2, 1]))
+
+    def test_invert_unimodular_by_rows_alone(self, monkeypatch):
+        # The Hermite form of a unit is I and its row transform the inverse:
+        # no Smith form is taken, and the inverse is the one V*U gives.
+        rng = random.Random(21)
+        units = []
+        for _ in range(40):
+            dec = smith_normal_form(rand_matrix(rng, rng.randint(0, 5), rng.randint(0, 5), -9, 9))
+            units += [dec.U, dec.V]
+        expected = []
+        for u in units:
+            dec = smith_normal_form(u)
+            expected.append(dec.V * dec.U)
+        calls = count_calls(monkeypatch, smith_normal_form)
+        assert [invert_unimodular(u) for u in units] == expected
+        assert calls == []
+
+    def test_invert_unimodular_rejects_non_units(self):
+        for a in (
+            IntMatrix.from_rows([[0]]),
+            IntMatrix.from_rows([[2, 1], [4, 2]]),
+            IntMatrix.from_rows([[2, 1], [1, 2]]),
+            IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+        ):
+            with pytest.raises(ValueError, match="not a unit"):
+                invert_unimodular(a)
+        with pytest.raises(DimensionError):
+            invert_unimodular(IntMatrix.zero(2, 3))
+        assert invert_unimodular(IntMatrix(0, 0, ())) == IntMatrix(0, 0, ())

@@ -70,10 +70,17 @@ class TestPresentedGroup:
         assert g.iso_class() == (0, (6,))
         assert g.orders == (6,)
 
-    def test_free(self):
-        g = PresentedGroup.free(2)
-        assert g.iso_class() == (2, ())
-        assert g.orders == (0, 0)
+    def test_free(self, monkeypatch):
+        # Z^rank is its own normal form: no Smith form is taken, and the
+        # coordinates are the ones a Smith form of the rank x 0 matrix gives.
+        expected = [PresentedGroup(r, IntMatrix(r, 0, ())) for r in range(4)]
+        calls = count_calls(monkeypatch, smith_normal_form)
+        for r, want in enumerate(expected):
+            g = PresentedGroup.free(r)
+            assert g.iso_class() == (r, ())
+            assert g.orders == (0,) * r
+            assert (g.to_normal, g.from_normal) == (want.to_normal, want.from_normal)
+        assert calls == []
 
     def test_round_trip_transforms(self):
         rng = random.Random(50)

@@ -1,6 +1,7 @@
 """Wire formats: exact parsing, canonical emission, strict schemas."""
 
 import json
+import sys
 
 import pytest
 
@@ -25,6 +26,18 @@ class TestIntegers:
     def test_big_integers_exact(self):
         v = 10**40 + 7
         assert serialize.int_from_str(serialize.int_to_str(v)) == v
+
+    def test_past_the_str_digit_limit(self):
+        # Python's int <-> str conversion stops at 4300 digits by default;
+        # the wire format does not, and it leaves that limit alone.
+        limit = sys.get_int_max_str_digits()
+        for v in (10**10_000, 10**10_000 - 1, -(7**11832), 3**40_000 + 10**5000):
+            text = serialize.int_to_str(v)
+            assert text.lstrip("-")[0] != "0"
+            assert serialize.int_from_str(text) == v
+            assert text[-4000:] == str(abs(v) % 10**4000).zfill(4000)
+        assert serialize.int_to_str(10**10_000) == "1" + "0" * 10_000
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestMatrix:
