@@ -242,12 +242,11 @@ def _run(args) -> int:
             web = build_kweb(blocked)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
-        quiver, rep, labels = web.to_zrep()
         _emit(
             {
-                "quiver": serialize.quiver_to_json(quiver),
-                "rep": serialize.rep_to_json(rep),
-                "labels": labels,
+                "quiver": serialize.quiver_to_json(web.quiver),
+                "rep": serialize.rep_to_json(web.rep),
+                "labels": list(web.labels),
             },
             args,
         )

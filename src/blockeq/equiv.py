@@ -36,7 +36,7 @@ from .intmat import (
     image_annihilator,
     invert_unimodular,
     smith_normal_form,
-    solve_with_snf,
+    solve_matrix,
 )
 from .poset_block import (
     GL,
@@ -702,7 +702,7 @@ def decide_with_unit(
         return smith_normal_form(bt)
 
     def condition2(v_inv: IntMatrix):
-        return solve_with_snf(bt, bt_snf(), v_inv.transpose() * x - y) is not None
+        return solve_matrix(bt, v_inv.transpose() * x - y, bt_snf()) is not None
 
     if _pair_group_finite(a.shape):
         left_group = GL if group == UNIT_RESTRICTED else group

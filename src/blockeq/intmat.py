@@ -3,8 +3,8 @@
 Everything here is computed over Z with arbitrary-precision arithmetic:
 Smith normal forms with recorded unimodular transforms, determinants,
 cokernels as finitely generated abelian groups, integer linear system
-solving with verified witnesses, kernel lattice bases, and integral
-annihilators of rational images.
+solving with verified witnesses, kernel lattice bases, integral
+annihilators of rational images, and decimal text of integers of any size.
 """
 
 from __future__ import annotations
@@ -14,6 +14,23 @@ from itertools import accumulate
 from math import prod
 
 from . import _kernels
+
+
+# Python limits str(int) to sys.get_int_max_str_digits() digits, at least
+# 640; values below this size convert directly under any setting, and longer
+# ones are split at a power of ten, so no process-wide limit is touched.
+_DIRECT_BITS = 2000
+
+
+def int_to_str(v: int) -> str:
+    """Decimal text of v at any size, past the str(int) digit limit."""
+    if v.bit_length() <= _DIRECT_BITS:
+        return str(v)
+    if v < 0:
+        return "-" + int_to_str(-v)
+    k = v.bit_length() * 3 // 20  # about half the digits (log10 2 > 0.3)
+    hi, lo = divmod(v, 10**k)
+    return int_to_str(hi) + int_to_str(lo).zfill(k)
 
 
 class DimensionError(ValueError):
@@ -252,7 +269,7 @@ class FgAbelianGroup:
         return prod(self.torsion) if self.torsion else 1
 
     def __str__(self):
-        parts = ["Z"] * self.free_rank + [f"C{d}" for d in self.torsion]
+        parts = ["Z"] * self.free_rank + [f"C{int_to_str(d)}" for d in self.torsion]
         return " x ".join(parts) if parts else "trivial"
 
 
@@ -517,16 +534,14 @@ def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     return solve_matrix(a, b)
 
 
-def solve_matrix(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """Integer solution X of a*X = b (all columns at once), or None."""
+def solve_matrix(a: IntMatrix, b: IntMatrix, dec=None) -> IntMatrix | None:
+    """Integer solution X of a*X = b (all columns at once), or None.  dec,
+    when given, is smith_normal_form(a) already computed, so a caller solving
+    many right-hand sides against one a pays for it once."""
     if a.rows != b.rows:
         raise DimensionError("row count mismatch")
-    return solve_with_snf(a, smith_normal_form(a), b)
-
-
-def solve_with_snf(a: IntMatrix, dec, b: IntMatrix) -> IntMatrix | None:
-    """solve_matrix with dec = smith_normal_form(a) already computed, so a
-    caller solving many right-hand sides against one a pays for it once."""
+    if dec is None:
+        dec = smith_normal_form(a)
     diag = dec.diagonal()
     c = dec.U * b
     ce, nb = c.entries, b.cols
@@ -554,13 +569,11 @@ def solve_with_snf(a: IntMatrix, dec, b: IntMatrix) -> IntMatrix | None:
     return x
 
 
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Columns forming a basis of the integer kernel lattice of a."""
-    return kernel_basis_with_snf(a, smith_normal_form(a))
-
-
-def kernel_basis_with_snf(a: IntMatrix, dec) -> IntMatrix:
-    """kernel_basis with dec = smith_normal_form(a) already computed."""
+def kernel_basis(a: IntMatrix, dec=None) -> IntMatrix:
+    """Columns forming a basis of the integer kernel lattice of a; dec, when
+    given, is smith_normal_form(a) already computed."""
+    if dec is None:
+        dec = smith_normal_form(a)
     diag = dec.diagonal()
     free_cols = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
     basis = dec.V.submatrix(range(a.cols), free_cols)

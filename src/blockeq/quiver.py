@@ -25,12 +25,10 @@ from .intmat import (
     cokernel,
     invert_unimodular,
     kernel_basis,
-    kernel_basis_with_snf,
     smith_normal_form,
     solve_matrix,
-    solve_with_snf,
 )
-from .poset_block import BlockedMatrix, ShapeError
+from .poset_block import BlockedMatrix, BlockShape, ShapeError
 
 ISO_ENUMERATION_CAP = 64
 
@@ -78,9 +76,11 @@ class PresentedGroup:
     """Z^gens / column-lattice(relations), with SNF-normalized coordinates.
 
     Normal coordinates list the torsion generators (orders d1 | d2 | ...)
-    first, then the free generators; `orders` holds the di followed by zeros.
-    to_normal / from_normal convert coordinate columns; from_normal followed
-    by to_normal is the identity on normal coordinates exactly.
+    first, then the free generators; `orders` holds the di followed by zeros,
+    and `normal_relations` is diag(orders) on the torsion columns, the
+    relation matrix in normal coordinates.  to_normal / from_normal convert
+    coordinate columns; from_normal followed by to_normal is the identity on
+    normal coordinates exactly.
     """
 
     __slots__ = (
@@ -88,13 +88,14 @@ class PresentedGroup:
         "relations",
         "group",
         "orders",
+        "normal_relations",
         "to_normal",
         "from_normal",
     )
 
     def __init__(self, gens: int, relations: IntMatrix, dec=None):
         """dec, when given, is smith_normal_form(relations) already computed,
-        as in solve_with_snf."""
+        as in solve_matrix."""
         if relations.rows != gens:
             raise DimensionError("relations must have one row per generator")
         if dec is None:
@@ -112,9 +113,12 @@ class PresentedGroup:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "group", group)
-        object.__setattr__(
-            self, "orders", torsion + (0,) * len(free_idx)
+        orders = torsion + (0,) * len(free_idx)
+        normal_relations = IntMatrix.diagonal(orders).submatrix(
+            range(len(orders)), range(len(torsion))
         )
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "normal_relations", normal_relations)
         object.__setattr__(self, "to_normal", to_normal)
         object.__setattr__(self, "from_normal", from_normal)
 
@@ -174,57 +178,43 @@ def homs_equal(f: IntMatrix, g: IntMatrix, dst: PresentedGroup) -> bool:
     return dst.reduce(f - g).is_zero()
 
 
-def _orders_relation_matrix(g: PresentedGroup) -> IntMatrix:
-    """Normal-coordinate relations: diag(d_i) restricted to torsion columns."""
-    torsion = [i for i, d in enumerate(g.orders) if d]
-    return IntMatrix.diagonal(g.orders).submatrix(range(g.normal_gens), torsion)
-
-
-def hom_cokernel_class(f_normal, src, dst) -> tuple:
-    rel = _orders_relation_matrix(dst)
-    return cokernel(f_normal.hstack(rel)).iso_class()
-
-
-def _preimage_lattice(f_normal: IntMatrix, dst: PresentedGroup) -> IntMatrix:
-    """Basis (columns) of {z : f(z) = 0 in dst} inside Z^src_normal_gens."""
-    rel = _orders_relation_matrix(dst)
-    stacked = f_normal.hstack(rel)
-    ker = kernel_basis(stacked)
-    return ker.submatrix(range(f_normal.cols), range(ker.cols))
-
-
-def hom_image_class(f_normal, src, dst) -> tuple:
-    lat = _preimage_lattice(f_normal, dst)
-    return cokernel(lat).iso_class()
-
-
-def hom_kernel_class(f_normal, src: PresentedGroup, dst: PresentedGroup) -> tuple:
-    lat = _preimage_lattice(f_normal, dst)
-    rel = _orders_relation_matrix(src)
-    expr = solve_matrix(lat, rel)
+def hom_classes(f_normal, src: PresentedGroup, dst: PresentedGroup) -> tuple:
+    """Iso classes (kernel, image, cokernel) of a well-defined hom, from one
+    Smith form of [f | dst relations]: the cokernel is read off its diagonal,
+    and the source part of its kernel basis is the preimage lattice
+    {z : f(z) = 0 in dst}, whose quotient of Z^src is the image and which
+    contains the source relations with the kernel as quotient."""
+    stacked = f_normal.hstack(dst.normal_relations)
+    dec = smith_normal_form(stacked)
+    coker = (stacked.rows - dec.rank, tuple(d for d in dec.diagonal() if d >= 2))
+    ker = kernel_basis(stacked, dec)
+    lat = ker.submatrix(range(f_normal.cols), range(ker.cols))
+    expr = solve_matrix(lat, src.normal_relations)
     if expr is None:  # pragma: no cover - relations always map to zero
         raise AssertionError("source relations escaped the preimage lattice")
-    return cokernel(expr).iso_class()
+    return cokernel(expr).iso_class(), cokernel(lat).iso_class(), coker
 
 
-def hom_is_isomorphism(f_normal, src: PresentedGroup, dst: PresentedGroup) -> bool:
+def hom_inverse(f_normal, src: PresentedGroup, dst: PresentedGroup):
+    """Normal-coordinate inverse of f, or None when f is not an isomorphism.
+
+    A solution of [f | dst relations] X = I gives g, the top rows of X
+    reduced in src, with f(g(y)) = y in dst, so f is onto exactly when the
+    solve succeeds; f is then an isomorphism exactly when g is well defined
+    and g(f(x)) = x in src."""
     if not hom_well_defined(f_normal, src, dst):
-        return False
-    if hom_cokernel_class(f_normal, src, dst) != (0, ()):
-        return False
-    return hom_kernel_class(f_normal, src, dst) == (0, ())
-
-
-def hom_inverse(f_normal, src: PresentedGroup, dst: PresentedGroup) -> IntMatrix:
-    """Normal-coordinate inverse of an isomorphism."""
-    rel = _orders_relation_matrix(dst)
-    sol = solve_matrix(f_normal.hstack(rel), IntMatrix.identity(dst.normal_gens))
+        return None
+    sol = solve_matrix(
+        f_normal.hstack(dst.normal_relations), IntMatrix.identity(dst.normal_gens)
+    )
     if sol is None:
-        raise ValueError("map is not surjective")
+        return None
     g = src.reduce(sol.submatrix(range(src.normal_gens), range(dst.normal_gens)))
-    if not hom_is_isomorphism(g, dst, src):  # pragma: no cover - theory
-        raise AssertionError("inverse is not an isomorphism")
-    return g
+    if hom_well_defined(g, dst, src) and homs_equal(
+        g * f_normal, IntMatrix.identity(src.normal_gens), src
+    ):
+        return g
+    return None
 
 
 class ZRep:
@@ -263,12 +253,6 @@ class ZRep:
     def __setattr__(self, name, value):
         raise AttributeError("ZRep is immutable")
 
-    def normal_edge_map(self, idx) -> IntMatrix:
-        return self.normal_edge_maps[idx]
-
-    def vertex_class(self, v):
-        return self.groups[v].iso_class()
-
 
 # ---------------------------------------------------------------------------
 # Morphisms and isomorphism
@@ -290,8 +274,8 @@ def is_morphism(family, rep1: ZRep, rep2: ZRep, quiver: Quiver) -> bool:
             return False
         normals.append(normalize_hom(f, src, dst))
     for idx, e in enumerate(quiver.edges):
-        lhs = normals[e.dst] * rep1.normal_edge_map(idx)
-        rhs = rep2.normal_edge_map(idx) * normals[e.src]
+        lhs = normals[e.dst] * rep1.normal_edge_maps[idx]
+        rhs = rep2.normal_edge_maps[idx] * normals[e.src]
         if not homs_equal(lhs, rhs, rep2.groups[e.dst]):
             return False
     return True
@@ -378,7 +362,7 @@ def enumerate_isomorphisms(src: PresentedGroup, dst: PresentedGroup):
 def _edge_invariant_certificates(rep1: ZRep, rep2: ZRep):
     certs = []
     for v in range(rep1.quiver.vertices):
-        c1, c2 = rep1.vertex_class(v), rep2.vertex_class(v)
+        c1, c2 = rep1.groups[v].iso_class(), rep2.groups[v].iso_class()
         if c1 != c2:
             certs.append(
                 Certificate(
@@ -388,17 +372,11 @@ def _edge_invariant_certificates(rep1: ZRep, rep2: ZRep):
                 )
             )
     for idx, e in enumerate(rep1.quiver.edges):
-        f1 = rep1.normal_edge_map(idx)
-        f2 = rep2.normal_edge_map(idx)
-        s1, d1 = rep1.groups[e.src], rep1.groups[e.dst]
-        s2, d2 = rep2.groups[e.src], rep2.groups[e.dst]
-        for name, fn in (
-            ("kernel", hom_kernel_class),
-            ("image", hom_image_class),
-            ("cokernel", hom_cokernel_class),
-        ):
-            g1 = fn(f1, s1, d1)
-            g2 = fn(f2, s2, d2)
+        classes1, classes2 = (
+            hom_classes(r.normal_edge_maps[idx], r.groups[e.src], r.groups[e.dst])
+            for r in (rep1, rep2)
+        )
+        for name, g1, g2 in zip(("kernel", "image", "cokernel"), classes1, classes2):
             if g1 != g2:
                 certs.append(
                     Certificate(
@@ -460,8 +438,7 @@ def decide_rep_isomorphism(
     edges_by_max_vertex = [[] for _ in range(nv + 1)]
     for idx, e in enumerate(quiver.edges):
         edges_by_max_vertex[max(e.src, e.dst) + 1].append(idx)
-    norm1 = [rep1.normal_edge_map(i) for i in range(len(quiver.edges))]
-    norm2 = [rep2.normal_edge_map(i) for i in range(len(quiver.edges))]
+    norm1, norm2 = rep1.normal_edge_maps, rep2.normal_edge_maps
 
     tested = 0
 
@@ -482,8 +459,8 @@ def decide_rep_isomorphism(
             tested += 1
             if tested > budget.max_nodes:
                 raise _BudgetExhausted
-            if not prefiltered and not hom_is_isomorphism(
-                cand, rep1.groups[v], rep2.groups[v]
+            if not prefiltered and (
+                hom_inverse(cand, rep1.groups[v], rep2.groups[v]) is None
             ):
                 continue
             assign.append(cand)
@@ -498,6 +475,8 @@ def decide_rep_isomorphism(
         inverse = [
             hom_inverse(assign[v], rep1.groups[v], rep2.groups[v]) for v in range(nv)
         ]
+        if any(g is None for g in inverse):  # pragma: no cover - theory
+            raise AssertionError("vertex map of the family is not an isomorphism")
         fwd_raw = [
             raw_hom(assign[v], rep1.groups[v], rep2.groups[v]) for v in range(nv)
         ]
@@ -561,25 +540,12 @@ def _block_diagonal(mats):
 
 
 @dataclass(frozen=True)
-class KWebNode:
-    kind: str  # "ker" | "cok"
-    subset: tuple[int, ...]
-
-    def label(self):
-        return f"{self.kind}{list(self.subset)}"
-
-
-@dataclass(frozen=True)
-class KWebArrow:
-    src: KWebNode
-    dst: KWebNode
-    matrix: IntMatrix  # raw generator coordinates
-    tag: str
-
-
 class KWeb:
     """Kernels and cokernels of every convex-subset submatrix of a square
-    blocked matrix, linked by the five maps of the six-term sequence
+    blocked matrix, as a representation of its diagram quiver.  Node 2k is
+    ker B{S} and node 2k+1 is cok B{S} for the k-th convex subset S, and
+    `labels` names them (ker[1, 2], cok[1, 2]).  The edges are the five maps
+    of the six-term sequence
 
         0 -> ker B{S1} -> ker B{S} -> ker B{S2}
           -> cok B{S1} -> cok B{S} -> cok B{S2} -> 0
@@ -593,39 +559,10 @@ class KWeb:
     is the matrix whose kernel the previous position took).
     """
 
-    __slots__ = ("shape", "nodes", "groups", "arrows", "kernel_bases")
-
-    def __init__(self, shape, nodes, groups, arrows, kernel_bases):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "kernel_bases", kernel_bases)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KWeb is immutable")
-
-    def node_group(self, node) -> PresentedGroup:
-        return self.groups[node]
-
-    def group_list(self):
-        """Iso classes in node order (the per-convex-set invariant list)."""
-        return [self.groups[n].iso_class() for n in self.nodes]
-
-    def to_zrep(self):
-        """The web as a representation of its diagram quiver, plus labels."""
-        index = {n: i for i, n in enumerate(self.nodes)}
-        edges = [
-            Edge(arrow.tag, index[arrow.src], index[arrow.dst])
-            for arrow in self.arrows
-        ]
-        quiver = Quiver(len(self.nodes), edges)
-        rep = ZRep(
-            quiver,
-            [self.groups[n] for n in self.nodes],
-            [arrow.matrix for arrow in self.arrows],
-        )
-        return quiver, rep, [n.label() for n in self.nodes]
+    shape: BlockShape
+    quiver: Quiver
+    rep: ZRep
+    labels: tuple
 
 
 def _sub_rows(shape, subset):
@@ -650,9 +587,9 @@ def _exact_at(f_in, f_out, mid: PresentedGroup, nxt: PresentedGroup, snf) -> boo
     if not nxt.contains_relation(f_out * image):
         return False
     stacked = f_out.hstack(nxt.relations)
-    ker = kernel_basis_with_snf(stacked, snf(stacked))
+    ker = kernel_basis(stacked, snf(stacked))
     pre = ker.submatrix(range(f_out.cols), range(ker.cols))
-    return solve_with_snf(image, snf(image), pre) is not None
+    return solve_matrix(image, pre, snf(image)) is not None
 
 
 def build_kweb(b: BlockedMatrix) -> KWeb:
@@ -673,8 +610,9 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
             dec = decs[a] = smith_normal_form(a)
         return dec
 
-    nodes = []
-    groups = {}
+    # Node 2k is ker B{S} and node 2k+1 is cok B{S} for S = convex[k].
+    index = {s: 2 * k for k, s in enumerate(convex)}
+    groups = []
     kernel_bases = {}
     submatrices = {}
     for s in convex:
@@ -682,16 +620,13 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
         cols = _sub_cols(shape, s)
         sub = b.matrix.submatrix(rows, cols)
         submatrices[s] = sub
-        ker_node = KWebNode("ker", s)
-        cok_node = KWebNode("cok", s)
-        basis = kernel_basis_with_snf(sub, snf(sub))
-        kernel_bases[ker_node] = basis
-        groups[ker_node] = PresentedGroup.free(basis.cols)
-        groups[cok_node] = PresentedGroup(sub.rows, sub, snf(sub))
-        nodes.append(ker_node)
-        nodes.append(cok_node)
+        basis = kernel_basis(sub, snf(sub))
+        kernel_bases[s] = basis
+        groups.append(PresentedGroup.free(basis.cols))
+        groups.append(PresentedGroup(sub.rows, sub, snf(sub)))
 
-    arrows = []
+    edges = []
+    maps = []
     trivial = PresentedGroup.free(0)
     for s in convex:
         col_index = {j: pos for pos, j in enumerate(_sub_cols(shape, s))}
@@ -701,32 +636,24 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
         col_ident = IntMatrix.identity(n_cols)
         for s1 in poset.downsets_within(s):
             s2 = tuple(x for x in s if x not in s1)
-            ker1, ker, ker2 = (
-                KWebNode("ker", s1),
-                KWebNode("ker", s),
-                KWebNode("ker", s2),
-            )
-            cok1, cok, cok2 = (
-                KWebNode("cok", s1),
-                KWebNode("cok", s),
-                KWebNode("cok", s2),
-            )
-            n1 = kernel_bases[ker1]
-            nn = kernel_bases[ker]
-            n2 = kernel_bases[ker2]
+            ker1, ker, ker2 = index[s1], index[s], index[s2]
+            cok1, cok, cok2 = ker1 + 1, ker + 1, ker2 + 1
+            n1 = kernel_bases[s1]
+            nn = kernel_bases[s]
+            n2 = kernel_bases[s2]
             cols_s1 = [col_index[c] for c in _sub_cols(shape, s1)]
             cols_s2 = [col_index[c] for c in _sub_cols(shape, s2)]
             rows_s1 = [row_index[r] for r in _sub_rows(shape, s1)]
 
             # ker B{S1} -> ker B{S}: include and re-express in the S basis.
             emb = col_ident.submatrix(range(n_cols), cols_s1)
-            f1 = solve_with_snf(nn, snf(nn), emb * n1)
+            f1 = solve_matrix(nn, emb * n1, snf(nn))
             if f1 is None:  # pragma: no cover - theory
                 raise AssertionError("kernel inclusion failed")
 
             # ker B{S} -> ker B{S2}: project to the S2 coordinates.
             proj = nn.submatrix(cols_s2, range(nn.cols))
-            f2 = solve_with_snf(n2, snf(n2), proj)
+            f2 = solve_matrix(n2, proj, snf(n2))
             if f2 is None:  # pragma: no cover - theory
                 raise AssertionError("kernel projection failed")
 
@@ -741,18 +668,19 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
             f5 = row_ident.submatrix(rows_s2, range(n_rows))
 
             tag = f"S={list(s)}|S1={list(s1)}"
-            arrows.append(KWebArrow(ker1, ker, f1, f"ker-incl[{tag}]"))
-            arrows.append(KWebArrow(ker, ker2, f2, f"ker-proj[{tag}]"))
-            arrows.append(KWebArrow(ker2, cok1, delta, f"delta[{tag}]"))
-            arrows.append(KWebArrow(cok1, cok, f4, f"cok-incl[{tag}]"))
-            arrows.append(KWebArrow(cok, cok2, f5, f"cok-proj[{tag}]"))
+            seq_nodes = [ker1, ker, ker2, cok1, cok, cok2]
+            seq_maps = [f1, f2, delta, f4, f5]
+            for kind, src, dst, f in zip(
+                ("ker-incl", "ker-proj", "delta", "cok-incl", "cok-proj"),
+                seq_nodes,
+                seq_nodes[1:],
+                seq_maps,
+            ):
+                edges.append(Edge(f"{kind}[{tag}]", src, dst))
+                maps.append(f)
 
             # Exactness of the whole six-term sequence, node by node.
-            seq_groups = [
-                groups[ker1], groups[ker], groups[ker2],
-                groups[cok1], groups[cok], groups[cok2],
-            ]
-            seq_maps = [f1, f2, delta, f4, f5]
+            seq_groups = [groups[n] for n in seq_nodes]
             zero_in = IntMatrix(seq_groups[0].gens, 0, ())
             zero_out = IntMatrix(0, seq_groups[-1].gens, ())
             chain_in = [zero_in] + seq_maps
@@ -766,7 +694,9 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
                         f"six-term sequence not exact at position {pos} for {tag}"
                     )
 
-    return KWeb(shape, tuple(nodes), groups, tuple(arrows), kernel_bases)
+    quiver = Quiver(len(groups), edges)
+    labels = tuple(f"{kind}{list(s)}" for s in convex for kind in ("ker", "cok"))
+    return KWeb(shape, quiver, ZRep(quiver, groups, maps), labels)
 
 
 def decide_kweb_isomorphism(
@@ -777,8 +707,6 @@ def decide_kweb_isomorphism(
     correspondence fixed to the identity."""
     if w1.shape != w2.shape:
         raise ShapeError("webs live over different shapes")
-    q1, rep1, _ = w1.to_zrep()
-    q2, rep2, _ = w2.to_zrep()
-    if q1 != q2:  # pragma: no cover - same shape implies same diagram
+    if w1.quiver != w2.quiver:  # pragma: no cover - same shape implies same diagram
         raise AssertionError("web diagrams disagree")
-    return decide_rep_isomorphism(rep1, rep2, q1, budget)
+    return decide_rep_isomorphism(w1.rep, w2.rep, w1.quiver, budget)

@@ -12,7 +12,7 @@ import json
 import re
 
 from .equiv import BudgetReport, Certificate, SearchBudget, Verdict
-from .intmat import FgAbelianGroup, IntMatrix
+from .intmat import FgAbelianGroup, IntMatrix, int_to_str
 from .poset_block import BlockedMatrix, BlockShape, Poset
 from .quiver import Edge, Quiver, ZRep
 
@@ -23,22 +23,10 @@ class SchemaError(ValueError):
     """Input does not match the declared schema."""
 
 
-# Python limits str(int) and int(str) to sys.get_int_max_str_digits() digits,
-# at least 640; pieces below these sizes convert directly under any setting,
-# and longer values are split at a power of ten, so no process-wide limit is
-# touched.
-_DIRECT_BITS = 2000
+# Python limits int(str) to sys.get_int_max_str_digits() digits, at least
+# 640; pieces below this size convert directly under any setting, and longer
+# text is split in halves, so no process-wide limit is touched.
 _DIRECT_DIGITS = 600
-
-
-def int_to_str(v: int) -> str:
-    if v.bit_length() <= _DIRECT_BITS:
-        return str(v)
-    if v < 0:
-        return "-" + int_to_str(-v)
-    k = v.bit_length() * 3 // 20  # about half the digits (log10 2 > 0.3)
-    hi, lo = divmod(v, 10**k)
-    return int_to_str(hi) + int_to_str(lo).zfill(k)
 
 
 def _int_from_digits(s: str) -> int:

@@ -21,7 +21,7 @@ from .equiv import (
     decide_blocked_equivalence,
     SIDE_UAV,
 )
-from .intmat import FgAbelianGroup, IntMatrix, cokernel, determinant
+from .intmat import FgAbelianGroup, IntMatrix, cokernel, determinant, int_to_str
 from .poset_block import SL, BlockedMatrix, BlockShape, Poset, iota_embed
 
 
@@ -195,9 +195,8 @@ def _irreducible_certificate(a: SftMatrix, a2: SftMatrix):
         return Certificate("single-cycle", str(t1), str(t2)), None
     i1, i2 = FlowInvariant.of(a), FlowInvariant.of(a2)
     if i1.parry_sullivan != i2.parry_sullivan:
-        return Certificate(
-            "parry-sullivan", str(i1.parry_sullivan), str(i2.parry_sullivan)
-        ), i1
+        ps1, ps2 = int_to_str(i1.parry_sullivan), int_to_str(i2.parry_sullivan)
+        return Certificate("parry-sullivan", ps1, ps2), i1
     if i1.bowen_franks != i2.bowen_franks:
         return Certificate("bowen-franks", str(i1.bowen_franks), str(i2.bowen_franks)), i1
     return None, i1
@@ -318,7 +317,7 @@ def _condensation_summary(c: CondensedForm) -> str:
         inv = c.component_invariant(i)
         parts.append(
             f"{i}:size={c.sizes[i - 1]},trivial={c.trivial_flags[i - 1]},"
-            f"ps={inv.parry_sullivan},bf={inv.bowen_franks}"
+            f"ps={int_to_str(inv.parry_sullivan)},bf={inv.bowen_franks}"
         )
     rel = ",".join(f"{i}<{j}" for i, j in c.poset.strict_pairs())
     return f"poset[{rel}] " + " ".join(parts)

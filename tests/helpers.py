@@ -253,8 +253,8 @@ def rep_iso_oracle(rep1, rep2, quiver):
     nv = quiver.vertices
     orders1 = [rep1.groups[v].orders for v in range(nv)]
     orders2 = [rep2.groups[v].orders for v in range(nv)]
-    maps1 = [rep1.normal_edge_map(i) for i in range(len(quiver.edges))]
-    maps2 = [rep2.normal_edge_map(i) for i in range(len(quiver.edges))]
+    maps1 = rep1.normal_edge_maps
+    maps2 = rep2.normal_edge_maps
 
     per_vertex = []
     for v in range(nv):

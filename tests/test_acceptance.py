@@ -295,7 +295,7 @@ def _transport(rep, quiver, rng):
         autos.append(isos[rng.randrange(len(isos))])
     maps = []
     for idx, e in enumerate(quiver.edges):
-        fn = rep.normal_edge_map(idx)
+        fn = rep.normal_edge_maps[idx]
         inv = hom_inverse(autos[e.src], rep.groups[e.src], rep.groups[e.src])
         moved = autos[e.dst] * fn * inv
         maps.append(raw_hom(moved, rep.groups[e.src], rep.groups[e.dst]))

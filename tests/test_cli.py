@@ -137,6 +137,43 @@ class TestSubcommands:
         u, s, v = (serialize.matrix_from_json(doc[k]) for k in "USV")
         assert u * IntMatrix.diagonal([n, 3]) * v == s
 
+    def test_blocked_eq_ten_thousand_digit_certificate(self, tmp_path, capsys):
+        # The cokernels C(n) and C(n + 2) differ; the certificate names them
+        # with every digit, past what str() converts.
+        n = 7**11832
+        single = {"poset": {"n": 1, "leq": []}, "m": [1], "n": [1]}
+        paths = [
+            write(tmp_path, f"b{k}.json", {
+                "shape": single,
+                "matrix": {"rows": 1, "cols": 1, "entries": [serialize.int_to_str(v)]},
+            })
+            for k, v in enumerate((n, n + 2))
+        ]
+        code, out, err = run(capsys, "blocked-eq", *paths)
+        assert (code, err) == (EXIT_NO, "")
+        cert = parse_stdout(out)["certificate"]
+        assert cert["name"] == "cokernel"
+        assert (cert["left"], cert["right"]) == tuple(
+            "C" + serialize.int_to_str(v) for v in (n, n + 2)
+        )
+
+    def test_flow_eq_ten_thousand_digit_certificate(self, tmp_path, capsys):
+        # Irreducible one-vertex shifts: Parry-Sullivan numbers 1 - n and
+        # -1 - n differ, and the certificate prints them in full.
+        n = 7**11832
+        paths = [
+            write(tmp_path, f"a{k}.json",
+                  {"rows": 1, "cols": 1, "entries": [serialize.int_to_str(v)]})
+            for k, v in enumerate((n, n + 2))
+        ]
+        code, out, err = run(capsys, "flow-eq", *paths)
+        assert (code, err) == (EXIT_NO, "")
+        cert = parse_stdout(out)["certificate"]
+        assert cert["name"] == "parry-sullivan"
+        assert (cert["left"], cert["right"]) == tuple(
+            serialize.int_to_str(1 - v) for v in (n, n + 2)
+        )
+
     def test_cokernel(self, corpus, capsys):
         code, out, _ = run(capsys, "cokernel", corpus["full2"])
         assert code == EXIT_YES

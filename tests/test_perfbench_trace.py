@@ -95,3 +95,4 @@ def test_traced_run_reports_every_per_layer_metric():
     assert metrics["equiv.children"]["value"] > 0
     assert metrics["kernels.calls"]["value"] > 0
     assert metrics["equiv.sweep.self_s"]["value"] > 0
+    assert metrics["intmat.solve.busy_s"]["value"] > 0

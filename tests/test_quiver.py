@@ -20,17 +20,14 @@ from blockeq import (
     is_morphism,
     smith_normal_form,
 )
-from blockeq.intmat import (
-    kernel_basis,
-    kernel_basis_with_snf,
-    solve_matrix,
-    solve_with_snf,
-)
+from blockeq.intmat import kernel_basis, solve_matrix
 from blockeq.poset_block import Poset, antichain_poset, chain_poset
 from blockeq.quiver import (
     PresentedGroup,
     _exact_at,
     enumerate_isomorphisms,
+    hom_classes,
+    hom_inverse,
     hom_well_defined,
     homs_equal,
     normalize_hom,
@@ -109,27 +106,16 @@ class TestPresentedGroup:
             enumerate_isomorphisms(big, big)
 
     def test_hom_part_classes(self):
-        from blockeq.quiver import (
-            hom_cokernel_class,
-            hom_image_class,
-            hom_kernel_class,
-        )
-
         z4 = PresentedGroup(1, IntMatrix.from_rows([[4]]))
         z2 = PresentedGroup(1, IntMatrix.from_rows([[2]]))
         free = PresentedGroup.free(1)
         reduction = IntMatrix.from_rows([[1]])  # Z/4 ->> Z/2
-        assert hom_kernel_class(reduction, z4, z2) == (0, (2,))
-        assert hom_image_class(reduction, z4, z2) == (0, (2,))
-        assert hom_cokernel_class(reduction, z4, z2) == (0, ())
+        # (kernel, image, cokernel) classes.
+        assert hom_classes(reduction, z4, z2) == ((0, (2,)), (0, (2,)), (0, ()))
         doubling = IntMatrix.from_rows([[2]])  # Z --2--> Z
-        assert hom_kernel_class(doubling, free, free) == (0, ())
-        assert hom_image_class(doubling, free, free) == (1, ())
-        assert hom_cokernel_class(doubling, free, free) == (0, (2,))
+        assert hom_classes(doubling, free, free) == ((0, ()), (1, ()), (0, (2,)))
         to_torsion = IntMatrix.from_rows([[1]])  # Z ->> Z/4
-        assert hom_kernel_class(to_torsion, free, z4) == (1, ())
-        assert hom_image_class(to_torsion, free, z4) == (0, (4,))
-        assert hom_cokernel_class(to_torsion, free, z4) == (0, ())
+        assert hom_classes(to_torsion, free, z4) == ((1, ()), (0, (4,)), (0, ()))
 
 
 def _mixed_group(rng):
@@ -259,9 +245,40 @@ class TestNormalCoordinates:
             ]
             rep = ZRep(q, groups, maps)
             for idx, e in enumerate(q.edges):
-                assert rep.normal_edge_map(idx) == normalize_hom(
+                assert rep.normal_edge_maps[idx] == normalize_hom(
                     maps[idx], groups[e.src], groups[e.dst]
                 )
+
+
+class TestHomInverse:
+    """hom_inverse returns an inverse exactly for the isomorphisms, as
+    hom_classes and, on finite groups, enumerate_isomorphisms tell them."""
+
+    def test_inverse_exactly_for_isomorphisms(self):
+        rng = random.Random(67)
+        outcomes = {"iso": 0, "not-iso": 0, "ill-defined": 0}
+        for _ in range(400):
+            src = _mixed_group(rng)
+            # Same group half the time, so isomorphisms occur.
+            dst = src if rng.random() < 0.5 else _mixed_group(rng)
+            f = rand_matrix(rng, dst.normal_gens, src.normal_gens, -3, 3)
+            g = hom_inverse(f, src, dst)
+            if not hom_well_defined(f, src, dst):
+                assert g is None
+                outcomes["ill-defined"] += 1
+                continue
+            kernel, _, coker = hom_classes(f, src, dst)
+            iso = kernel == coker == (0, ())
+            assert (g is not None) == iso
+            small = src.group.is_finite and src.group.order() <= 64
+            if small and src.iso_class() == dst.iso_class():
+                assert iso == (dst.reduce(f) in enumerate_isomorphisms(src, dst))
+            if iso:
+                assert hom_well_defined(g, dst, src)
+                assert homs_equal(g * f, IntMatrix.identity(src.normal_gens), src)
+                assert homs_equal(f * g, IntMatrix.identity(dst.normal_gens), dst)
+            outcomes["iso" if iso else "not-iso"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
 
 
 class TestZRepAndModules:
@@ -271,20 +288,20 @@ class TestZRepAndModules:
     def test_single_vertex_free(self):
         q = Quiver(1, [])
         rep = ZRep(q, [Z], [])
-        assert rep.vertex_class(0) == (1, ())
+        assert rep.groups[0].iso_class() == (1, ())
         assert rep.groups[0].to_normal == IntMatrix.identity(1)
 
     def test_mod2_example(self):
         q = edge_quiver()
         rep = ZRep(q, [Z, Z2], [IntMatrix.from_rows([[1]])])
-        assert [rep.vertex_class(v) for v in range(2)] == [(1, ()), (0, (2,))]
+        assert [g.iso_class() for g in rep.groups] == [(1, ()), (0, (2,))]
         # The edge sends the generator of Z to the generator of Z/2.
-        assert rep.normal_edge_map(0) == IntMatrix.from_rows([[1]])
+        assert rep.normal_edge_maps[0] == IntMatrix.from_rows([[1]])
 
     def test_zero_maps(self):
         q = edge_quiver()
         rep = ZRep(q, [Z2, Z3], [IntMatrix.zero(1, 1)])
-        assert rep.normal_edge_map(0).is_zero()
+        assert rep.normal_edge_maps[0].is_zero()
 
     def test_rejects_bad_hom(self):
         q = edge_quiver()
@@ -300,7 +317,7 @@ class TestZRepAndModules:
             [IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])],
         )
         # Path fe acts by 6 (right-to-left composition).
-        act = rep.normal_edge_map(1) * rep.normal_edge_map(0)
+        act = rep.normal_edge_maps[1] * rep.normal_edge_maps[0]
         assert act == IntMatrix.from_rows([[6]])
 
     def test_trivial_module(self):
@@ -314,7 +331,7 @@ class TestZRepAndModules:
             ZRep(q, [C9_WITH_UNIT, Z_ON_TWO], [BREAKS_RELATIONS])
         # The zero map respects every relation, and the representation is built.
         rep = ZRep(q, [C9_WITH_UNIT, Z_ON_TWO], [IntMatrix.zero(2, 2)])
-        assert [rep.vertex_class(v) for v in range(2)] == [(0, (9,)), (1, ())]
+        assert [g.iso_class() for g in rep.groups] == [(0, (9,)), (1, ())]
 
 
 class TestIsMorphism:
@@ -427,29 +444,36 @@ class TestKWeb:
     def test_identity_all_trivial(self):
         shape = BlockShape.square(chain_poset(2), (1, 1))
         web = build_kweb(BlockedMatrix(shape, IntMatrix.identity(2)))
-        assert all(cls == (0, ()) for cls in web.group_list())
+        assert len(web.rep.groups) == len(web.labels) == 6
+        assert all(g.iso_class() == (0, ()) for g in web.rep.groups)
 
     def test_chain_example_groups_and_map(self):
         shape = BlockShape.square(chain_poset(2), (1, 1))
         web = build_kweb(BlockedMatrix(shape, IntMatrix.from_rows([[2, 1], [0, 3]])))
-        by_label = {n.label(): web.groups[n] for n in web.nodes}
+        by_label = dict(zip(web.labels, web.rep.groups))
         assert by_label["cok[1]"].iso_class() == (0, (2,))
         assert by_label["cok[2]"].iso_class() == (0, (3,))
         assert by_label["cok[1, 2]"].iso_class() == (0, (6,))
         # The inclusion cok{1} -> cok{1,2} sends the generator to 3 mod 6
         # (e1 = -3*e2 modulo the column lattice).
-        arrow = next(a for a in web.arrows if a.tag.startswith("cok-incl"))
-        src = web.groups[arrow.src]
-        dst = web.groups[arrow.dst]
-        normal = normalize_hom(arrow.matrix, src, dst)
+        idx, edge = next(
+            (i, e) for i, e in enumerate(web.quiver.edges) if e.id.startswith("cok-incl")
+        )
+        assert (web.labels[edge.src], web.labels[edge.dst]) == ("cok[1]", "cok[1, 2]")
+        src = web.rep.groups[edge.src]
+        dst = web.rep.groups[edge.dst]
+        normal = normalize_hom(web.rep.edge_maps[idx], src, dst)
         assert normal == IntMatrix.from_rows([[3]])
+        assert web.rep.normal_edge_maps[idx] == normal
 
     def test_antichain_delta_zero(self):
         shape = BlockShape.square(antichain_poset(2), (1, 1))
         web = build_kweb(BlockedMatrix(shape, IntMatrix.diagonal([2, 3])))
-        for arrow in web.arrows:
-            if arrow.tag.startswith("delta"):
-                assert arrow.matrix.is_zero()
+        deltas = [
+            m for e, m in zip(web.quiver.edges, web.rep.edge_maps) if e.id.startswith("delta")
+        ]
+        assert deltas
+        assert all(m.is_zero() for m in deltas)
 
     def test_exactness_random(self):
         rng = random.Random(52)
@@ -466,7 +490,7 @@ class TestKWeb:
         shape = BlockShape.square(diamond, (2,) * 5)
         calls = count_calls(monkeypatch, smith_normal_form)
         web = build_kweb(rand_blocked(random.Random(5), shape))
-        assert len(web.nodes) == 48
+        assert web.quiver.vertices == len(web.labels) == 48
         assert len(calls) <= 450
 
     def test_exactness_one_smith_form_and_one_solve_per_position(self, monkeypatch):
@@ -476,9 +500,9 @@ class TestKWeb:
         diamond = Poset(5, [(1, 5), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
         shape = BlockShape.square(diamond, (2,) * 5)
         snfs = count_calls(monkeypatch, smith_normal_form)
-        solves = count_calls(monkeypatch, solve_with_snf)
+        solves = count_calls(monkeypatch, solve_matrix)
         web = build_kweb(rand_blocked(random.Random(5), shape))
-        assert len(web.nodes) == 48
+        assert web.quiver.vertices == len(web.labels) == 48
         assert len(snfs) <= 190
         assert len(solves) <= 470
 
@@ -537,12 +561,12 @@ def _exact_at_two_solves(f_in, f_out, mid, nxt, snf):
     rel_mid = mid.relations
     image = f_in.hstack(rel_mid) if f_in.cols else rel_mid
     stacked = f_out.hstack(nxt.relations)
-    ker = kernel_basis_with_snf(stacked, snf(stacked))
+    ker = kernel_basis(stacked, snf(stacked))
     pre = ker.submatrix(range(f_out.cols), range(ker.cols))
     kernel = pre.hstack(rel_mid)
     return (
-        solve_with_snf(image, snf(image), kernel) is not None
-        and solve_with_snf(kernel, snf(kernel), image) is not None
+        solve_matrix(image, kernel, snf(image)) is not None
+        and solve_matrix(kernel, image, snf(kernel)) is not None
     )
 
 
