@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per decision procedure.
 
 Exit codes: 0 = yes / success-with-result, 1 = no, 2 = unknown,
-64 = usage error, 65 = malformed input, 70 = internal error.  Output is
+64 = usage error, 65 = malformed input, 70 = internal error, 73 = the
+--output file cannot be written.  Output is
 canonical JSON on stdout (or --output); diagnostics go to stderr.  Runs are
 deterministic for fixed inputs and budget flags.
 """
@@ -35,12 +36,17 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
+EXIT_CANTCREAT = 73
 
 _GROUP_FLAGS = {"gl": GL, "sl": SL, "unit": UNIT_RESTRICTED}
 _SIDE_FLAGS = {"uav": SIDE_UAV, "uav-inv": SIDE_UAV_INV}
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -133,8 +139,11 @@ def _load(path):
 def _emit(doc, args) -> None:
     text = serialize.dumps(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutputError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -288,6 +297,9 @@ def execute(argv=None) -> int:
     except SchemaError as exc:
         print(f"blockeq: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except _OutputError as exc:
+        print(f"blockeq: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     except Exception as exc:  # a crash must not exit with a verdict's code
         print(f"blockeq: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -613,10 +613,10 @@ def _decide_blocked(a, b, group, side, budget, unit_indices):
         return Verdict.unknown(report), engine, None
     rows, cols = engine.rows, engine.cols
     u_ent, w_ent, _, w_inv_ent = witnesses[0]
-    u, w = IntMatrix(rows, rows, u_ent), IntMatrix(cols, cols, w_ent)
+    u, w = IntMatrix._trusted(rows, rows, u_ent), IntMatrix._trusted(cols, cols, w_ent)
     # For "uav-inv", V = W^-1 comes from the word; V*W = I is re-checked, so
     # U*a*W = b is the defining equation on both sides.
-    v = w if side == SIDE_UAV else IntMatrix(cols, cols, w_inv_ent)
+    v = w if side == SIDE_UAV else IntMatrix._trusted(cols, cols, w_inv_ent)
     if (
         u * a.matrix * w != b.matrix
         or (side == SIDE_UAV_INV and v * w != IntMatrix.identity(cols))

@@ -37,6 +37,12 @@ class DimensionError(ValueError):
     """Operands have incompatible dimensions."""
 
 
+def _check_entries(entries):
+    for e in entries:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise TypeError(f"non-integer entry {e!r}")
+
+
 class IntMatrix:
     """Dense matrix of arbitrary-precision integers, row-major and immutable.
 
@@ -47,6 +53,8 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
+        """Validated construction, for entries from outside the package:
+        every entry must be an int and not a bool."""
         if rows < 0 or cols < 0:
             raise DimensionError("negative matrix dimension")
         entries = tuple(entries)
@@ -54,9 +62,7 @@ class IntMatrix:
             raise DimensionError(
                 f"entry count {len(entries)} != {rows}x{cols}"
             )
-        for e in entries:
-            if not isinstance(e, int):
-                raise TypeError(f"non-integer entry {e!r}")
+        _check_entries(entries)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
@@ -65,6 +71,16 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, rows, cols, entries):
+        """A matrix from a tuple of rows*cols Python ints that the package
+        computed from validated matrices, so nothing is scanned again."""
+        m = object.__new__(cls)
+        _set_rows(m, rows)
+        _set_cols(m, cols)
+        _set_entries(m, entries)
+        return m
 
     @classmethod
     def from_rows(cls, rows_list):
@@ -77,11 +93,13 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls.diagonal([1] * n)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, [0] * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise DimensionError("negative matrix dimension")
+        return cls._trusted(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def column(cls, values):
@@ -91,8 +109,11 @@ class IntMatrix:
     @classmethod
     def diagonal(cls, values):
         values = list(values)
+        _check_entries(values)
         n = len(values)
-        return cls(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
+        ent = [0] * (n * n)
+        ent[:: n + 1] = values
+        return cls._trusted(n, n, tuple(ent))
 
     @classmethod
     def from_blocks(cls, row_sizes, col_sizes, blocks):
@@ -109,7 +130,7 @@ class IntMatrix:
             for a in range(blk.rows):
                 start = (row_offsets[i] + a) * cols + col_offsets[j]
                 ent[start : start + blk.cols] = blk.row(a)
-        return cls(rows, cols, ent)
+        return cls._trusted(rows, cols, tuple(ent))
 
     # -- accessors ---------------------------------------------------------
 
@@ -132,12 +153,12 @@ class IntMatrix:
         """Submatrix on the given row/column index sequences (order kept)."""
         row_idx = list(row_idx)
         col_idx = list(col_idx)
-        ent = []
-        for i in row_idx:
-            base = i * self.cols
-            for j in col_idx:
-                ent.append(self.entries[base + j])
-        return IntMatrix(len(row_idx), len(col_idx), ent)
+        ent, cols = self.entries, self.cols
+        return IntMatrix._trusted(
+            len(row_idx),
+            len(col_idx),
+            tuple([ent[i * cols + j] for i in row_idx for j in col_idx]),
+        )
 
     # -- algebra -----------------------------------------------------------
 
@@ -149,15 +170,15 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         ent = _kernels.mat_mul(self.rows, self.cols, self.entries, other.cols, other.entries)
-        return IntMatrix(self.rows, other.cols, ent)
+        return IntMatrix._trusted(self.rows, other.cols, ent)
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in addition")
-        return IntMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
+        return IntMatrix._trusted(
+            self.rows, self.cols, tuple([a + b for a, b in zip(self.entries, other.entries)])
         )
 
     def __sub__(self, other):
@@ -165,28 +186,28 @@ class IntMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in subtraction")
-        return IntMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
+        return IntMatrix._trusted(
+            self.rows, self.cols, tuple([a - b for a, b in zip(self.entries, other.entries)])
         )
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols, [-a for a in self.entries])
+        return IntMatrix._trusted(self.rows, self.cols, tuple([-a for a in self.entries]))
 
     def transpose(self):
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
+        ent, rows, cols = self.entries, self.rows, self.cols
+        return IntMatrix._trusted(
+            cols, rows, tuple([ent[i * cols + j] for j in range(cols) for i in range(rows)])
         )
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise DimensionError("row mismatch in hstack")
+        a, b, p, q = self.entries, other.entries, self.cols, other.cols
         ent = []
         for i in range(self.rows):
-            ent.extend(self.row(i))
-            ent.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, ent)
+            ent += a[i * p : (i + 1) * p]
+            ent += b[i * q : (i + 1) * q]
+        return IntMatrix._trusted(self.rows, p + q, tuple(ent))
 
     def is_zero(self):
         return all(e == 0 for e in self.entries)
@@ -207,6 +228,12 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
+
+
+# The slot setters themselves, which skip the immutability guard.
+_set_rows = IntMatrix.rows.__set__
+_set_cols = IntMatrix.cols.__set__
+_set_entries = IntMatrix.entries.__set__
 
 
 @dataclass(frozen=True)
@@ -472,9 +499,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     m, n = a.rows, a.cols
     s = _eliminate(a, True)
     return SmithDecomposition(
-        IntMatrix(m, m, [e for row in s[:m] for e in row[n:]]),
-        IntMatrix(m, n, [e for row in s[:m] for e in row[:n]]),
-        IntMatrix(n, n, [e for row in s[m:] for e in row]),
+        IntMatrix._trusted(m, m, tuple([e for row in s[:m] for e in row[n:]])),
+        IntMatrix._trusted(m, n, tuple([e for row in s[:m] for e in row[:n]])),
+        IntMatrix._trusted(n, n, tuple([e for row in s[m:] for e in row])),
     )
 
 
@@ -543,27 +570,21 @@ def solve_matrix(a: IntMatrix, b: IntMatrix, dec=None) -> IntMatrix | None:
     if dec is None:
         dec = smith_normal_form(a)
     diag = dec.diagonal()
-    c = dec.U * b
-    ce, nb = c.entries, b.cols
-    cols = []
-    for jb in range(nb):
-        w = [0] * a.cols
-        ok = True
-        for i in range(a.rows):
-            ci = ce[i * nb + jb]
-            if i < len(diag) and diag[i] != 0:
-                if ci % diag[i]:
-                    ok = False
-                    break
-                w[i] = ci // diag[i]
-            elif ci != 0:
-                ok = False
-                break
-        if not ok:
+    ce, nb = (dec.U * b).entries, b.cols
+    # Row i of U*b divided by the i-th diagonal entry is row i of V^-1 X.
+    w = [0] * (a.cols * nb)
+    for i in range(a.rows):
+        d = diag[i] if i < len(diag) else 0
+        start = i * nb
+        if d:
+            for jb in range(start, start + nb):
+                q, r = divmod(ce[jb], d)
+                if r:
+                    return None
+                w[jb] = q
+        elif any(ce[start : start + nb]):
             return None
-        cols.append(w)
-    x_cols = IntMatrix(b.cols, a.cols, [e for col in cols for e in col]).transpose()
-    x = dec.V * x_cols
+    x = dec.V * IntMatrix._trusted(a.cols, nb, tuple(w))
     if a * x != b:  # pragma: no cover - exactness guard
         raise AssertionError("solver produced an unverified solution")
     return x
@@ -592,7 +613,7 @@ def invert_unimodular(a: IntMatrix) -> IntMatrix:
     _hermite_rows(s, n, n)
     if any(row[:n] != [1 if j == i else 0 for j in range(n)] for i, row in enumerate(s)):
         raise ValueError("matrix is not a unit over Z")
-    inv = IntMatrix(n, n, [e for row in s for e in row[n:]])
+    inv = IntMatrix._trusted(n, n, tuple([e for row in s for e in row[n:]]))
     if a * inv != IntMatrix.identity(n):  # pragma: no cover
         raise AssertionError("inverse verification failed")
     return inv

@@ -128,7 +128,7 @@ class PresentedGroup:
     @classmethod
     def free(cls, rank):
         """Z^rank, whose rank x 0 relation matrix is its own Smith form."""
-        relations = IntMatrix(rank, 0, ())
+        relations = IntMatrix.zero(rank, 0)
         dec = SmithDecomposition(IntMatrix.identity(rank), relations, IntMatrix(0, 0, ()))
         return cls(rank, relations, dec)
 
@@ -144,10 +144,10 @@ class PresentedGroup:
         order; rows of free generators (order 0) are kept as they are."""
         if m.rows != self.normal_gens:
             raise DimensionError("one row per normal generator required")
-        return IntMatrix(
+        return IntMatrix._trusted(
             m.rows,
             m.cols,
-            [e % d if d else e for i, d in enumerate(self.orders) for e in m.row(i)],
+            tuple([e % d if d else e for i, d in enumerate(self.orders) for e in m.row(i)]),
         )
 
     def contains_relation(self, m: IntMatrix) -> bool:
@@ -235,16 +235,24 @@ class ZRep:
             p if isinstance(p, PresentedGroup) else PresentedGroup(p.rows, p)
             for p in presentations
         )
+        # A presented group is a function of its relations, so an edge that
+        # repeats the (map, source, target) relations of an earlier edge
+        # reuses that edge's validated normal map.
+        normal_of = {}
         normal_edge_maps = []
         for e, f in zip(quiver.edges, edge_maps):
             src, dst = groups[e.src], groups[e.dst]
-            if f.rows != dst.gens or f.cols != src.gens:
-                raise DimensionError(
-                    f"edge {e.id}: map must be {dst.gens}x{src.gens}"
-                )
-            if not dst.contains_relation(f * src.relations):
-                raise ValueError(f"edge {e.id}: map does not respect relations")
-            normal_edge_maps.append(normalize_hom(f, src, dst))
+            key = (f, src.relations, dst.relations)
+            normal = normal_of.get(key)
+            if normal is None:
+                if f.rows != dst.gens or f.cols != src.gens:
+                    raise DimensionError(
+                        f"edge {e.id}: map must be {dst.gens}x{src.gens}"
+                    )
+                if not dst.contains_relation(f * src.relations):
+                    raise ValueError(f"edge {e.id}: map does not respect relations")
+                normal = normal_of[key] = normalize_hom(f, src, dst)
+            normal_edge_maps.append(normal)
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "edge_maps", tuple(edge_maps))
@@ -310,52 +318,41 @@ def enumerate_isomorphisms(src: PresentedGroup, dst: PresentedGroup):
     n = src.normal_gens
     if n == 0:
         return [IntMatrix(0, 0, ())]
-    target_elements = list(product(*(range(d) for d in dst.orders)))
+    orders = dst.orders
     by_order = {}
-    for el in target_elements:
-        by_order.setdefault(_element_order(el, dst.orders), []).append(el)
+    for el in product(*(range(d) for d in orders)):
+        by_order.setdefault(_element_order(el, orders), []).append(el)
 
-    full = dst.group.order()
+    def add(x, y):
+        return tuple([(a + b) % d for a, b, d in zip(x, y, orders)])
+
+    zero = (0,) * n
     out = []
 
-    def span_size(images):
-        seen = {tuple([0] * n)}
-        frontier = [tuple([0] * n)]
-        while frontier:
-            nxt = []
-            for el in frontier:
-                for img in images:
-                    s = tuple(
-                        (a + b) % d for a, b, d in zip(el, img, dst.orders)
-                    )
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return len(seen)
-
-    def extend(chosen):
+    def extend(chosen, span):
+        # span is the subgroup the chosen images generate, and the map is
+        # injective on the first k generators.  The orders of the source
+        # multiply to the order of the target, so a full choice is onto.
         k = len(chosen)
         if k == n:
-            if span_size(chosen) == full:
-                cols = [list(c) for c in chosen]
-                out.append(
-                    IntMatrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
-                )
+            out.append(
+                IntMatrix._trusted(n, n, tuple([c[i] for i in range(n) for c in chosen]))
+            )
             return
         d = src.orders[k]
         for el in by_order.get(d, ()):
+            # An image of order d keeps the map injective exactly when no
+            # j*el with 0 < j < d lies in the span so far.
+            multiples = [zero]
+            for _ in range(d - 1):
+                multiples.append(add(multiples[-1], el))
+            if any(m in span for m in multiples[1:]):
+                continue
             chosen.append(el)
-            # Injectivity on the span of the first k+1 generators prunes
-            # hopeless branches early.
-            bound = 1
-            for dd in src.orders[: k + 1]:
-                bound *= dd
-            if span_size(chosen) == bound:
-                extend(chosen)
+            extend(chosen, {add(x, m) for x in span for m in multiples})
             chosen.pop()
 
-    extend([])
+    extend([], {zero})
     return out
 
 
@@ -628,6 +625,9 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
     edges = []
     maps = []
     trivial = PresentedGroup.free(0)
+    # Exactness at a position depends only on the two maps and the relations
+    # of the middle and next groups, so each such question is proved once.
+    proved = set()
     for s in convex:
         col_index = {j: pos for pos, j in enumerate(_sub_cols(shape, s))}
         row_index = {r: pos for pos, r in enumerate(_sub_rows(shape, s))}
@@ -681,18 +681,27 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
 
             # Exactness of the whole six-term sequence, node by node.
             seq_groups = [groups[n] for n in seq_nodes]
-            zero_in = IntMatrix(seq_groups[0].gens, 0, ())
-            zero_out = IntMatrix(0, seq_groups[-1].gens, ())
+            zero_in = IntMatrix.zero(seq_groups[0].gens, 0)
+            zero_out = IntMatrix.zero(0, seq_groups[-1].gens)
             chain_in = [zero_in] + seq_maps
             chain_out = seq_maps + [zero_out]
             chain_next = seq_groups[1:] + [trivial]
             for pos in range(6):
+                key = (
+                    chain_in[pos],
+                    chain_out[pos],
+                    seq_groups[pos].relations,
+                    chain_next[pos].relations,
+                )
+                if key in proved:
+                    continue
                 if not _exact_at(
                     chain_in[pos], chain_out[pos], seq_groups[pos], chain_next[pos], snf
                 ):
                     raise AssertionError(
                         f"six-term sequence not exact at position {pos} for {tag}"
                     )
+                proved.add(key)
 
     quiver = Quiver(len(groups), edges)
     labels = tuple(f"{kind}{list(s)}" for s in convex for kind in ("ker", "cok"))

@@ -7,6 +7,7 @@ import pytest
 
 from blockeq import cli, serialize
 from blockeq.cli import (
+    EXIT_CANTCREAT,
     EXIT_DATA,
     EXIT_INTERNAL,
     EXIT_NO,
@@ -104,7 +105,8 @@ class TestSubcommands:
         u = serialize.matrix_from_json(doc["U"])
         s = serialize.matrix_from_json(doc["S"])
         v = serialize.matrix_from_json(doc["V"])
-        fib = serialize.matrix_from_json(json.load(open(corpus["fib"])))
+        with open(corpus["fib"], encoding="utf-8") as fh:
+            fib = serialize.matrix_from_json(json.load(fh))
         assert u * fib * v == s
 
     def test_snf_30x30_exits_0(self, tmp_path, capsys):
@@ -368,3 +370,14 @@ class TestErrorPaths:
         assert out == ""
         doc = json.loads(out_path.read_text())
         assert doc == {"parry_sullivan": "-1"}
+
+    def test_output_file_that_cannot_be_written(self, corpus, capsys, tmp_path):
+        # A missing directory is the environment's fault, not an internal
+        # error: one stderr line and the sysexits "cannot create" code.
+        out_path = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, "snf", corpus["fib"], "--output", str(out_path))
+        assert code == EXIT_CANTCREAT == 73
+        assert out == ""
+        assert err.startswith(f"blockeq: cannot write {out_path}: ")
+        assert err.count("\n") == 1
+        assert not out_path.exists()

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockeq import (
+    SIDE_UAV,
+    SIDE_UAV_INV,
     SL,
     BlockShape,
     BlockedMatrix,
@@ -15,6 +17,7 @@ from blockeq import (
     FgAbelianGroup,
     IntMatrix,
     cokernel,
+    decide_blocked_equivalence,
     determinant,
     image_annihilator,
     invariant_profile,
@@ -30,6 +33,7 @@ from blockeq.intmat import (
     solve_matrix,
 )
 from blockeq.poset_block import chain_poset
+from blockeq.quiver import PresentedGroup
 from blockeq.sft import SftMatrix, bowen_franks
 
 from helpers import count_calls, rand_matrix
@@ -422,3 +426,74 @@ class TestLatticeHelpers:
         with pytest.raises(DimensionError):
             invert_unimodular(IntMatrix.zero(2, 3))
         assert invert_unimodular(IntMatrix(0, 0, ())) == IntMatrix(0, 0, ())
+
+
+class TestEntryValidation:
+    """Matrices that enter the package are validated entry by entry; the
+    ones it computes from validated matrices are built without a scan."""
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, False])
+    def test_rejects_non_integer_entries(self, bad):
+        with pytest.raises(TypeError, match="non-integer entry"):
+            IntMatrix(1, 1, [bad])
+        with pytest.raises(TypeError, match="non-integer entry"):
+            IntMatrix.from_rows([[bad, 0], [0, 2]])
+        with pytest.raises(TypeError, match="non-integer entry"):
+            IntMatrix.diagonal([2, bad])
+        with pytest.raises(TypeError, match="non-integer entry"):
+            IntMatrix.column([bad])
+
+    def test_rejects_negative_dimensions(self):
+        with pytest.raises(DimensionError, match="negative matrix dimension"):
+            IntMatrix(-1, 0, ())
+        with pytest.raises(DimensionError, match="negative matrix dimension"):
+            IntMatrix.zero(2, -1)
+
+    def test_package_producers_return_plain_ints(self):
+        rng = random.Random(71)
+        made = []
+
+        def keep(m):
+            made.append(m)
+            return m
+
+        for _ in range(60):
+            p, q, r = (rng.randint(0, 4) for _ in range(3))
+            a = rand_matrix(rng, p, q, -9, 9)
+            b = rand_matrix(rng, p, q, -9, 9)
+            c = rand_matrix(rng, q, r, -9, 9)
+            keep(a * c)
+            keep(a + b)
+            keep(a - b)
+            keep(-a)
+            keep(a.transpose())
+            rows = [rng.randrange(p) for _ in range(rng.randint(0, 3))] if p else []
+            cols = [rng.randrange(q) for _ in range(rng.randint(0, 3))] if q else []
+            keep(a.submatrix(rows, cols))
+            keep(a.hstack(b))
+            keep(IntMatrix.identity(p))
+            keep(IntMatrix.zero(p, q))
+            keep(IntMatrix.diagonal([rng.randint(-9, 9) for _ in range(p)]))
+            keep(IntMatrix.from_blocks([p, q], [q, r], {(0, 0): a, (1, 1): c}))
+            dec = smith_normal_form(a)
+            keep(dec.U)
+            keep(dec.S)
+            keep(dec.V)
+            keep(invert_unimodular(dec.U))
+            x = solve_matrix(a, keep(a * rand_matrix(rng, q, 2, -9, 9)))
+            keep(x)
+            if p:
+                group = PresentedGroup(p, a)
+                keep(group.reduce(rand_matrix(rng, group.normal_gens, 2, -99, 99)))
+        shape = BlockShape.square(chain_poset(2), (1, 1))
+        for group, side in ((SL, SIDE_UAV), (SL, SIDE_UAV_INV)):
+            a = BlockedMatrix(shape, IntMatrix.from_rows([[2, 1], [0, 3]]))
+            b = BlockedMatrix(shape, IntMatrix.from_rows([[2, 0], [0, 3]]))
+            verdict = decide_blocked_equivalence(a, b, group=group, side=side)
+            assert verdict.is_yes
+            made.extend(verdict.witness)
+        for m in made:
+            assert isinstance(m.entries, tuple)
+            assert len(m.entries) == m.rows * m.cols
+            assert all(type(e) is int for e in m.entries)
+            assert m == IntMatrix(m.rows, m.cols, m.entries)

@@ -1,6 +1,7 @@
 """Representations, isomorphism decisions, K-webs."""
 
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -100,6 +101,22 @@ class TestPresentedGroup:
         c2 = PresentedGroup(1, Z2)
         assert enumerate_isomorphisms(c2, PresentedGroup(1, Z3)) == []
 
+    def test_enumerate_isomorphisms_matches_brute_force(self):
+        # Every pair of the benchmark's finite vertex groups of order <= 8,
+        # presented by their diagonals: the enumeration is the brute-force
+        # list, in the same order.
+        groups = [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (2, 2, 2)]
+        presented = [PresentedGroup(len(g), IntMatrix.diagonal(g)) for g in groups]
+        isos = 0
+        for src in presented:
+            for dst in presented:
+                found = enumerate_isomorphisms(src, dst)
+                assert found == _brute_force_isomorphisms(src.orders, dst.orders)
+                isos += len(found)
+        # The automorphisms of each group: phi(n) for the cyclic C_n, then
+        # |GL_2(F_2)| = 6, |Aut(C2 x C4)| = 8 and |GL_3(F_2)| = 168.
+        assert isos == 1 + 2 + 2 + 4 + 2 + 6 + 4 + 6 + 8 + 168
+
     def test_enumeration_cap(self):
         big = PresentedGroup(1, IntMatrix.from_rows([[65]]))
         with pytest.raises(ValueError):
@@ -116,6 +133,30 @@ class TestPresentedGroup:
         assert hom_classes(doubling, free, free) == ((0, ()), (1, ()), (0, (2,)))
         to_torsion = IntMatrix.from_rows([[1]])  # Z ->> Z/4
         assert hom_classes(to_torsion, free, z4) == ((1, ()), (0, (4,)), (0, ()))
+
+
+def _brute_force_isomorphisms(src_orders, dst_orders):
+    """Every reduced normal-coordinate matrix between finite groups with
+    these orders that is a well-defined bijection, columns in lexicographic
+    order; a reference for enumerate_isomorphisms."""
+    n1, n2 = len(src_orders), len(dst_orders)
+    columns = list(product(*(range(d) for d in dst_orders)))
+    source = list(product(*(range(d) for d in src_orders)))
+    out = []
+    for cols in product(columns, repeat=n1):
+        well_defined = all(
+            (d * c[i]) % e == 0 for d, c in zip(src_orders, cols)
+            for i, e in enumerate(dst_orders)
+        )
+        if not well_defined:
+            continue
+        images = {
+            tuple(sum(x[j] * cols[j][i] for j in range(n1)) % e for i, e in enumerate(dst_orders))
+            for x in source
+        }
+        if len(images) == len(source) == len(columns):
+            out.append(IntMatrix(n2, n1, [c[i] for i in range(n2) for c in cols]))
+    return out
 
 
 def _mixed_group(rng):
@@ -325,6 +366,22 @@ class TestZRepAndModules:
         rep = ZRep(q, [IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])], [])
         assert all(g.group.is_trivial and g.normal_gens == 0 for g in rep.groups)
 
+    def test_repeated_edge_validated_once(self, monkeypatch):
+        # Two edges with the same map between groups with the same relations
+        # are validated and normalized once; a different bad map after them
+        # is still rejected, naming its own edge.
+        q = Quiver(3, [("a", 0, 1), ("b", 2, 1), ("c", 0, 1), ("d", 2, 1)])
+        zero = IntMatrix.zero(1, 1)
+        checks = count_calls(monkeypatch, PresentedGroup.contains_relation, PresentedGroup)
+        rep = ZRep(q, [Z2, Z3, Z2], [zero, zero, zero, zero])
+        assert len(checks) == 1
+        assert rep.normal_edge_maps == (zero,) * 4
+        assert rep.edge_maps == (zero,) * 4
+        with pytest.raises(ValueError, match="edge c: map does not respect relations"):
+            ZRep(q, [Z2, Z3, Z2], [zero, zero, IntMatrix.from_rows([[1]]), zero])
+        with pytest.raises(DimensionError, match="edge d: map must be 1x1"):
+            ZRep(q, [Z2, Z3, Z2], [zero, zero, zero, IntMatrix.zero(1, 2)])
+
     def test_edge_map_breaking_unit_factor_relations(self):
         q = edge_quiver()
         with pytest.raises(ValueError, match="does not respect relations"):
@@ -496,15 +553,18 @@ class TestKWeb:
     def test_exactness_one_smith_form_and_one_solve_per_position(self, monkeypatch):
         # The same diamond web: exactness proves image in kernel by a product
         # and kernel in image by one solve against the image, whose Smith
-        # form the previous position already took.
+        # form the previous position already took, and a position that asks
+        # a question the web has already proved is skipped.
         diamond = Poset(5, [(1, 5), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
         shape = BlockShape.square(diamond, (2,) * 5)
         snfs = count_calls(monkeypatch, smith_normal_form)
         solves = count_calls(monkeypatch, solve_matrix)
+        exact = count_calls(monkeypatch, _exact_at)
         web = build_kweb(rand_blocked(random.Random(5), shape))
         assert web.quiver.vertices == len(web.labels) == 48
-        assert len(snfs) <= 190
-        assert len(solves) <= 470
+        assert len(snfs) <= 135
+        assert len(solves) <= 300
+        assert len(exact) == 175
 
     def test_kweb_iso_self(self):
         shape = BlockShape.square(chain_poset(2), (1, 1))
