@@ -1,7 +1,8 @@
-"""Kernels for the hot entry-tuple operations.
+"""Kernels for the entry-tuple operations.
 
 Matrices are flat row-major tuples of Python ints, so every operation here is
-exact at arbitrary precision.
+exact at arbitrary precision.  The engine builds witness words and stabilizer
+products with them; its search states are packed ints (blockeq.equiv).
 """
 
 

@@ -11,6 +11,15 @@ middle on exact matrix states.  Exact arithmetic makes state hashing reliable;
 determinism is guaranteed by fixed generator order and the
 lexicographically-least-witness tie-break at the minimal joining depth.
 
+A state is one int: entry k is stored as e + 2^(w-1) in bits [w*k, w*k + w).
+A move is linear in the entries, so it is a shift, a mask, an offset, a
+shift and an add on that int, and the child is exactly the encoding of the
+entry-tuple child while every entry fits its field.  Entries at most double
+per level, so the width starts at bits(max |entry| of a, b) + min(max_depth,
+16) + 2, and a level whose doubled bound would not fit first measures its
+frontier's real maximum and, if that does not fit either, re-encodes every
+state at a wider field.  Words (U, W, U^-1, W^-1) stay entry tuples.
+
 Expansion never rebuilds a child it can already place: for X = m1(P),
 m1^-1(X) is P, and m2(X) = m1(m2(P)) for every m2 commuting with m1.  Such a
 child is an already-visited state, so records, budget counts, joins and
@@ -204,13 +213,18 @@ def invariant_profile(a: BlockedMatrix, group: str) -> InvariantProfile:
 _LEFT = 0
 _RIGHT = 1
 
+# Doubling levels the field width has room for from the start; a deeper
+# search widens when its entries need it.
+_HEADROOM_LEVELS = 16
+
 
 class _Side:
     """One frontier of the bidirectional search.
 
-    records[i] = (entries, move_index, parent_record, depth); the visited set
-    is keyed by the entry tuples themselves (exact arithmetic makes state
-    hashing reliable).  The root is record 0 with no move.
+    records[i] = (state, move_index, parent_record, depth); the visited set
+    is keyed by the states themselves, each the packed int of its entries
+    (see _Packing), which is injective at a fixed width.  The root is record
+    0 with no move.  Every entry of a frontier state has |e| < 2^bits.
 
     kids[i] maps each move index to the record holding that child of the
     expanded record i.  Levels are contiguous in records and expanded in
@@ -221,14 +235,72 @@ class _Side:
     fill kids this way.
     """
 
-    __slots__ = ("records", "visited", "depth", "frontier", "kids")
+    __slots__ = ("records", "visited", "depth", "frontier", "kids", "bits")
 
-    def __init__(self, root_entries):
-        self.records = [(root_entries, -1, -1, 0)]
-        self.visited = {root_entries: 0}
+    def __init__(self, root_state, bits):
+        self.records = [(root_state, -1, -1, 0)]
+        self.visited = {root_state: 0}
         self.kids = []
         self.depth = 0
         self.frontier = [0]
+        self.bits = bits
+
+
+def _entry_bits(entries):
+    """The least b with |e| < 2^b for every entry."""
+    return max(map(abs, entries), default=0).bit_length()
+
+
+class _Packing:
+    """The field width w of one search's states and its compiled moves.
+
+    Entry k of a row-major state is stored as e + 2^(w-1) in bits
+    [w*k, w*k + w), which holds exactly the e with -2^(w-1) <= e < 2^(w-1).
+    A move compiles to (src_shift, mask, base, dst_shift, factor): the row or
+    column of fields at src_shift, less its offsets `base`, is shifted to
+    dst_shift and added with factor +-1 (transvection) or -2 (flip).  The map
+    is linear in the entries, so the child is the encoding of the
+    entry-tuple child whenever every child entry fits.
+    """
+
+    __slots__ = ("width", "size", "moves", "inverse_moves")
+
+    def __init__(self, engine, width):
+        rows, cols = engine.rows, engine.cols
+        self.width = width
+        self.size = rows * cols
+        field, half = (1 << width) - 1, 1 << (width - 1)
+        # Row r is the cols fields from bit width*cols*r, width apart; column
+        # c is the rows fields from bit width*c, width*cols apart.
+        row = sum(1 << (width * j) for j in range(cols))
+        col = sum(1 << (width * cols * i) for i in range(rows))
+        axes = {_LEFT: (width * cols, field * row, half * row),
+                _RIGHT: (width, field * col, half * col)}
+
+        def compile(axis, move):
+            stride, mask, base = axes[axis]
+            kind, a, b, sign = move
+            if kind != "t":  # a flip, with a == b
+                return (stride * a, mask, base, stride * a, -2)
+            # I + s*E[a,b] adds s times row b to row a, or column a to column b.
+            src, dst = (b, a) if axis == _LEFT else (a, b)
+            return (stride * src, mask, base, stride * dst, sign)
+
+        self.moves = [compile(*am) for am in engine.moves]
+        self.inverse_moves = [self.moves[j] for j in engine.inverse_index]
+
+    def pack(self, entries):
+        w = self.width
+        half = 1 << (w - 1)
+        state = 0
+        for e in reversed(entries):
+            state = (state << w) | (e + half)
+        return state
+
+    def unpack(self, state):
+        w = self.width
+        half, field = 1 << (w - 1), (1 << w) - 1
+        return tuple(((state >> (w * k)) & field) - half for k in range(self.size))
 
 
 def _unit_blocks(square_shape, unit_indices):
@@ -241,15 +313,10 @@ def _unit_blocks(square_shape, unit_indices):
     )
 
 
-def _apply_move(axis, move, entries, rows, cols):
-    kind, a, b, sign = move
-    if axis == _LEFT:
-        if kind == "t":
-            return _kernels.row_add(entries, rows, cols, a, b, sign)
-        return _kernels.row_negate(entries, rows, cols, a)
-    if kind == "t":
-        return _kernels.col_add(entries, rows, cols, a, b, sign)
-    return _kernels.col_negate(entries, rows, cols, b)
+def _apply_move(state, move):
+    """The child of a packed state under a move compiled by _Packing."""
+    src_shift, mask, base, dst_shift, factor = move
+    return state + factor * ((((state >> src_shift) & mask) - base) << dst_shift)
 
 
 def _chain_moves(side, idx):
@@ -269,7 +336,7 @@ class _Engine:
     Records hold states and move indices only.  A word (U, W, U^-1, W^-1)
     is rebuilt on demand by replaying a chain of move indices through
     _step, the one routine that extends a word; _apply_move is the one
-    routine that applies a move to entries.  A witness therefore carries
+    routine that applies a move to a state.  A witness therefore carries
     its inverse, and no unimodular matrix is inverted by a Smith form.
     """
 
@@ -310,13 +377,22 @@ class _Engine:
         """Extend a word (U, W, U^-1, W^-1) by one move: a left move G gives
         (G*U, W, U^-1*G^-1, W^-1), a right move H gives (U, W*H, U^-1, H^-1*W^-1)."""
         u, w, u_inv, w_inv = word
-        axis, move = self.moves[move_idx]
-        inverse = self.inverse_moves[move_idx][1]
+        axis, (kind, a, b, sign) = self.moves[move_idx]
+        # G = I + s*E[a,b] has G^-1 = I - s*E[a,b]; a flip (a == b) is its
+        # own inverse.
         if axis == _LEFT:
-            return (_apply_move(_LEFT, move, u, self.rows, self.rows), w,
-                    _apply_move(_RIGHT, inverse, u_inv, self.rows, self.rows), w_inv)
-        return (u, _apply_move(_RIGHT, move, w, self.cols, self.cols), u_inv,
-                _apply_move(_LEFT, inverse, w_inv, self.cols, self.cols))
+            n = self.rows
+            if kind == "t":
+                return (_kernels.row_add(u, n, n, a, b, sign), w,
+                        _kernels.col_add(u_inv, n, n, a, b, -sign), w_inv)
+            return (_kernels.row_negate(u, n, n, a), w,
+                    _kernels.col_negate(u_inv, n, n, a), w_inv)
+        n = self.cols
+        if kind == "t":
+            return (u, _kernels.col_add(w, n, n, a, b, sign), u_inv,
+                    _kernels.row_add(w_inv, n, n, a, b, -sign))
+        return (u, _kernels.col_negate(w, n, n, a), u_inv,
+                _kernels.row_negate(w_inv, n, n, a))
 
     def _replay(self, chain):
         """The word of a chain of move indices, from the identity word."""
@@ -332,6 +408,38 @@ class _Engine:
         to b, so b = G(n1)..G(nk) X H(nk)..H(n1).  Replaying m1..mj, nk..n1
         from the identity word builds U, W and both inverses."""
         return self._replay(_chain_moves(fwd, f_idx) + _chain_moves(bwd, b_idx)[::-1])
+
+    # -- packed states ---------------------------------------------------------
+
+    def _start(self, *roots):
+        """The packing and one side per root entry tuple, at the starting
+        width: room for min(max_depth, _HEADROOM_LEVELS) doubling levels."""
+        bits = [_entry_bits(r) for r in roots]
+        levels = min(self.budget.max_depth, _HEADROOM_LEVELS)
+        packing = _Packing(self, max(bits) + levels + 2)
+        return packing, [_Side(packing.pack(r), b) for r, b in zip(roots, bits)]
+
+    def _fit(self, packing, side, sides):
+        """The packing under which one more level of `side` is exact.  A
+        level at most doubles an entry, so it fits while side.bits + 2 <=
+        width.  When that bound does not fit, the frontier's real maximum is
+        measured; when that does not fit either, every state of `sides` is
+        re-encoded, in place, at a doubled width."""
+        if side.bits + 2 <= packing.width:
+            return packing
+        side.bits = max(
+            (_entry_bits(packing.unpack(side.records[idx][0])) for idx in side.frontier),
+            default=0,
+        )
+        if side.bits + 2 <= packing.width:
+            return packing
+        wider = _Packing(self, max(2 * packing.width, side.bits + 2))
+        for s in sides:
+            s.records[:] = [(wider.pack(packing.unpack(state)), *rest)
+                            for state, *rest in s.records]
+            s.visited.clear()
+            s.visited.update((rec[0], i) for i, rec in enumerate(s.records))
+        return wider
 
     # -- search drivers ------------------------------------------------------
 
@@ -350,32 +458,34 @@ class _Engine:
         known[self.inverse_index[m1]] = parent
         return known
 
-    def _expand(self, side, other, is_forward, nodes_used):
-        """Expand one full level of `side`; returns (joins, nodes, truncated)."""
+    def _expand(self, side, other, moves, nodes_used):
+        """Expand one full level of `side` by the compiled `moves`; returns
+        (joins, nodes, truncated)."""
         joins = []
         new_frontier = []
         count = nodes_used
-        moves = self.moves if is_forward else self.inverse_moves
-        rows, cols, max_nodes = self.rows, self.cols, self.budget.max_nodes
+        max_nodes = self.budget.max_nodes
         records, visited, kids = side.records, side.visited, side.kids
+        add_record, add_frontier, place = records.append, new_frontier.append, visited.setdefault
         other_get = other.visited.get
         apply_move = _apply_move
+        new = len(records)
         for idx in side.frontier:
-            entries, _, _, depth = records[idx]
+            state, _, _, depth = records[idx]
+            depth += 1
             known = self._known_children(side, idx)
             for move_idx, rec in enumerate(known):
                 if rec is not None:
                     continue
-                axis, move = moves[move_idx]
-                child = apply_move(axis, move, entries, rows, cols)
-                new = len(records)
-                rec = visited.setdefault(child, new)
+                child = apply_move(state, moves[move_idx])
+                rec = place(child, new)
                 if rec == new:
-                    if count + 1 > max_nodes:
+                    if count >= max_nodes:
                         del visited[child]
                         return joins, count, True
-                    records.append((child, move_idx, idx, depth + 1))
-                    new_frontier.append(rec)
+                    add_record((child, move_idx, idx, depth))
+                    add_frontier(rec)
+                    new += 1
                     count += 1
                     hit = other_get(child)
                     if hit is not None:
@@ -384,6 +494,7 @@ class _Engine:
             kids.append(known)
         side.frontier = new_frontier
         side.depth += 1
+        side.bits += 1
         return joins, count, False
 
     def search(self, a: IntMatrix, b: IntMatrix):
@@ -392,8 +503,7 @@ class _Engine:
         witnesses is the (possibly empty) list of the words (U, W, U^-1, W^-1)
         of minimal-depth joins, as entry tuples, ordered by (U, W).
         """
-        fwd = _Side(a.entries)
-        bwd = _Side(b.entries)
+        packing, (fwd, bwd) = self._start(a.entries, b.entries)
         nodes = 2
         truncated = False
         joins = []
@@ -410,7 +520,9 @@ class _Engine:
                 side, other, is_fwd = fwd, bwd, True
             else:
                 side, other, is_fwd = bwd, fwd, False
-            level_joins, nodes, truncated = self._expand(side, other, is_fwd, nodes)
+            packing = self._fit(packing, side, (fwd, bwd))
+            moves = packing.moves if is_fwd else packing.inverse_moves
+            level_joins, nodes, truncated = self._expand(side, other, moves, nodes)
             if is_fwd:
                 joins = list(level_joins)
             else:
@@ -452,7 +564,7 @@ class _Engine:
         """
         rows, cols = self.rows, self.cols
         mat_mul = _kernels.mat_mul
-        side = _Side(b.entries)
+        packing, (side,) = self._start(b.entries)
         root = self._replay(())
         seen = {root[:2]}
         sigmas = []
@@ -467,22 +579,24 @@ class _Engine:
             return words[idx]
 
         def offer(u2, w2, w2_inv):
-            return check(IntMatrix(rows, rows, u2), IntMatrix(cols, cols, w2),
-                         IntMatrix(cols, cols, w2_inv))
+            return check(IntMatrix._trusted(rows, rows, u2),
+                         IntMatrix._trusted(cols, cols, w2),
+                         IntMatrix._trusted(cols, cols, w2_inv))
 
         records, visited, kids = side.records, side.visited, side.kids
-        moves, inverse_index = self.moves, self.inverse_index
+        inverse_index = self.inverse_index
         max_nodes = self.budget.max_nodes
         apply_move = _apply_move
         while side.frontier and depth < self.budget.max_depth and not truncated:
+            packing = self._fit(packing, side, (side,))
+            moves = packing.moves
             new_frontier = []
             for idx in side.frontier:
-                entries, m1, parent, _ = records[idx]
+                state, m1, parent, _ = records[idx]
                 known = self._known_children(side, idx)
                 for move_idx, hit in enumerate(known):
                     if hit is None:
-                        axis, move = moves[move_idx]
-                        child = apply_move(axis, move, entries, rows, cols)
+                        child = apply_move(state, moves[move_idx])
                         hit = visited.get(child)
                         if hit is None:
                             if work + 1 > max_nodes:
@@ -530,6 +644,7 @@ class _Engine:
                     break
                 kids.append(known)
             side.frontier = new_frontier
+            side.bits += 1
             depth += 1
 
         # Products of harvested stabilizer elements, budget permitting;

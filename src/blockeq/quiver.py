@@ -453,9 +453,9 @@ def decide_rep_isomorphism(
         if v == nv:
             return list(assign)
         for cand in candidate_iter_factory(v):
-            tested += 1
-            if tested > budget.max_nodes:
+            if tested == budget.max_nodes:
                 raise _BudgetExhausted
+            tested += 1
             if not prefiltered and (
                 hom_inverse(cand, rep1.groups[v], rep2.groups[v]) is None
             ):
@@ -506,8 +506,7 @@ def decide_rep_isomorphism(
 
     # Mixed / infinite vertex groups: iterative deepening on the entry bound,
     # capped by the node budget (bound itself capped by max_depth).
-    bound = 1
-    while tested <= budget.max_nodes:
+    for bound in range(1, budget.max_depth + 1):
         try:
             res = dfs(
                 0,
@@ -519,9 +518,6 @@ def decide_rep_isomorphism(
             return Verdict.unknown(BudgetReport(tested, 0))
         if res is not None:
             return finish_yes(res)
-        bound += 1
-        if bound > budget.max_depth:
-            break
     return Verdict.unknown(BudgetReport(tested, 0))
 
 

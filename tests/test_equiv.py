@@ -287,7 +287,7 @@ class TestSearchExpansion:
         ],
     )
     def test_commutation_sets_match_matrix_products(self, shape, group, unit_indices):
-        from blockeq.equiv import _LEFT, _Engine, _apply_move
+        from blockeq.equiv import _LEFT, _Engine, _Packing, _apply_move, _entry_bits
         from blockeq.poset_block import move_matrix
 
         engine = _Engine(shape, group, SearchBudget(), unit_indices)
@@ -297,13 +297,21 @@ class TestSearchExpansion:
         ]
         assert len(engine.noncommuting) == len(mats)
         # _apply_move is left multiplication by a left move's matrix and
-        # right multiplication by a right move's, at any integer size.
+        # right multiplication by a right move's, at any integer size, on a
+        # packing wide enough for two levels; the inverse alphabet undoes it.
         rows, cols = shape.total_rows, shape.total_cols
         rng = random.Random(len(mats))
         e = IntMatrix(rows, cols, [rng.randint(-10**12, 10**12) for _ in range(rows * cols)])
-        for (ax, mv), (_, m) in zip(engine.moves, mats):
+        packing = _Packing(engine, _entry_bits(e.entries) + 3)
+        state = packing.pack(e.entries)
+        assert packing.unpack(state) == e.entries
+        for (ax, _), (_, m), compiled, inverse in zip(
+            engine.moves, mats, packing.moves, packing.inverse_moves
+        ):
             product = m * e if ax == _LEFT else e * m
-            assert _apply_move(ax, mv, e.entries, rows, cols) == product.entries
+            child = _apply_move(state, compiled)
+            assert packing.unpack(child) == product.entries
+            assert _apply_move(child, inverse) == state
         for i, (ax_i, m_i) in enumerate(mats):
             ax_inv, m_inv = mats[engine.inverse_index[i]]
             assert ax_inv == ax_i and m_i * m_inv == IntMatrix.identity(m_i.rows)
@@ -316,7 +324,7 @@ class TestSearchExpansion:
         # every child takes 10,512 moves; children known from commuting pairs
         # of moves and from each record's parent are not built again, and the
         # verdict, witness and report stay exactly as they were.  Replaying
-        # the three witness words adds 24 moves: 5,912 are counted.
+        # the witness words applies no state move: 5,888 are counted.
         import blockeq.equiv as equiv
         from blockeq.poset_block import generator_moves, move_matrix
 
@@ -363,10 +371,151 @@ class TestSearchExpansion:
         shape = BlockShape.square(chain_poset(2), (2, 1))
         engine = equiv._Engine(shape, SL, SearchBudget(4, 3))
         a = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [0, 0, 5]])
-        side, other = equiv._Side(a.entries), equiv._Side(a.entries)
-        _, count, truncated = engine._expand(side, other, True, 1)
+        packing, (side, other) = engine._start(a.entries, a.entries)
+        _, count, truncated = engine._expand(side, other, packing.moves, 1)
         assert truncated and count == 3 and len(side.records) == 3
         assert sorted(side.visited.values()) == [0, 1, 2]
+
+
+def packing_widths(monkeypatch, headroom):
+    """Set the starting headroom and record the width of every packing the
+    engine makes."""
+    import blockeq.equiv as equiv
+
+    widths = []
+
+    class RecordedPacking(equiv._Packing):
+        __slots__ = ()
+
+        def __init__(self, engine, width):
+            widths.append(width)
+            super().__init__(engine, width)
+
+    monkeypatch.setattr(equiv, "_Packing", RecordedPacking)
+    if headroom is not None:
+        monkeypatch.setattr(equiv, "_HEADROOM_LEVELS", headroom)
+    return widths
+
+
+def packed_and_tuple_verdicts(monkeypatch, a, b, group, side, budget):
+    """decide_blocked_equivalence by the packed search and by tuple_search."""
+    import blockeq.equiv as equiv
+
+    packed = decide_blocked_equivalence(a, b, group=group, side=side, budget=budget)
+    with monkeypatch.context() as m:
+        m.setattr(equiv._Engine, "search", tuple_search)
+        reference = decide_blocked_equivalence(a, b, group=group, side=side, budget=budget)
+    return packed, reference
+
+
+def assert_same_verdict(packed, reference):
+    assert packed.status == reference.status
+    assert packed.report == reference.report
+    assert (packed.witness and [m.entries for m in packed.witness]) == (
+        reference.witness and [m.entries for m in reference.witness]
+    )
+
+
+class TestPackedStates:
+    """Packed-int states give exactly the verdicts, witnesses and reports of
+    entry-tuple states.  Headroom 0 starts every search at the narrowest
+    width, so its entries force re-encodes at wider fields."""
+
+    @pytest.mark.parametrize("headroom", [None, 0])
+    @pytest.mark.parametrize("group", [GL, SL])
+    def test_huge_entry_scrambles(self, monkeypatch, group, headroom):
+        widths = packing_widths(monkeypatch, headroom)
+        rng = random.Random(40 + len(group))
+        statuses = set()
+        for i in range(12):
+            shape = rand_square_shape(rng, max_poset=3, max_block=2)
+            a = rand_blocked(rng, shape, -10**40, 10**40)
+            _, _, b = scramble(rng, a, group, 5)
+            side = (SIDE_UAV, SIDE_UAV_INV)[i % 2]
+            budget = SearchBudget(6, (300, 5_000)[i % 2])
+            packed, reference = packed_and_tuple_verdicts(monkeypatch, a, b, group, side,
+                                                          budget)
+            assert_same_verdict(packed, reference)
+            statuses.add(packed.status)
+        assert "yes" in statuses
+        assert max(widths) > 130
+        if headroom == 0:
+            # Some search outgrew its starting width and was re-encoded.
+            assert len(widths) > 12
+
+    @pytest.mark.parametrize("headroom", [None, 0])
+    @pytest.mark.parametrize("shape", [
+        BlockShape(Poset(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 4)]),
+                   (1, 0, 1, 0, 1), (1, 1, 0, 1, 1)),
+        BlockShape.square(chain_poset(3), (2, 0, 1)),
+        BlockShape(chain_poset(2), (0, 2), (1, 1)),
+        BlockShape(chain_poset(2), (2, 1), (0, 1)),
+    ])
+    def test_rectangular_and_zero_size_blocks(self, monkeypatch, shape, headroom):
+        packing_widths(monkeypatch, headroom)
+        rng = random.Random(shape.total_rows * 7 + shape.total_cols)
+        for i in range(6):
+            group = (GL, SL)[i % 2]
+            a = rand_blocked(rng, shape, -3, 3)
+            _, _, b = scramble(rng, a, group, 6)
+            # A budget of one node is spent by the two roots.
+            for budget in (SearchBudget(8, 2_000), SearchBudget(3, 40), SearchBudget(4, 1)):
+                packed, reference = packed_and_tuple_verdicts(monkeypatch, a, b, group,
+                                                              SIDE_UAV, budget)
+                assert_same_verdict(packed, reference)
+
+    @pytest.mark.parametrize("headroom", [None, 0])
+    def test_sl_line_orbit_stays_narrow(self, monkeypatch, headroom):
+        # On the 2-chain with 1x1 blocks, SL moves only add +-5 to the
+        # corner, so entries grow linearly over 3,000 levels and the width
+        # stays far below that depth.
+        widths = packing_widths(monkeypatch, headroom)
+        shape = BlockShape.square(chain_poset(2), (1, 1))
+        a = BlockedMatrix(shape, IntMatrix.from_rows([[5, 1], [0, 5]]))
+        b = BlockedMatrix(shape, IntMatrix.from_rows([[5, 4], [0, 5]]))
+        packed, reference = packed_and_tuple_verdicts(monkeypatch, a, b, SL, SIDE_UAV,
+                                                      SearchBudget(3000, 6000))
+        assert_same_verdict(packed, reference)
+        assert packed.is_unknown and packed.report.nodes_expanded == 6000
+        assert max(widths) < 64
+
+    @pytest.mark.parametrize("headroom", [None, 0])
+    def test_sweep_of_huge_entries(self, monkeypatch, headroom):
+        # The stabilizer of c*b is that of b, so the sweep offers the same
+        # elements for b scaled by 10^40, and so does the tuple reference.
+        import blockeq.equiv as equiv
+
+        widths = packing_widths(monkeypatch, headroom)
+        for seed, group in ((16, GL), (20, SL)):
+            _, b, _, _ = sweep_instance(seed, group)
+            big = IntMatrix(b.matrix.rows, b.matrix.cols, [10**40 * e for e in b.matrix.entries])
+            engine = equiv._Engine(b.shape, group, SearchBudget(4, 3_000))
+            fast = recorded_sweep(equiv._Engine.stabilizer_sweep, engine, big)
+            assert fast[0]
+            assert fast == recorded_sweep(reference_sweep, engine, big)
+            assert fast == recorded_sweep(equiv._Engine.stabilizer_sweep, engine, b.matrix)
+        if headroom == 0:
+            assert len(widths) > 4
+
+    def test_replay_applies_no_state_move(self, monkeypatch):
+        import blockeq.equiv as equiv
+
+        shape = BlockShape.square(chain_poset(3), (2, 1, 2))
+        engine = equiv._Engine(shape, GL, SearchBudget())
+        calls = count_calls(monkeypatch, equiv._apply_move)
+        word = engine._replay(list(range(len(engine.moves))) * 2)
+        assert calls == []
+        u, w, u_inv, w_inv = (IntMatrix(5, 5, e) for e in word)
+        assert u * u_inv == IntMatrix.identity(5) and w * w_inv == IntMatrix.identity(5)
+
+    def test_sweep_builds_no_validated_matrix(self, monkeypatch):
+        import blockeq.equiv as equiv
+
+        _, b, _, _ = sweep_instance(16, GL)
+        engine = equiv._Engine(b.shape, GL, SearchBudget(4, 3_000))
+        calls = count_calls(monkeypatch, IntMatrix.__init__, IntMatrix)
+        offered, _, _ = recorded_sweep(equiv._Engine.stabilizer_sweep, engine, b.matrix)
+        assert offered and calls == []
 
 
 class TestRecoveryAcrossGroups:
@@ -661,15 +810,95 @@ class TestDecideWithUnit:
             assert solve_integer(b.matrix.transpose(), diff) is not None
 
 
+def tuple_move(axis, move, entries, rows, cols):
+    """A move applied to a row-major entry tuple: a left move multiplies on
+    the left, a right move on the right."""
+    from blockeq import _kernels
+    from blockeq.equiv import _LEFT
+
+    kind, a, b, sign = move
+    if axis == _LEFT:
+        if kind == "t":
+            return _kernels.row_add(entries, rows, cols, a, b, sign)
+        return _kernels.row_negate(entries, rows, cols, a)
+    if kind == "t":
+        return _kernels.col_add(entries, rows, cols, a, b, sign)
+    return _kernels.col_negate(entries, rows, cols, b)
+
+
+class TupleSide:
+    """A search side whose states are entry tuples."""
+
+    def __init__(self, root):
+        self.records = [(root, -1, -1, 0)]
+        self.visited = {root: 0}
+        self.kids = []
+        self.depth = 0
+        self.frontier = [0]
+
+
+def tuple_search(engine, a, b):
+    """The engine's search on entry-tuple states, building every child: the
+    same (witnesses, report, truncated) as the packed search."""
+    from blockeq.equiv import BudgetReport
+
+    rows, cols, max_nodes = engine.rows, engine.cols, engine.budget.max_nodes
+    fwd, bwd = TupleSide(a.entries), TupleSide(b.entries)
+
+    def expand(side, other, moves, count):
+        joins, new_frontier = [], []
+        for idx in side.frontier:
+            entries, _, _, depth = side.records[idx]
+            for move_idx, (axis, move) in enumerate(moves):
+                child = tuple_move(axis, move, entries, rows, cols)
+                if child in side.visited:
+                    continue
+                if count + 1 > max_nodes:
+                    return joins, count, True
+                rec = len(side.records)
+                side.records.append((child, move_idx, idx, depth + 1))
+                side.visited[child] = rec
+                new_frontier.append(rec)
+                count += 1
+                if child in other.visited:
+                    joins.append((rec, other.visited[child]))
+        side.frontier = new_frontier
+        side.depth += 1
+        return joins, count, False
+
+    nodes, truncated = 2, False
+    joins = [(0, 0)] if a.entries == b.entries else []
+    while not joins and not truncated:
+        if fwd.depth + bwd.depth >= engine.budget.max_depth:
+            break
+        if not fwd.frontier and not bwd.frontier:
+            break
+        if fwd.frontier and (not bwd.frontier or len(fwd.frontier) <= len(bwd.frontier)):
+            level_joins, nodes, truncated = expand(fwd, bwd, engine.moves, nodes)
+            joins = level_joins
+        else:
+            level_joins, nodes, truncated = expand(bwd, fwd, engine.inverse_moves, nodes)
+            joins = [(f, b_) for b_, f in level_joins]
+    report = BudgetReport(nodes, fwd.depth + bwd.depth)
+    if not joins:
+        return [], report, truncated
+    depth_of = lambda pair: fwd.records[pair[0]][3] + bwd.records[pair[1]][3]
+    best = min(map(depth_of, joins))
+    out = [engine._witness(fwd, bwd, f, b_) for f, b_ in joins if depth_of((f, b_)) == best]
+    out.sort(key=lambda word: word[:2])
+    return out, report, truncated
+
+
 def reference_sweep(engine, b, check):
     """The stabilizer sweep without the known-children rule: every child is
-    built by a move and looked up, and every non-tree edge is harvested."""
+    built by a move on entry tuples and looked up, and every non-tree edge is
+    harvested."""
     from blockeq import _kernels
-    from blockeq.equiv import BudgetReport, _apply_move, _chain_moves, _Side
+    from blockeq.equiv import BudgetReport, _chain_moves
 
     rows, cols = engine.rows, engine.cols
     mat_mul = _kernels.mat_mul
-    side = _Side(b.entries)
+    side = TupleSide(b.entries)
     root = engine._replay(())
     seen = {root[:2]}
     sigmas = []
@@ -692,7 +921,7 @@ def reference_sweep(engine, b, check):
         for idx in side.frontier:
             entries = side.records[idx][0]
             for move_idx, (axis, move) in enumerate(engine.moves):
-                child = _apply_move(axis, move, entries, rows, cols)
+                child = tuple_move(axis, move, entries, rows, cols)
                 hit = side.visited.get(child)
                 if hit is None:
                     if work + 1 > engine.budget.max_nodes:

@@ -96,3 +96,53 @@ def test_traced_run_reports_every_per_layer_metric():
     assert metrics["kernels.calls"]["value"] > 0
     assert metrics["equiv.sweep.self_s"]["value"] > 0
     assert metrics["intmat.solve.busy_s"]["value"] > 0
+
+
+def test_children_are_the_states_the_search_builds(monkeypatch):
+    # equiv.children counts exactly the _apply_move calls of the expansion:
+    # witness words are replayed through the entry-tuple kernels.
+    import blockeq.equiv as equiv
+
+    shape = BlockShape.square(chain_poset(3), (2, 1, 2))
+    a = IntMatrix.from_rows([[2, 1, 0, 1, 0], [0, 3, 1, 0, 1], [0, 0, 5, 1, 1],
+                             [0, 0, 0, 2, 1], [0, 0, 0, 1, 3]])
+    g = IntMatrix.identity(5).to_rows()
+    g[0][3] = g[2][4] = 1
+    b = IntMatrix.from_rows(g) * a * IntMatrix.from_rows(g)
+
+    def search():
+        return decide_blocked_equivalence(BlockedMatrix(shape, a), BlockedMatrix(shape, b),
+                                          group=SL, budget=SearchBudget(6, 20_000))
+
+    expanding, built = [], []
+    expand, apply_move = equiv._Engine._expand, equiv._apply_move
+
+    def counted_expand(*args):
+        expanding.append(True)
+        try:
+            return expand(*args)
+        finally:
+            expanding.pop()
+
+    def counted_apply(*args):
+        if expanding:
+            built.append(args)
+        return apply_move(*args)
+
+    monkeypatch.setattr(equiv._Engine, "_expand", counted_expand)
+    monkeypatch.setattr(equiv, "_apply_move", counted_apply)
+    verdict = search()
+    monkeypatch.undo()
+    assert verdict.is_yes and verdict.witness[0] != IntMatrix.identity(5)
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing.install_all(tracer)
+    try:
+        search()
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracing.layer_metrics(tracer, 1.0, 1.0)
+    assert metrics["equiv.children"]["value"] == len(built) > 0
+    assert metrics["equiv.nodes"]["value"] == verdict.report.nodes_expanded
+    assert 0 < metrics["equiv.new_child_share"]["value"] <= 1

@@ -459,6 +459,21 @@ class TestDecideRepIsomorphism:
         r2 = ZRep(q, [Z, Z], [IntMatrix.from_rows([[-5]])])
         v = decide_rep_isomorphism(r1, r2, q, SearchBudget(1, 2))
         assert v.is_unknown
+        assert v.report.nodes_expanded <= 2
+
+    def test_exhausted_budget_reports_max_nodes(self):
+        # A loop x2 against x3 on C37: no automorphism u has 2u = 3u, and
+        # the edge invariants agree, so all 36 automorphisms are tried.
+        q = Quiver(1, [("e", 0, 0)])
+        c37 = IntMatrix.from_rows([[37]])
+        r2 = ZRep(q, [c37], [IntMatrix.from_rows([[2]])])
+        r3 = ZRep(q, [c37], [IntMatrix.from_rows([[3]])])
+        v = decide_rep_isomorphism(r2, r3, q, SearchBudget(8, 10))
+        assert v.is_unknown and v.report.nodes_expanded == 10
+        for max_nodes in (35, 36):
+            v = decide_rep_isomorphism(r2, r3, q, SearchBudget(8, max_nodes))
+            assert v.report.nodes_expanded == max_nodes
+            assert v.status == ("no" if max_nodes == 36 else "unknown")
 
     def test_oracle_agreement_small(self):
         rng = random.Random(51)
