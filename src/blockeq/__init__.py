@@ -22,6 +22,7 @@ from .intmat import (
 from .poset_block import (
     GL,
     SL,
+    UNIT_RESTRICTED,
     BlockShape,
     BlockStructureError,
     BlockedMatrix,
@@ -39,7 +40,6 @@ from .poset_block import (
 from .equiv import (
     SIDE_UAV,
     SIDE_UAV_INV,
-    UNIT_RESTRICTED,
     BudgetReport,
     Certificate,
     Gadget,

@@ -17,10 +17,10 @@ from functools import cache
 from . import serialize
 from .equiv import (
     GL,
-    SL,
-    UNIT_RESTRICTED,
+    GROUPS,
     SIDE_UAV,
     SIDE_UAV_INV,
+    SL,
     SearchBudget,
     decide_blocked_equivalence,
     decide_with_unit,
@@ -37,9 +37,6 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
 EXIT_CANTCREAT = 73
-
-_GROUP_FLAGS = {"gl": GL, "sl": SL, "unit": UNIT_RESTRICTED}
-_SIDE_FLAGS = {"uav": SIDE_UAV, "uav-inv": SIDE_UAV_INV}
 
 
 class _UsageError(Exception):
@@ -93,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blocked-eq", help="blocked equivalence of two blocked matrices")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--group", choices=sorted(_GROUP_FLAGS), default="sl")
-    p.add_argument("--side", choices=sorted(_SIDE_FLAGS), default="uav")
+    p.add_argument("--group", choices=GROUPS, default=SL)
+    p.add_argument("--side", choices=(SIDE_UAV, SIDE_UAV_INV), default=SIDE_UAV)
     add_budget(p)
     add_output(p)
 
@@ -103,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--group", choices=sorted(_GROUP_FLAGS), default="gl")
+    p.add_argument("--group", choices=GROUPS, default=GL)
     add_budget(p)
     add_output(p)
 
@@ -221,8 +218,8 @@ def _run(args) -> int:
             verdict = decide_blocked_equivalence(
                 left,
                 right,
-                group=_GROUP_FLAGS[args.group],
-                side=_SIDE_FLAGS[args.side],
+                group=args.group,
+                side=args.side,
                 budget=budget,
             )
         except ValueError as exc:
@@ -238,7 +235,7 @@ def _run(args) -> int:
         budget = _budget(args)
         try:
             verdict = decide_with_unit(
-                left, right, x, y, group=_GROUP_FLAGS[args.group], budget=budget
+                left, right, x, y, group=args.group, budget=budget
             )
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc

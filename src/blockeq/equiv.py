@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 
 from . import _kernels
 from .intmat import (
@@ -49,7 +50,9 @@ from .intmat import (
 )
 from .poset_block import (
     GL,
+    GROUPS,
     SL,
+    UNIT_RESTRICTED,
     BlockedMatrix,
     BlockShape,
     ShapeError,
@@ -58,13 +61,10 @@ from .poset_block import (
     inverse_move,
 )
 
-UNIT_RESTRICTED = "unit"
-
 SIDE_UAV = "uav"
 SIDE_UAV_INV = "uav-inv"
 
 _SIDES = (SIDE_UAV, SIDE_UAV_INV)
-_ENGINE_GROUPS = (GL, SL, UNIT_RESTRICTED)
 
 
 @dataclass(frozen=True)
@@ -171,25 +171,20 @@ class InvariantProfile:
         return certs
 
 
-def _group_class(m: IntMatrix) -> FgAbelianGroup:
-    g = cokernel(m)
-    return FgAbelianGroup(g.free_rank, g.torsion)
-
-
 def invariant_profile(a: BlockedMatrix, group: str) -> InvariantProfile:
     """Profile of a blocked matrix under the requested group action.
 
     Accepts rectangular shapes as well; determinant signs are recorded only
     for SL with square diagonal blocks, where they are genuinely invariant.
     """
-    if group not in _ENGINE_GROUPS:
+    if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     shape = a.shape
     convex = []
     for s in shape.poset.convex_subsets():
         rows = [r for i in s for r in shape.row_range(i)]
         cols = [c for j in s for c in shape.col_range(j)]
-        convex.append((s, _group_class(a.matrix.submatrix(rows, cols))))
+        convex.append((s, cokernel(a.matrix.submatrix(rows, cols))))
     # The whole poset and every singleton are convex, so the whole matrix
     # and each diagonal block already have their class in the list.
     classes = dict(convex)
@@ -303,16 +298,6 @@ class _Packing:
         return tuple(((state >> (w * k)) & field) - half for k in range(self.size))
 
 
-def _unit_blocks(square_shape, unit_indices):
-    """Indices of the diagonal blocks pinned to 1 in the unit-restricted
-    group: the blocks of size 1, unless unit_indices is given."""
-    if unit_indices is not None:
-        return tuple(unit_indices)
-    return tuple(
-        i for i in square_shape.poset.elements() if square_shape.row_sizes[i - 1] == 1
-    )
-
-
 def _apply_move(state, move):
     """The child of a packed state under a move compiled by _Packing."""
     src_shift, mask, base, dst_shift, factor = move
@@ -340,18 +325,15 @@ class _Engine:
     its inverse, and no unimodular matrix is inverted by a Smith form.
     """
 
-    def __init__(self, shape: BlockShape, group: str, budget: SearchBudget,
-                 unit_indices=None):
+    def __init__(self, shape: BlockShape, group: str, budget: SearchBudget):
         self.shape = shape
         self.rows = shape.total_rows
         self.cols = shape.total_cols
         self.budget = budget
-        move_group = GL if group == UNIT_RESTRICTED else group
-        right_unit = None
-        if group == UNIT_RESTRICTED:
-            right_unit = _unit_blocks(shape.col_square(), unit_indices)
-        lefts = generator_moves(shape.row_square(), move_group)
-        rights = generator_moves(shape.col_square(), move_group, right_unit)
+        # The groups of U and of W: the unit condition constrains W only.
+        self.groups = (GL if group == UNIT_RESTRICTED else group, group)
+        lefts = generator_moves(shape.row_square(), self.groups[0])
+        rights = generator_moves(shape.col_square(), group)
         self.moves = [(_LEFT, mv) for mv in lefts] + [(_RIGHT, mv) for mv in rights]
         self.inverse_moves = [(ax, inverse_move(mv)) for ax, mv in self.moves]
         index = {am: i for i, am in enumerate(self.moves)}
@@ -673,30 +655,12 @@ def _require_same_shape(a: BlockedMatrix, b: BlockedMatrix):
         raise ShapeError("operands live in different blocked shapes")
 
 
-def _witness_groups_ok(shape, group, u, v, unit_indices):
-    if group == UNIT_RESTRICTED:
-        if not group_membership(u, shape.row_square(), GL):
-            return False
-        if not group_membership(v, shape.col_square(), GL):
-            return False
-        col_square = shape.col_square()
-        for i in _unit_blocks(col_square, unit_indices):
-            blk = v.submatrix(col_square.row_range(i), col_square.col_range(i))
-            if blk.entries != (1,):
-                return False
-        return True
-    return group_membership(u, shape.row_square(), group) and group_membership(
-        v, shape.col_square(), group
-    )
-
-
 def decide_blocked_equivalence(
     a: BlockedMatrix,
     b: BlockedMatrix,
     group: str = SL,
     side: str = SIDE_UAV,
     budget: SearchBudget = SearchBudget(),
-    unit_indices=None,
 ) -> Verdict:
     """Is there (U, V) in the blocked group with U*a*V = b (side "uav") or
     U*a*V^-1 = b (side "uav-inv")?
@@ -704,28 +668,27 @@ def decide_blocked_equivalence(
     Yes comes with an exactly re-verified witness; No with an invariant
     certificate; Unknown with the budget report.
     """
-    if group not in _ENGINE_GROUPS:
-        raise ValueError(f"unknown group {group!r}")
     if side not in _SIDES:
         raise ValueError(f"unknown side {side!r}")
     _require_same_shape(a, b)
-    return _decide_blocked(a, b, group, side, budget, unit_indices)[0]
+    refuted = _refute(a, b, group)
+    if refuted is not None:
+        return refuted
+    return _search(_Engine(a.shape, group, budget), a, b, side)[0]
 
 
-def _decide_blocked(a, b, group, side, budget, unit_indices):
-    """decide_blocked_equivalence, also returning its engine (None if
-    refuted) and the verified W with U*a*W = b of a yes (else None)."""
-    profile_group = GL if group == UNIT_RESTRICTED else group
-    pa = invariant_profile(a, profile_group)
-    pb = invariant_profile(b, profile_group)
-    diffs = pa.differences(pb)
-    if diffs:
-        return Verdict.no(diffs[0], BudgetReport(0, 0)), None, None
+def _refute(a, b, group):
+    """A no verdict certified by the first invariant difference, or None."""
+    diffs = invariant_profile(a, group).differences(invariant_profile(b, group))
+    return Verdict.no(diffs[0], BudgetReport(0, 0)) if diffs else None
 
-    engine = _Engine(a.shape, group, budget, unit_indices)
-    witnesses, report, truncated = engine.search(a.matrix, b.matrix)
+
+def _search(engine, a, b, side):
+    """The engine's verdict on U*a*V = b (side "uav") or U*a*V^-1 = b, and
+    the verified W with U*a*W = b of a yes (else None)."""
+    witnesses, report, _ = engine.search(a.matrix, b.matrix)
     if not witnesses:
-        return Verdict.unknown(report), engine, None
+        return Verdict.unknown(report), None
     rows, cols = engine.rows, engine.cols
     u_ent, w_ent, _, w_inv_ent = witnesses[0]
     u, w = IntMatrix._trusted(rows, rows, u_ent), IntMatrix._trusted(cols, cols, w_ent)
@@ -735,54 +698,29 @@ def _decide_blocked(a, b, group, side, budget, unit_indices):
     if (
         u * a.matrix * w != b.matrix
         or (side == SIDE_UAV_INV and v * w != IntMatrix.identity(cols))
-        or not _witness_groups_ok(a.shape, group, u, v, unit_indices)
+        or not group_membership(u, engine.shape.row_square(), engine.groups[0])
+        or not group_membership(v, engine.shape.col_square(), engine.groups[1])
     ):  # pragma: no cover - soundness guard
         raise AssertionError("witness failed re-verification")
-    return Verdict.yes(u, v, report), engine, w
+    return Verdict.yes(u, v, report), w
 
 
 # ---------------------------------------------------------------------------
 # Unit-vector condition (the two-equation decision)
 
 
-def _pair_group_finite(shape: BlockShape) -> bool:
-    """True when the full (U, V) group is provably finite: every diagonal
-    block is at most 1x1 and no off-diagonal block is ever nonzero."""
-    for sizes in (shape.row_sizes, shape.col_sizes):
-        for i in shape.poset.elements():
-            if sizes[i - 1] > 1:
-                return False
-    for i in shape.poset.elements():
-        for j in shape.poset.elements():
-            if i != j and shape.poset.leq(i, j):
-                if shape.row_sizes[i - 1] and shape.row_sizes[j - 1]:
-                    return False
-                if shape.col_sizes[i - 1] and shape.col_sizes[j - 1]:
-                    return False
-    return True
-
-
-def _finite_group_elements(square_shape: BlockShape, group: str, unit_indices=None):
-    """All elements of a provably finite blocked group, lexicographic order."""
-    n = square_shape.total_rows
-    positions = []
-    for i in square_shape.poset.elements():
-        for k in square_shape.row_range(i):
-            positions.append((i, k))
-    if group == SL:
-        return [IntMatrix.identity(n)]
-    blocked = ()
-    if group == UNIT_RESTRICTED:
-        blocked = _unit_blocks(square_shape, unit_indices)
-    free_positions = [k for (i, k) in positions if i not in blocked]
+def _sign_products(engine, axis):
+    """Every product of the engine's sign flips on one side, in lexicographic
+    order of entries: the whole group of that side when it has no
+    transvection."""
+    n = engine.rows if axis == _LEFT else engine.cols
+    coords = [k for ax, (_, k, _, _) in engine.moves if ax == axis]
     out = []
-    for mask in range(1 << len(free_positions)):
+    for signs in product((-1, 1), repeat=len(coords)):
         diag = [1] * n
-        for bit, k in enumerate(free_positions):
-            if mask >> bit & 1:
-                diag[k] = -1
+        for k, sign in zip(coords, signs):
+            diag[k] = sign
         out.append(IntMatrix.diagonal(diag))
-    out.sort(key=lambda m: m.entries)
     return out
 
 
@@ -793,22 +731,21 @@ def decide_with_unit(
     y: IntMatrix,
     group: str = GL,
     budget: SearchBudget = SearchBudget(),
-    unit_indices=None,
 ) -> Verdict:
     """Decide the two-condition problem: (U, V) in the group with
 
         (1)  U*a*V^-1 = b, and
         (2)  (V^-1)^T x - y  in  im_Z(b^T).
 
-    Complete (yes/no) when the pair group is provably finite; otherwise the
-    engine searches (1)-witnesses and sweeps the stabilizer coset for (2).
+    Complete (yes/no) when the generators hold no transvection, so that the
+    pair group is finite; otherwise the engine searches (1)-witnesses and
+    sweeps the stabilizer coset for (2).
     """
-    if group not in _ENGINE_GROUPS:
-        raise ValueError(f"unknown group {group!r}")
     _require_same_shape(a, b)
     n = a.shape.total_cols
     if x.cols != 1 or y.cols != 1 or x.rows != n or y.rows != n:
         raise DimensionError("x and y must be columns of the total column count")
+    engine = _Engine(a.shape, group, budget)
 
     bt = b.matrix.transpose()
 
@@ -819,11 +756,11 @@ def decide_with_unit(
     def condition2(v_inv: IntMatrix):
         return solve_matrix(bt, v_inv.transpose() * x - y, bt_snf()) is not None
 
-    if _pair_group_finite(a.shape):
-        left_group = GL if group == UNIT_RESTRICTED else group
-        us = _finite_group_elements(a.shape.row_square(), left_group)
-        # Each V is a +-1 diagonal matrix, hence its own inverse.
-        vs = _finite_group_elements(a.shape.col_square(), group, unit_indices)
+    if all(kind == "f" for _, (kind, _, _, _) in engine.moves):
+        # A transvection has infinite order; without one the group is
+        # exactly the products of its sign flips.  Each V is a +-1 diagonal
+        # matrix, hence its own inverse.
+        us, vs = _sign_products(engine, _LEFT), _sign_products(engine, _RIGHT)
         checked = 0
         for u in us:
             for v in vs:
@@ -839,9 +776,10 @@ def decide_with_unit(
             BudgetReport(checked, 0),
         )
 
-    base, engine, v1_inv = _decide_blocked(
-        a, b, group, SIDE_UAV_INV, budget, unit_indices
-    )
+    refuted = _refute(a, b, group)
+    if refuted is not None:
+        return refuted
+    base, v1_inv = _search(engine, a, b, SIDE_UAV_INV)
     if not base.is_yes:
         return base
     u1, v1 = base.witness

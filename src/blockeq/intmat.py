@@ -9,7 +9,7 @@ annihilators of rational images, and decimal text of integers of any size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 
@@ -257,14 +257,11 @@ class SmithDecomposition:
 class FgAbelianGroup:
     """Finitely generated abelian group: Z^free_rank + Z/d1 + ... + Z/dk.
 
-    Invariant factors satisfy 2 <= d1 | d2 | ... | dk.  Equality compares the
-    isomorphism class only; the optional presentation (a matrix whose cokernel
-    this group is) rides along uncompared.
+    Invariant factors satisfy 2 <= d1 | d2 | ... | dk.
     """
 
     free_rank: int
     torsion: tuple[int, ...] = ()
-    presentation: IntMatrix | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -542,11 +539,11 @@ def rank(a: IntMatrix) -> int:
 
 
 def cokernel(a: IntMatrix) -> FgAbelianGroup:
-    """cok(a) = Z^rows / im_Z(a), with the source kept as presentation."""
+    """cok(a) = Z^rows / im_Z(a)."""
     diag = smith_diagonal(a)
     torsion = tuple(d for d in diag if d >= 2)
     r = sum(1 for d in diag if d != 0)
-    return FgAbelianGroup(a.rows - r, torsion, presentation=a)
+    return FgAbelianGroup(a.rows - r, torsion)
 
 
 def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:

@@ -19,8 +19,10 @@ from .intmat import DimensionError, IntMatrix, determinant
 
 GL = "gl"
 SL = "sl"
+# GL with every 1x1 diagonal block pinned to 1 (the unit condition).
+UNIT_RESTRICTED = "unit"
 
-_GROUPS = (GL, SL)
+GROUPS = (GL, SL, UNIT_RESTRICTED)
 
 
 class ShapeError(ValueError):
@@ -380,8 +382,9 @@ class BlockedMatrix:
 
 def group_membership(matrix: IntMatrix, shape: BlockShape, group: str) -> bool:
     """Unit test for the blocked algebra: GL needs every diagonal block
-    determinant +-1, SL needs determinant exactly 1."""
-    if group not in _GROUPS:
+    determinant +-1, SL needs determinant exactly 1, and UNIT_RESTRICTED is
+    GL with every 1x1 diagonal block equal to 1."""
+    if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     if not shape.is_square:
         raise ShapeError("group membership needs a square shape")
@@ -394,7 +397,7 @@ def group_membership(matrix: IntMatrix, shape: BlockShape, group: str) -> bool:
         if not rows:
             continue
         d = determinant(matrix.submatrix(rows, rows))
-        if group == SL:
+        if group == SL or (group == UNIT_RESTRICTED and len(rows) == 1):
             if d != 1:
                 return False
         elif d not in (1, -1):
@@ -428,13 +431,11 @@ def blocked_identity(shape: BlockShape) -> BlockedMatrix:
 # then sign flips by coordinate.
 
 
-def generator_moves(shape: BlockShape, group: str, unit_indices=None):
-    """Move descriptors for the elementary generators of the blocked group.
-
-    unit_indices restricts away the sign flips inside the named size-1 blocks
-    (the paper-facing "V{i} = 1" condition); it only makes sense with GL.
-    """
-    if group not in _GROUPS:
+def generator_moves(shape: BlockShape, group: str):
+    """Move descriptors for the elementary generators of the blocked group:
+    the transvections, then for GL every sign flip and for UNIT_RESTRICTED
+    the sign flips outside the 1x1 blocks."""
+    if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     if not shape.is_square:
         raise ShapeError("generators need a square shape")
@@ -450,12 +451,9 @@ def generator_moves(shape: BlockShape, group: str, unit_indices=None):
                         continue
                     moves.append(("t", s, t, 1))
                     moves.append(("t", s, t, -1))
-    if group == GL:
-        blocked = set()
-        if unit_indices is not None:
-            blocked = {i for i in unit_indices if shape.row_sizes[i - 1] == 1}
+    if group != SL:
         for i in poset.elements():
-            if i in blocked:
+            if group == UNIT_RESTRICTED and shape.row_sizes[i - 1] == 1:
                 continue
             for k in shape.row_range(i):
                 moves.append(("f", k, k, -1))
@@ -479,12 +477,12 @@ def inverse_move(move):
     return move
 
 
-def elementary_generators(shape: BlockShape, group: str, unit_indices=None):
+def elementary_generators(shape: BlockShape, group: str):
     """All transvections I +- E[s,t] with (s, t) inside an allowed block, plus
-    (for GL) the single-coordinate sign flips, as BlockedMatrix values."""
+    the group's single-coordinate sign flips, as BlockedMatrix values."""
     out = []
     n = shape.total_rows
-    for move in generator_moves(shape, group, unit_indices):
+    for move in generator_moves(shape, group):
         mat = move_matrix(move, n)
         blocked = BlockedMatrix(shape, mat)
         if not group_membership(mat, shape, group):  # pragma: no cover - theory

@@ -106,7 +106,7 @@ class PresentedGroup:
         free_idx += list(range(len(diag), gens))
         keep = torsion_idx + free_idx
         torsion = tuple(diag[i] for i in torsion_idx)
-        group = FgAbelianGroup(len(free_idx), torsion, presentation=relations)
+        group = FgAbelianGroup(len(free_idx), torsion)
         u_inv = invert_unimodular(dec.U) if gens else IntMatrix(0, 0, ())
         to_normal = dec.U.submatrix(keep, range(gens))
         from_normal = u_inv.submatrix(range(gens), keep)

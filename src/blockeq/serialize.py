@@ -204,6 +204,8 @@ def group_to_json(g: FgAbelianGroup) -> dict:
 def group_from_json(doc) -> FgAbelianGroup:
     _require_keys(doc, ("free_rank", "torsion"), "group")
     rank = _count(doc["free_rank"], "group.free_rank")
+    if not isinstance(doc["torsion"], list):
+        raise SchemaError("group.torsion: expected a list")
     torsion = [int_from_str(d) for d in doc["torsion"]]
     try:
         return FgAbelianGroup(rank, tuple(torsion))

@@ -223,9 +223,7 @@ class CondensedForm:
         """FlowInvariant of component i (1-based), read off the diagonal
         block of I - A."""
         blk = self.blocked.diagonal_block(i)
-        return FlowInvariant(
-            FgAbelianGroup(*cokernel(blk).iso_class()), determinant(blk)
-        )
+        return FlowInvariant(cokernel(blk), determinant(blk))
 
 
 def condense(a: SftMatrix) -> CondensedForm:
@@ -271,7 +269,7 @@ def stabilization_target(m, m2):
     return tuple(1 if a == 1 else 2 + max(a, b) for a, b in zip(m, m2))
 
 
-def _relabel_blocked(cond: CondensedForm, sigma) -> BlockedMatrix:
+def _relabel_blocked(cond: CondensedForm, sigma) -> tuple[IntMatrix, tuple]:
     """cond.blocked pulled back along sigma: block (i, j) of the result is
     block (sigma(i), sigma(j)) of the source.  Returns (matrix, sizes)."""
     shape = cond.blocked.shape

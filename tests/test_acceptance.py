@@ -423,6 +423,7 @@ def test_criterion_11_cli_conformance(tmp_path, capsys):
             (["flow-eq", full2, full3], 1),
             (["blocked-eq", b2, b2], 0),
             (["blocked-eq", b2, b3, "--group", "sl", "--max-depth", "1"], 1),
+            (["blocked-eq", web, web, "--group", "unit"], 0),
             (["unit-eq", b2, b2, x, y, "--group", "gl"], 0),
             (["kweb", web], 0),
             (["rep-iso", quiver, rep2, rep2], 0),

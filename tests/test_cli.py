@@ -267,6 +267,28 @@ class TestSubcommands:
             "max_depth": 1, "max_nodes": 5, "nodes_expanded": 5, "depth_reached": 0,
         }
 
+    def test_blocked_eq_unit(self, corpus, capsys, tmp_path):
+        # b = diag(-1, 1) * a * [[1, 1], [0, 1]]: the unit-restricted group
+        # keeps both 1x1 diagonal blocks of V at 1 and lets U flip a sign.
+        chain = {"poset": {"n": 2, "leq": [[1, 2]]}, "m": [1, 1], "n": [1, 1]}
+        b = write(
+            tmp_path,
+            "unit_b.json",
+            {"shape": chain, "matrix": {"rows": 2, "cols": 2, "entries": ["-2", "-3", "0", "3"]}},
+        )
+        code, out, _ = run(capsys, "blocked-eq", corpus["web"], b, "--group", "unit")
+        assert code == EXIT_YES
+        assert parse_stdout(out) == {
+            "budget": {
+                "depth_reached": 2, "max_depth": 8, "max_nodes": 1000000, "nodes_expanded": 14,
+            },
+            "status": "yes",
+            "witness": {
+                "U": {"rows": 2, "cols": 2, "entries": ["-1", "0", "0", "1"]},
+                "V": {"rows": 2, "cols": 2, "entries": ["1", "1", "0", "1"]},
+            },
+        }
+
     def test_unit_eq(self, corpus, capsys):
         code, out, _ = run(
             capsys, "unit-eq", corpus["b2"], corpus["b2"], corpus["x"], corpus["y"],

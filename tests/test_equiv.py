@@ -30,7 +30,7 @@ from blockeq import (
 )
 from blockeq.equiv import StabilizerError
 from blockeq.intmat import DimensionError, invert_unimodular, solve_integer
-from blockeq.poset_block import ShapeError, chain_poset, antichain_poset
+from blockeq.poset_block import ShapeError, antichain_poset, chain_poset, group_membership
 
 from helpers import (
     count_calls,
@@ -277,20 +277,20 @@ class TestDecideBlockedEquivalence:
 
 class TestSearchExpansion:
     @pytest.mark.parametrize(
-        "shape, group, unit_indices",
+        "shape, group",
         [
-            (BlockShape.square(chain_poset(3), (2, 1, 2)), SL, None),
-            (BlockShape.square(Poset(3, [(1, 3)]), (2, 2, 1)), GL, None),
+            (BlockShape.square(chain_poset(3), (2, 1, 2)), SL),
+            (BlockShape.square(Poset(3, [(1, 3)]), (2, 2, 1)), GL),
             (BlockShape(Poset(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 4)]),
-                        (1, 0, 1, 0, 1), (1, 1, 0, 1, 1)), GL, None),
-            (BlockShape.square(chain_poset(3), (1, 2, 1)), UNIT_RESTRICTED, (1,)),
+                        (1, 0, 1, 0, 1), (1, 1, 0, 1, 1)), GL),
+            (BlockShape.square(chain_poset(3), (1, 2, 1)), UNIT_RESTRICTED),
         ],
     )
-    def test_commutation_sets_match_matrix_products(self, shape, group, unit_indices):
+    def test_commutation_sets_match_matrix_products(self, shape, group):
         from blockeq.equiv import _LEFT, _Engine, _Packing, _apply_move, _entry_bits
         from blockeq.poset_block import move_matrix
 
-        engine = _Engine(shape, group, SearchBudget(), unit_indices)
+        engine = _Engine(shape, group, SearchBudget())
         mats = [
             (ax, move_matrix(mv, shape.total_rows if ax == _LEFT else shape.total_cols))
             for ax, mv in engine.moves
@@ -556,7 +556,7 @@ class TestRecoveryAcrossGroups:
             )
             a = rand_blocked(rng, shape, -2, 2)
             left = generator_moves(shape.row_square(), _GL)
-            right = generator_moves(shape.col_square(), _GL, restricted)
+            right = generator_moves(shape.col_square(), UNIT_RESTRICTED)
             n = shape.total_rows
             u = IntMatrix.identity(n)
             w = IntMatrix.identity(n)
@@ -578,37 +578,42 @@ class TestRecoveryAcrossGroups:
 
 class TestDecideWithUnitOracle:
     def test_finite_shapes_match_exhaustive_oracle(self):
-        # On provably finite pair groups the engine is complete; compare with
-        # direct enumeration of the full group.
+        # Without a transvection the pair group is finite and the engine is
+        # complete; compare with direct enumeration of every {-1, 0, 1}
+        # matrix that group_membership admits.  In the second shape element 2
+        # has no coordinates, so the relation 1 <= 2 adds no transvection.
         rng = random.Random(262)
-        shape = BlockShape.square(antichain_poset(2), (1, 1))
-        from itertools import product as iproduct
-
-        signs = [IntMatrix.diagonal(d) for d in iproduct((1, -1), repeat=2)]
-        for trial in range(40):
-            a = BlockedMatrix(
-                shape, IntMatrix.diagonal([rng.randint(-2, 2), rng.randint(-2, 2)])
-            )
-            b_mat = IntMatrix.diagonal(
-                [a.matrix[0, 0] * rng.choice((1, -1)),
-                 a.matrix[1, 1] * rng.choice((1, -1))]
-            )
-            b = BlockedMatrix(shape, b_mat)
-            x = IntMatrix.column([rng.randint(-2, 2), rng.randint(-2, 2)])
-            y = IntMatrix.column([rng.randint(-2, 2), rng.randint(-2, 2)])
-            bt = b.matrix.transpose()
-            oracle = any(
-                u * a.matrix * invert_unimodular(v) == b.matrix
-                and solve_integer(
-                    bt, invert_unimodular(v).transpose() * x - y
+        shapes = [
+            BlockShape.square(antichain_poset(2), (1, 1)),
+            BlockShape.square(Poset(3, [(1, 2)]), (1, 0, 1)),
+        ]
+        for shape, group in [(sh, g) for sh in shapes for g in (GL, SL, UNIT_RESTRICTED)]:
+            sq = shape.row_square()
+            members = {
+                g: [m for m in sign_unimodulars(2) if group_membership(m, sq, g)]
+                for g in (GL, group)
+            }
+            us = members[GL if group == UNIT_RESTRICTED else group]
+            vs = members[group]
+            for trial in range(40):
+                d = [rng.randint(-2, 2), rng.randint(-2, 2)]
+                a = BlockedMatrix(shape, IntMatrix.diagonal(d))
+                b = BlockedMatrix(
+                    shape, IntMatrix.diagonal([e * rng.choice((1, -1)) for e in d])
                 )
-                is not None
-                for u in signs
-                for v in signs
-            )
-            verdict = decide_with_unit(a, b, x, y, group=GL)
-            assert verdict.status in ("yes", "no")
-            assert verdict.is_yes == oracle
+                x = IntMatrix.column([rng.randint(-2, 2), rng.randint(-2, 2)])
+                y = IntMatrix.column([rng.randint(-2, 2), rng.randint(-2, 2)])
+                bt = b.matrix.transpose()
+                oracle = any(
+                    u * a.matrix * invert_unimodular(v) == b.matrix
+                    and solve_integer(bt, invert_unimodular(v).transpose() * x - y)
+                    is not None
+                    for u in us
+                    for v in vs
+                )
+                verdict = decide_with_unit(a, b, x, y, group=group)
+                assert verdict.status in ("yes", "no")
+                assert verdict.is_yes == oracle, (shape, group, trial)
 
 
 class TestUnitRestricted:

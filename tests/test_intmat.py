@@ -184,10 +184,6 @@ class TestCokernel:
         g = cokernel(IntMatrix.from_rows([[0]]))
         assert g.iso_class() == (1, ())
 
-    def test_presentation_retained(self):
-        a = IntMatrix.diagonal([2, 3])
-        assert cokernel(a).presentation == a
-
     def test_group_invariants(self):
         with pytest.raises(ValueError):
             FgAbelianGroup(0, (1,))

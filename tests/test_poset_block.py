@@ -8,6 +8,7 @@ import pytest
 from blockeq import (
     GL,
     SL,
+    UNIT_RESTRICTED,
     BlockShape,
     BlockStructureError,
     BlockedMatrix,
@@ -23,7 +24,7 @@ from blockeq import (
     validate_membership,
 )
 from blockeq.intmat import DimensionError, invert_unimodular
-from blockeq.poset_block import antichain_poset, chain_poset
+from blockeq.poset_block import antichain_poset, chain_poset, generator_moves
 
 from helpers import rand_blocked, rand_poset, rand_square_shape
 
@@ -347,6 +348,22 @@ class TestElementaryGenerators:
         shape = BlockShape.square(chain_poset(3), (2, 1, 2))
         for g in elementary_generators(shape, GL):
             assert group_membership(g.matrix, shape, GL)
+
+    def test_unit_restricted_is_gl_with_1x1_blocks_pinned(self):
+        # Coordinate 2 is the 1x1 block: the unit-restricted alphabet is
+        # GL's, in the same order, without that sign flip.
+        shape = BlockShape.square(chain_poset(3), (2, 1, 2))
+        gl = generator_moves(shape, GL)
+        assert generator_moves(shape, UNIT_RESTRICTED) == [
+            mv for mv in gl if mv != ("f", 2, 2, -1)
+        ]
+        for g in elementary_generators(shape, UNIT_RESTRICTED):
+            assert group_membership(g.matrix, shape, UNIT_RESTRICTED)
+        flip_1x1 = IntMatrix.diagonal([1, 1, -1, 1, 1])
+        flip_2x2 = IntMatrix.diagonal([1, 1, 1, -1, 1])
+        assert group_membership(flip_1x1, shape, GL)
+        assert not group_membership(flip_1x1, shape, UNIT_RESTRICTED)
+        assert group_membership(flip_2x2, shape, UNIT_RESTRICTED)
 
 
 class TestIotaEmbed:

@@ -189,6 +189,16 @@ class TestValidate:
         assert serialize.validate_document(doc) == schema
         assert serialize.validate_document(doc, schema) == schema
 
+    @pytest.mark.parametrize("torsion", ["44", {"3": 1}])
+    def test_group_torsion_must_be_a_list(self, torsion):
+        # Iterating a string or an object used to read "44" as C4 x C4 and
+        # {"3": 1} as C3.
+        doc = {"free_rank": 0, "torsion": torsion}
+        with pytest.raises(SchemaError, match="group.torsion"):
+            serialize.group_from_json(doc)
+        with pytest.raises(SchemaError):
+            serialize.validate_document(doc)
+
     def test_cyclic_poset_rejected(self):
         with pytest.raises(SchemaError):
             serialize.poset_from_json({"n": 3, "leq": [[1, 2], [2, 3], [3, 1]]})
