@@ -12,7 +12,6 @@ implies i <= j as integers.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from itertools import combinations
 
 from .intmat import DimensionError, IntMatrix, determinant
@@ -63,24 +62,19 @@ class Poset:
         Returns (poset, relabel) where relabel[old - 1] = new label.
         """
         rel = _order_closure(size, pairs)
-        # Stable topological order (Kahn's algorithm with a heap): repeatedly
-        # take the minimal original label among elements with no unplaced
-        # predecessor.
-        waiting = [0] * (size + 1)
-        above = [[] for _ in range(size + 1)]
+        # Stable topological order: repeatedly place the least label whose
+        # strict predecessors are all placed.
+        below = [0] * (size + 1)
         for i, j in rel:
             if i != j:
-                waiting[j] += 1
-                above[i].append(j)
-        ready = [x for x in range(1, size + 1) if not waiting[x]]
+                below[j] |= 1 << i
+        placed = 0
         order = []
-        while ready:
-            x = heappop(ready)
+        for _ in range(size):
+            x = next(x for x in range(1, size + 1)
+                     if not placed >> x & 1 and not below[x] & ~placed)
+            placed |= 1 << x
             order.append(x)
-            for y in above[x]:
-                waiting[y] -= 1
-                if not waiting[y]:
-                    heappush(ready, y)
         relabel = [0] * size
         for new, old in enumerate(order, start=1):
             relabel[old - 1] = new
@@ -191,28 +185,37 @@ class Poset:
         return f"Poset({self.size}, {self.strict_pairs()})"
 
 
+def reachability(size, edges):
+    """One bitmask per vertex 0..size-1: bit v of entry u is set when a path
+    of one or more edges leads from u to v (Warshall on bitmasks)."""
+    reach = [0] * size
+    for u, v in edges:
+        reach[u] |= 1 << v
+    for k in range(size):
+        bit, via = 1 << k, reach[k]
+        for u in range(size):
+            if reach[u] & bit:
+                reach[u] |= via
+    return reach
+
+
 def _order_closure(size, pairs):
     """Reflexive and transitive closure of pairs on 1..size, rejecting pairs
     out of range and cycles."""
-    succ = [set() for _ in range(size + 1)]
+    edges = []
     for i, j in pairs:
         if not (1 <= i <= size and 1 <= j <= size):
             raise ValueError(f"pair ({i},{j}) out of range 1..{size}")
-        succ[i].add(j)
-    # One reachability pass per element.
-    rel = set()
-    for i in range(1, size + 1):
-        reached = {i}
-        stack = [i]
-        while stack:
-            for k in succ[stack.pop()] - reached:
-                reached.add(k)
-                stack.append(k)
-        rel.update((i, k) for k in reached)
-    for i, j in sorted(rel):
-        if i != j and (j, i) in rel:
-            raise ValueError(f"antisymmetry violated at ({i},{j})")
-    return rel
+        if i != j:
+            edges.append((i - 1, j - 1))
+    up = reachability(size, edges)
+    for i, mask in enumerate(up):
+        if mask >> i & 1:
+            j = next(j for j in range(size)
+                     if j != i and mask >> j & 1 and up[j] >> i & 1)
+            raise ValueError(f"antisymmetry violated at ({i + 1},{j + 1})")
+    return {(i + 1, j + 1) for i, mask in enumerate(up)
+            for j in range(size) if j == i or mask >> j & 1}
 
 
 def chain_poset(n):

@@ -15,6 +15,7 @@ from .equiv import BudgetReport, Certificate, SearchBudget, Verdict
 from .intmat import FgAbelianGroup, IntMatrix, int_to_str
 from .poset_block import BlockedMatrix, BlockShape, Poset
 from .quiver import Edge, Quiver, ZRep
+from .sft import FlowInvariant
 
 _INT_RE = re.compile(r"^(0|-?[1-9][0-9]*)$")
 
@@ -238,9 +239,11 @@ def verdict_to_json(v: Verdict, budget: SearchBudget | None = None) -> dict:
 
 
 def verdict_from_json(doc) -> Verdict:
+    """A verdict as verdict_to_json writes it, plus the optional
+    flow_invariants that `blockeq flow-eq` adds to a yes."""
     if not isinstance(doc, dict) or "status" not in doc:
         raise SchemaError("verdict: expected an object with a status")
-    allowed = {"status", "witness", "certificate", "budget"}
+    allowed = {"status", "witness", "certificate", "budget", "flow_invariants"}
     extra = doc.keys() - allowed
     if extra:
         raise SchemaError(f"verdict: unexpected keys {sorted(extra)}")
@@ -256,18 +259,31 @@ def verdict_from_json(doc) -> Verdict:
         )
     certificate = None
     if "certificate" in doc:
-        _require_keys(doc["certificate"], ("name", "left", "right"), "verdict.certificate")
-        c = doc["certificate"]
-        certificate = Certificate(str(c["name"]), str(c["left"]), str(c["right"]))
+        fields = ("name", "left", "right")
+        _require_keys(doc["certificate"], fields, "verdict.certificate")
+        for key in fields:
+            if not isinstance(doc["certificate"][key], str):
+                raise SchemaError(f"verdict.certificate.{key}: expected a string")
+        certificate = Certificate(*(doc["certificate"][key] for key in fields))
     report = None
     if "budget" in doc:
         b = doc["budget"]
         if not isinstance(b, dict):
             raise SchemaError("verdict.budget: expected an object")
-        report = BudgetReport(
-            _count(b.get("nodes_expanded", 0), "budget.nodes_expanded"),
-            _count(b.get("depth_reached", 0), "budget.depth_reached"),
-        )
+        extra = b.keys() - {"max_depth", "max_nodes", "nodes_expanded", "depth_reached"}
+        if extra:
+            raise SchemaError(f"verdict.budget: unexpected keys {sorted(extra)}")
+        for key in b:
+            _count(b[key], f"budget.{key}")
+        report = BudgetReport(b.get("nodes_expanded", 0), b.get("depth_reached", 0))
+    if "flow_invariants" in doc:
+        inv = doc["flow_invariants"]
+        _require_keys(inv, ("bowen_franks", "parry_sullivan"), "verdict.flow_invariants")
+        try:
+            FlowInvariant(group_from_json(inv["bowen_franks"]),
+                          int_from_str(inv["parry_sullivan"]))
+        except ValueError as exc:
+            raise SchemaError(f"verdict.flow_invariants: {exc}") from exc
     return Verdict(status, witness=witness, certificate=certificate, report=report)
 
 
@@ -309,14 +325,21 @@ def rep_to_json(rep: ZRep) -> dict:
     }
 
 
-def rep_from_json(doc, quiver: Quiver) -> ZRep:
+def _rep_matrices(doc):
+    """(vertex presentations, edge maps) of a representation document."""
     _require_keys(doc, ("vertex_presentations", "edge_maps"), "representation")
     if not isinstance(doc["vertex_presentations"], list) or not isinstance(
         doc["edge_maps"], list
     ):
         raise SchemaError("representation: expected lists")
-    pres = [matrix_from_json(m) for m in doc["vertex_presentations"]]
-    maps = [matrix_from_json(m) for m in doc["edge_maps"]]
+    return (
+        [matrix_from_json(m) for m in doc["vertex_presentations"]],
+        [matrix_from_json(m) for m in doc["edge_maps"]],
+    )
+
+
+def rep_from_json(doc, quiver: Quiver) -> ZRep:
+    pres, maps = _rep_matrices(doc)
     try:
         return ZRep(quiver, pres, maps)
     except ValueError as exc:
@@ -339,6 +362,7 @@ _PARSERS = {
     "shape": shape_from_json,
     "blocked": blocked_from_json,
     "quiver": quiver_from_json,
+    "rep": _rep_matrices,
     "verdict": verdict_from_json,
     "group": group_from_json,
 }
@@ -373,10 +397,5 @@ def validate_document(doc, schema: str | None = None) -> str:
     name = schema or sniff_schema(doc)
     if name not in SCHEMAS:
         raise SchemaError(f"unknown schema {name!r}")
-    if name == "rep":
-        _require_keys(doc, ("vertex_presentations", "edge_maps"), "representation")
-        for m in doc["vertex_presentations"] + doc["edge_maps"]:
-            matrix_from_json(m)
-        return name
     _PARSERS[name](doc)
     return name

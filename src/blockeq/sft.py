@@ -22,7 +22,7 @@ from .equiv import (
     SIDE_UAV,
 )
 from .intmat import FgAbelianGroup, IntMatrix, cokernel, determinant, int_to_str
-from .poset_block import SL, BlockedMatrix, BlockShape, Poset, iota_embed
+from .poset_block import SL, BlockedMatrix, BlockShape, Poset, iota_embed, reachability
 
 
 class SftMatrix:
@@ -98,81 +98,40 @@ def parry_sullivan(a: SftMatrix) -> int:
     return determinant(_i_minus_a(a))
 
 
-def _digraph_sccs(a: SftMatrix):
-    """Strongly connected components in Tarjan discovery order (iterative,
-    rooted at increasing vertex index, hence deterministic)."""
+def _edges(a: SftMatrix):
+    """The digraph's edges (u, v), one per nonzero entry, by row."""
     n = a.size
-    adj = [
-        [v for v in range(n) if a.matrix[u, v] > 0]
-        for u in range(n)
-    ]
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
+    return [divmod(k, n) for k, e in enumerate(a.matrix.entries) if e]
+
+
+def _digraph_sccs(n, edges):
+    """Strongly connected components of the digraph on 0..n-1, each sorted,
+    by least vertex: the vertices reached from u that also reach u, and u."""
+    down = reachability(n, edges)
+    up = reachability(n, [(v, u) for u, v in edges])
     comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if index[w] is None:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+    seen = 0
+    for u in range(n):
+        if not seen >> u & 1:
+            mask = down[u] & up[u] | 1 << u
+            seen |= mask
+            comps.append([v for v in range(n) if mask >> v & 1])
     return comps
 
 
 def is_irreducible(a: SftMatrix) -> bool:
-    """Strong connectivity of the digraph; a single vertex needs a loop to
-    carry any edge at all."""
+    """Strong connectivity of the digraph: every vertex reaches every vertex
+    by a path of one or more edges (so a single vertex needs a loop)."""
     n = a.size
-    if n == 0:
-        return False
-    if n == 1:
-        return a.matrix[0, 0] > 0
-    return len(_digraph_sccs(a)) == 1
+    full = (1 << n) - 1
+    return n > 0 and all(mask == full for mask in reachability(n, _edges(a)))
 
 
 def is_single_cycle(a: SftMatrix) -> bool:
-    """A trivial shift: the digraph is one directed cycle (finite orbit)."""
-    n = a.size
-    if n == 0 or not is_irreducible(a):
-        return False
-    for i in range(n):
-        if sum(a.matrix[i, j] for j in range(n)) != 1:
-            return False
-        if sum(a.matrix[j, i] for j in range(n)) != 1:
-            return False
-    return True
+    """A trivial shift: the digraph is one directed cycle (finite orbit).
+    Irreducible with every out-degree 1 leaves n edges to give every vertex
+    an in-edge, so every in-degree is 1 as well."""
+    return is_irreducible(a) and all(sum(row) == 1 for row in a.matrix.to_rows())
 
 
 def decide_flow_equivalence_irreducible(a: SftMatrix, a2: SftMatrix) -> bool:
@@ -234,15 +193,12 @@ def condense(a: SftMatrix) -> CondensedForm:
         raise ValueError("cannot condense an empty adjacency matrix")
     # Labelling components by least vertex makes Poset.normalized's tie-break
     # (least label among the ready sources) the least original vertex.
-    comps = sorted(_digraph_sccs(a))
+    edges = _edges(a)
+    comps = _digraph_sccs(n, edges)
     label = {v: ci for ci, comp in enumerate(comps, start=1) for v in comp}
-    edges = {
-        (label[u], label[v])
-        for u in range(n)
-        for v in range(n)
-        if a.matrix[u, v] > 0 and label[u] != label[v]
-    }
-    poset, relabel = Poset.normalized(len(comps), edges)
+    poset, relabel = Poset.normalized(len(comps), {
+        (label[u], label[v]) for u, v in edges if label[u] != label[v]
+    })
     order = sorted(comps, key=lambda comp: relabel[label[comp[0]] - 1])
     sizes = tuple(len(comp) for comp in order)
     permutation = tuple(v for comp in order for v in comp)
@@ -288,25 +244,15 @@ def _relabel_blocked(cond: CondensedForm, sigma) -> tuple[IntMatrix, tuple]:
 def _alignments(c1: CondensedForm, c2: CondensedForm):
     """Order isomorphisms from c1's poset to c2's that respect trivial flags,
     the size-one pattern, and per-component flow invariants."""
-    out = []
-    inv1 = [c1.component_invariant(i) for i in c1.poset.elements()]
-    inv2 = [c2.component_invariant(i) for i in c2.poset.elements()]
-    for sigma in c1.poset.order_isomorphisms(c2.poset):
-        ok = True
-        for i in c1.poset.elements():
-            j = sigma[i - 1]
-            if c1.trivial_flags[i - 1] != c2.trivial_flags[j - 1]:
-                ok = False
-                break
-            if (c1.sizes[i - 1] == 1) != (c2.sizes[j - 1] == 1):
-                ok = False
-                break
-            if inv1[i - 1] != inv2[j - 1]:
-                ok = False
-                break
-        if ok:
-            out.append(sigma)
-    return out
+    def keys(c):
+        return [(c.trivial_flags[i - 1], c.sizes[i - 1] == 1, c.component_invariant(i))
+                for i in c.poset.elements()]
+
+    key1, key2 = keys(c1), keys(c2)
+    return [
+        sigma for sigma in c1.poset.order_isomorphisms(c2.poset)
+        if all(k == key2[j - 1] for k, j in zip(key1, sigma))
+    ]
 
 
 def _condensation_summary(c: CondensedForm) -> str:

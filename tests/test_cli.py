@@ -323,6 +323,25 @@ class TestSubcommands:
         code, out, _ = run(capsys, "validate", corpus["web"], "--schema", "blocked")
         assert code == EXIT_YES
 
+    @pytest.mark.parametrize("argv,expected", [
+        (("flow-eq", "fib", "full2"), EXIT_YES),
+        (("flow-eq", "full2", "full3"), EXIT_NO),
+        (("blocked-eq", "b2", "b2"), EXIT_YES),
+        (("blocked-eq", "b2", "b3"), EXIT_NO),
+        (("unit-eq", "b2", "b2", "x", "y", "--group", "gl"), EXIT_YES),
+        (("rep-iso", "quiver", "rep2", "rep2"), EXIT_YES),
+        (("rep-iso", "quiver", "rep2", "rep3"), EXIT_NO),
+    ])
+    def test_every_verdict_output_validates(self, corpus, capsys, tmp_path, argv, expected):
+        code, out, _ = run(capsys, *(corpus.get(a, a) for a in argv))
+        assert code == expected
+        path = tmp_path / "verdict.json"
+        path.write_text(out, encoding="utf-8")
+        for schema in ((), ("--schema", "verdict")):
+            code, out, err = run(capsys, "validate", str(path), *schema)
+            assert (code, err) == (EXIT_YES, "")
+            assert parse_stdout(out) == {"schema": "verdict", "valid": True}
+
     def test_rep_iso_rejects_map_breaking_relations(self, capsys, tmp_path):
         # The edge map sends a relation of C9 (presented with a unit
         # invariant factor) outside the relations of the target Z.
@@ -374,6 +393,17 @@ class TestErrorPaths:
         assert code == EXIT_DATA
         code, _, err = run(capsys, "validate", str(path), "--schema", "poset")
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("doc", [
+        {"vertex_presentations": [], "edge_maps": {"a": 1}},
+        {"vertex_presentations": "m", "edge_maps": []},
+    ])
+    def test_rep_parts_must_be_lists(self, tmp_path, capsys, doc):
+        path = write(tmp_path, "rep.json", doc)
+        for schema in ((), ("--schema", "rep")):
+            code, out, err = run(capsys, "validate", path, *schema)
+            assert (code, out) == (EXIT_DATA, "")
+            assert err == "blockeq: representation: expected lists\n"
 
     def test_bad_budget(self, corpus, capsys):
         code, _, err = run(

@@ -24,7 +24,9 @@ from blockeq import (
     validate_membership,
 )
 from blockeq.intmat import DimensionError, invert_unimodular
-from blockeq.poset_block import antichain_poset, chain_poset, generator_moves
+from blockeq.poset_block import (
+    antichain_poset, chain_poset, generator_moves, reachability,
+)
 
 from helpers import rand_blocked, rand_poset, rand_square_shape
 
@@ -44,8 +46,25 @@ class TestPoset:
         assert p.leq(1, 3)
 
     def test_antisymmetry_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"antisymmetry violated at \(1,2\)"):
             Poset(3, [(1, 2), (2, 3), (3, 1)])
+        with pytest.raises(ValueError, match=r"antisymmetry violated at \(2,4\)"):
+            Poset(4, [(1, 1), (4, 2), (2, 4), (3, 3)])
+        with pytest.raises(ValueError, match=r"pair \(1,5\) out of range 1..4"):
+            Poset(4, [(1, 5)])
+
+    def test_reachability(self):
+        # Against paths of one or more edges found by brute force, on edge
+        # lists with loops, repeats and isolated vertices.
+        rng = random.Random(66)
+        for t in range(200):
+            n = t % 10
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            step = {u: {v for (x, v) in edges if x == u} for u in range(n)}
+            reached = [set(step[u]) for u in range(n)]
+            for _ in range(n):
+                reached = [r | {w for v in r for w in step[v]} for r in reached]
+            assert reachability(n, edges) == [sum(1 << v for v in r) for r in reached]
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
@@ -60,11 +79,12 @@ class TestPoset:
         # Against a plain scan over a brute-force closure: repeatedly place
         # the least label whose predecessors are all placed.
         rng = random.Random(65)
-        for _ in range(200):
-            size = rng.randint(0, 7)
+        for _ in range(300):
+            size = rng.randint(0, 9)
             perm = rng.sample(range(1, size + 1), size)
             pairs = [(perm[i], perm[j]) for i in range(size)
-                     for j in range(i + 1, size) if rng.random() < 0.3]
+                     for j in range(i, size) if rng.random() < 0.3]
+            rng.shuffle(pairs)
             below = set(pairs) | {(x, x) for x in range(1, size + 1)}
             for _ in range(size):
                 below |= {(a, d) for (a, b) in below for (c, d) in below if b == c}

@@ -123,6 +123,28 @@ class TestVerdict:
         back = serialize.verdict_from_json(doc)
         assert back.certificate == v.certificate
 
+    @pytest.mark.parametrize("doc", [
+        {"status": "no", "certificate": {"name": 1, "left": [1], "right": None}},
+        {"status": "no", "certificate": {"name": "cokernel", "left": "C2", "right": 3}},
+        {"status": "unknown", "budget": {"nodes_expanded": 1, "depth_reached": 0, "seed": 3}},
+        {"status": "unknown", "budget": {"nodes_expanded": 1, "max_depth": "8"}},
+        {"status": "yes", "flow_invariants": {"parry_sullivan": "0"}},
+        {"status": "yes", "flow_invariants": {
+            "bowen_franks": {"free_rank": 1, "torsion": []}, "parry_sullivan": "00"}},
+        {"status": "yes", "flow_invariants": {
+            "bowen_franks": {"free_rank": 0, "torsion": []}, "parry_sullivan": "-2"}},
+    ])
+    def test_parse_is_strict(self, doc):
+        with pytest.raises(SchemaError):
+            serialize.verdict_from_json(doc)
+        with pytest.raises(SchemaError):
+            serialize.validate_document(doc)
+
+    def test_flow_invariants_accepted(self):
+        doc = {"status": "yes", "flow_invariants": {
+            "bowen_franks": {"free_rank": 0, "torsion": ["2"]}, "parry_sullivan": "-2"}}
+        assert serialize.verdict_from_json(doc).status == "yes"
+
     def test_status_checked(self):
         with pytest.raises(SchemaError):
             serialize.verdict_from_json({"status": "maybe"})

@@ -1,5 +1,6 @@
 """Flow-equivalence invariants, condensation, stabilization, full decision."""
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from blockeq import (
     validate_membership,
 )
 from blockeq.poset_block import chain_poset, generator_moves, move_matrix
-from blockeq.sft import is_single_cycle
+from blockeq.sft import _digraph_sccs, _edges, is_single_cycle
 
 FULL2 = SftMatrix.from_rows([[2]])
 FULL3 = SftMatrix.from_rows([[3]])
@@ -77,6 +78,22 @@ class TestIrreducibility:
         assert is_single_cycle(SftMatrix.from_rows([[0, 1], [1, 0]]))
         assert not is_single_cycle(FULL2)
         assert not is_single_cycle(FIB)
+
+    def test_single_cycle_exhaustive(self):
+        # Every {0,1,2} matrix up to 3x3 against "the permutation matrix of
+        # one n-cycle".
+        for n in range(4):
+            for ents in itertools.product((0, 1, 2), repeat=n * n):
+                rows = [ents[i * n:(i + 1) * n] for i in range(n)]
+                succ = [row.index(1) if sorted(row) == [0] * (n - 1) + [1] else None
+                        for row in rows]
+                expected = n > 0 and None not in succ and sorted(succ) == list(range(n))
+                if expected:
+                    v, length = succ[0], 1
+                    while v != 0:
+                        v, length = succ[v], length + 1
+                    expected = length == n
+                assert is_single_cycle(SftMatrix(IntMatrix(n, n, ents))) == expected
 
 
 class TestFranksDecision:
@@ -167,24 +184,34 @@ class TestCondense:
 
 
     def test_against_brute_force_reference(self):
-        # Components ordered by a scan that places, among the components no
-        # unplaced component reaches, the one with the least vertex first.
+        # Components, irreducibility and the condensation against a
+        # reachability closure written here, on digraphs with loops,
+        # multi-edges and empty rows.  Components are ordered by a scan that
+        # places, among the components no unplaced component reaches, the
+        # one with the least vertex first.
         rng = random.Random(44)
         ties = 0
-        for _ in range(150):
-            n = rng.randint(1, 8)
-            a = SftMatrix(IntMatrix(
-                n, n, [1 if rng.random() < 0.15 else 0 for _ in range(n * n)]
-            ))
-            reach = [[u == v or a.matrix[u, v] > 0 for v in range(n)] for u in range(n)]
+        for t in range(200):
+            n = t % 10
+            empty = {v for v in range(n) if rng.random() < 0.15}
+            a = SftMatrix(IntMatrix(n, n, [
+                0 if u in empty or rng.random() >= 0.15 else rng.choice((1, 1, 2))
+                for u in range(n) for _ in range(n)
+            ]))
+            path = [[a.matrix[u, v] > 0 for v in range(n)] for u in range(n)]
             for k in range(n):
                 for u in range(n):
                     for v in range(n):
-                        reach[u][v] = reach[u][v] or (reach[u][k] and reach[k][v])
+                        path[u][v] = path[u][v] or (path[u][k] and path[k][v])
+            reach = [[u == v or path[u][v] for v in range(n)] for u in range(n)]
             comps = sorted({
                 tuple(v for v in range(n) if reach[u][v] and reach[v][u])
                 for u in range(n)
             })
+            assert [tuple(c) for c in _digraph_sccs(n, _edges(a))] == comps
+            assert is_irreducible(a) == (n > 0 and all(map(all, path)))
+            if n == 0:
+                continue
             order = []
             while len(order) < len(comps):
                 sources = [
