@@ -802,11 +802,14 @@ def decide_with_unit(
             return (u, v)
         return None
 
+    # The sweep may spend only what the search left of the node budget.
+    spent = base.report.nodes_expanded
+    if spent >= budget.max_nodes:
+        return Verdict.unknown(base.report)
+    engine.budget = SearchBudget(budget.max_depth, budget.max_nodes - spent)
     found, report, _ = engine.stabilizer_sweep(b.matrix, check)
-    total = BudgetReport(
-        (base.report.nodes_expanded if base.report else 0) + report.nodes_expanded,
-        max(base.report.depth_reached if base.report else 0, report.depth_reached),
-    )
+    total = BudgetReport(spent + report.nodes_expanded,
+                         max(base.report.depth_reached, report.depth_reached))
     if found is not None:
         return Verdict.yes(found[0], found[1], total)
     return Verdict.unknown(total)

@@ -12,7 +12,8 @@ implies i <= j as integers.
 
 from __future__ import annotations
 
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import accumulate, combinations
 
 from .intmat import DimensionError, IntMatrix, determinant
 
@@ -32,27 +33,26 @@ class BlockStructureError(ValueError):
     """A matrix violates the poset block-triangularity pattern."""
 
 
+@dataclass(frozen=True, slots=True)
 class Poset:
     """Finite poset on {1..size} given by its (reflexively and transitively
-    closed) order relation, normalized so i <= j in P implies i <= j in Z."""
+    closed) order relation, normalized so i <= j in P implies i <= j in Z.
+    Any generating pairs may be given; `pairs` holds their closure."""
 
-    __slots__ = ("size", "pairs")
+    size: int
+    pairs: frozenset = ()
 
-    def __init__(self, size, pairs=()):
-        if size < 0:
+    def __post_init__(self):
+        if self.size < 0:
             raise ValueError("negative poset size")
-        rel = _order_closure(size, pairs)
+        rel = _order_closure(self.size, self.pairs)
         for i, j in rel:
             if i > j:
                 raise ValueError(
                     f"normalization violated: {i} precedes {j} but {i} > {j}; "
                     "relabel with Poset.normalized"
                 )
-        object.__setattr__(self, "size", size)
         object.__setattr__(self, "pairs", frozenset(rel))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poset is immutable")
 
     @classmethod
     def normalized(cls, size, pairs):
@@ -173,14 +173,6 @@ class Poset:
         extend([], set())
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, Poset):
-            return NotImplemented
-        return self.size == other.size and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash((self.size, self.pairs))
-
     def __repr__(self):
         return f"Poset({self.size}, {self.strict_pairs()})"
 
@@ -226,26 +218,27 @@ def antichain_poset(n):
     return Poset(n)
 
 
+@dataclass(frozen=True, slots=True)
 class BlockShape:
     """A poset together with block row sizes m and block column sizes n.
 
     Sizes may be zero (empty block rows/columns); the index sets
-    I = {i : m_i > 0} and J = {j : n_j > 0} must be nonempty.
+    I = {i : m_i > 0} and J = {j : n_j > 0} must be nonempty.  The offsets
+    and index sets are derived from the sizes and take no part in equality.
     """
 
-    __slots__ = (
-        "poset",
-        "row_sizes",
-        "col_sizes",
-        "row_offsets",
-        "col_offsets",
-        "I",
-        "J",
-    )
+    poset: Poset
+    row_sizes: tuple
+    col_sizes: tuple
+    row_offsets: tuple = field(init=False, compare=False)
+    col_offsets: tuple = field(init=False, compare=False)
+    I: tuple = field(init=False, compare=False)
+    J: tuple = field(init=False, compare=False)
 
-    def __init__(self, poset, row_sizes, col_sizes):
-        row_sizes = tuple(row_sizes)
-        col_sizes = tuple(col_sizes)
+    def __post_init__(self):
+        poset = self.poset
+        row_sizes = tuple(self.row_sizes)
+        col_sizes = tuple(self.col_sizes)
         if len(row_sizes) != poset.size or len(col_sizes) != poset.size:
             raise ShapeError("size vectors must have one entry per poset element")
         if any(s < 0 for s in row_sizes + col_sizes):
@@ -254,22 +247,15 @@ class BlockShape:
         bj = tuple(j for j in poset.elements() if col_sizes[j - 1] > 0)
         if not bi or not bj:
             raise ShapeError("index sets I and J must be nonempty")
-        row_offsets = [0]
-        for s in row_sizes:
-            row_offsets.append(row_offsets[-1] + s)
-        col_offsets = [0]
-        for s in col_sizes:
-            col_offsets.append(col_offsets[-1] + s)
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "row_sizes", row_sizes)
-        object.__setattr__(self, "col_sizes", col_sizes)
-        object.__setattr__(self, "row_offsets", tuple(row_offsets))
-        object.__setattr__(self, "col_offsets", tuple(col_offsets))
-        object.__setattr__(self, "I", bi)
-        object.__setattr__(self, "J", bj)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockShape is immutable")
+        for name, value in (
+            ("row_sizes", row_sizes),
+            ("col_sizes", col_sizes),
+            ("row_offsets", tuple(accumulate(row_sizes, initial=0))),
+            ("col_offsets", tuple(accumulate(col_sizes, initial=0))),
+            ("I", bi),
+            ("J", bj),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def square(cls, poset, sizes):
@@ -302,18 +288,6 @@ class BlockShape:
         """The square shape carrying right (column-side) transformations."""
         return BlockShape(self.poset, self.col_sizes, self.col_sizes)
 
-    def __eq__(self, other):
-        if not isinstance(other, BlockShape):
-            return NotImplemented
-        return (
-            self.poset == other.poset
-            and self.row_sizes == other.row_sizes
-            and self.col_sizes == other.col_sizes
-        )
-
-    def __hash__(self):
-        return hash((self.poset, self.row_sizes, self.col_sizes))
-
     def __repr__(self):
         return f"BlockShape({self.poset!r}, m={self.row_sizes}, n={self.col_sizes})"
 
@@ -341,19 +315,16 @@ def validate_membership(matrix: IntMatrix, shape: BlockShape) -> bool:
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class BlockedMatrix:
     """An IntMatrix constrained to a BlockShape's triangularity pattern."""
 
-    __slots__ = ("shape", "matrix")
+    shape: BlockShape
+    matrix: IntMatrix
 
-    def __init__(self, shape, matrix):
-        if not validate_membership(matrix, shape):
+    def __post_init__(self):
+        if not validate_membership(self.matrix, self.shape):
             raise BlockStructureError("nonzero entry in a forbidden block")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockedMatrix is immutable")
 
     @classmethod
     def from_blocks(cls, shape, blocks):
@@ -370,14 +341,6 @@ class BlockedMatrix:
 
     def diagonal_block(self, i):
         return self.block(i, i)
-
-    def __eq__(self, other):
-        if not isinstance(other, BlockedMatrix):
-            return NotImplemented
-        return self.shape == other.shape and self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash((self.shape, self.matrix))
 
     def __repr__(self):
         return f"BlockedMatrix({self.shape!r}, {self.matrix.to_rows()})"

@@ -12,7 +12,7 @@ Quiver vertices are 0-based indices; poset elements stay 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import product
 from math import gcd, lcm
 
@@ -40,38 +40,30 @@ class Edge:
     dst: int
 
 
+@dataclass(frozen=True, slots=True)
 class Quiver:
-    """Finite directed graph; parallel edges and loops allowed."""
+    """Finite directed graph; parallel edges and loops allowed.  Edges may be
+    given as Edge values or (id, src, dst) triples."""
 
-    __slots__ = ("vertices", "edges")
+    vertices: int
+    edges: tuple
 
-    def __init__(self, vertices, edges):
+    def __post_init__(self):
         edges = tuple(
-            e if isinstance(e, Edge) else Edge(str(e[0]), e[1], e[2]) for e in edges
+            e if isinstance(e, Edge) else Edge(str(e[0]), e[1], e[2]) for e in self.edges
         )
         for e in edges:
-            if not (0 <= e.src < vertices and 0 <= e.dst < vertices):
+            if not (0 <= e.src < self.vertices and 0 <= e.dst < self.vertices):
                 raise ValueError(f"edge {e.id} endpoint out of range")
         if len({e.id for e in edges}) != len(edges):
             raise ValueError("duplicate edge ids")
-        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quiver is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Quiver):
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
     def __repr__(self):
         return f"Quiver({self.vertices}, {[(e.id, e.src, e.dst) for e in self.edges]})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PresentedGroup:
     """Z^gens / column-lattice(relations), with SNF-normalized coordinates.
 
@@ -80,50 +72,44 @@ class PresentedGroup:
     and `normal_relations` is diag(orders) on the torsion columns, the
     relation matrix in normal coordinates.  to_normal / from_normal convert
     coordinate columns; from_normal followed by to_normal is the identity on
-    normal coordinates exactly.
+    normal coordinates exactly.  dec, when given, is
+    smith_normal_form(relations) already computed, as in solve_matrix.
+    Equality is identity.
     """
 
-    __slots__ = (
-        "gens",
-        "relations",
-        "group",
-        "orders",
-        "normal_relations",
-        "to_normal",
-        "from_normal",
-    )
+    gens: int
+    relations: IntMatrix
+    dec: InitVar[SmithDecomposition | None] = None
+    group: FgAbelianGroup = field(init=False)
+    orders: tuple = field(init=False)
+    normal_relations: IntMatrix = field(init=False)
+    to_normal: IntMatrix = field(init=False)
+    from_normal: IntMatrix = field(init=False)
 
-    def __init__(self, gens: int, relations: IntMatrix, dec=None):
-        """dec, when given, is smith_normal_form(relations) already computed,
-        as in solve_matrix."""
-        if relations.rows != gens:
+    def __post_init__(self, dec):
+        gens = self.gens
+        if self.relations.rows != gens:
             raise DimensionError("relations must have one row per generator")
         if dec is None:
-            dec = smith_normal_form(relations)
+            dec = smith_normal_form(self.relations)
         diag = dec.diagonal()
         torsion_idx = [i for i, d in enumerate(diag) if d >= 2]
         free_idx = [i for i, d in enumerate(diag) if d == 0]
         free_idx += list(range(len(diag), gens))
         keep = torsion_idx + free_idx
         torsion = tuple(diag[i] for i in torsion_idx)
-        group = FgAbelianGroup(len(free_idx), torsion)
-        u_inv = invert_unimodular(dec.U) if gens else IntMatrix(0, 0, ())
-        to_normal = dec.U.submatrix(keep, range(gens))
-        from_normal = u_inv.submatrix(range(gens), keep)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "group", group)
         orders = torsion + (0,) * len(free_idx)
-        normal_relations = IntMatrix.diagonal(orders).submatrix(
-            range(len(orders)), range(len(torsion))
-        )
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "normal_relations", normal_relations)
-        object.__setattr__(self, "to_normal", to_normal)
-        object.__setattr__(self, "from_normal", from_normal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PresentedGroup is immutable")
+        u_inv = invert_unimodular(dec.U) if gens else IntMatrix(0, 0, ())
+        for name, value in (
+            ("group", FgAbelianGroup(len(free_idx), torsion)),
+            ("orders", orders),
+            ("normal_relations", IntMatrix.diagonal(orders).submatrix(
+                range(len(orders)), range(len(torsion))
+            )),
+            ("to_normal", dec.U.submatrix(keep, range(gens))),
+            ("from_normal", u_inv.submatrix(range(gens), keep)),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def free(cls, rank):
@@ -217,16 +203,24 @@ def hom_inverse(f_normal, src: PresentedGroup, dst: PresentedGroup):
     return None
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ZRep:
     """A Z-representation: per-vertex presented groups plus edge matrices in
     raw generator coordinates (columns = images of source generators).
-    The normal-coordinate edge maps are kept from validation."""
+    A presentation may be a PresentedGroup or its relation matrix.  The
+    normal-coordinate edge maps are kept from validation.  Equality is
+    identity."""
 
-    __slots__ = ("quiver", "groups", "edge_maps", "normal_edge_maps")
+    quiver: Quiver
+    presentations: InitVar[list]
+    edge_maps: tuple
+    groups: tuple = field(init=False)
+    normal_edge_maps: tuple = field(init=False)
 
-    def __init__(self, quiver: Quiver, presentations, edge_maps):
+    def __post_init__(self, presentations):
+        quiver = self.quiver
         presentations = list(presentations)
-        edge_maps = list(edge_maps)
+        edge_maps = tuple(self.edge_maps)
         if len(presentations) != quiver.vertices:
             raise DimensionError("one presentation per vertex required")
         if len(edge_maps) != len(quiver.edges):
@@ -253,13 +247,12 @@ class ZRep:
                     raise ValueError(f"edge {e.id}: map does not respect relations")
                 normal = normal_of[key] = normalize_hom(f, src, dst)
             normal_edge_maps.append(normal)
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "edge_maps", tuple(edge_maps))
-        object.__setattr__(self, "normal_edge_maps", tuple(normal_edge_maps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZRep is immutable")
+        for name, value in (
+            ("groups", groups),
+            ("edge_maps", edge_maps),
+            ("normal_edge_maps", tuple(normal_edge_maps)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,8 @@ def verdict_to_json(v: Verdict, budget: SearchBudget | None = None) -> dict:
 
 def verdict_from_json(doc) -> Verdict:
     """A verdict as verdict_to_json writes it, plus the optional
-    flow_invariants that `blockeq flow-eq` adds to a yes."""
+    flow_invariants that `blockeq flow-eq` adds to a yes.  A no has a
+    certificate, and only a yes may have a witness or flow_invariants."""
     if not isinstance(doc, dict) or "status" not in doc:
         raise SchemaError("verdict: expected an object with a status")
     allowed = {"status", "witness", "certificate", "budget", "flow_invariants"}
@@ -250,6 +251,12 @@ def verdict_from_json(doc) -> Verdict:
     status = doc["status"]
     if status not in ("yes", "no", "unknown"):
         raise SchemaError(f"verdict.status: {status!r}")
+    if ("certificate" in doc) != (status == "no"):
+        need = "needs a" if status == "no" else "takes no"
+        raise SchemaError(f"verdict: a {status!r} verdict {need} certificate")
+    only_yes = sorted({"witness", "flow_invariants"} & doc.keys())
+    if only_yes and status != "yes":
+        raise SchemaError(f"verdict: a {status!r} verdict takes no {only_yes}")
     witness = None
     if "witness" in doc:
         _require_keys(doc["witness"], ("U", "V"), "verdict.witness")
@@ -305,13 +312,9 @@ def quiver_from_json(doc) -> Quiver:
     edges = []
     for e in doc["edges"]:
         _require_keys(e, ("id", "src", "dst"), "quiver edge")
-        edges.append(
-            Edge(
-                str(e["id"]),
-                _count(e["src"], "edge.src"),
-                _count(e["dst"], "edge.dst"),
-            )
-        )
+        if not isinstance(e["id"], str):
+            raise SchemaError(f"edge.id: expected a string, got {e['id']!r}")
+        edges.append(Edge(e["id"], _count(e["src"], "edge.src"), _count(e["dst"], "edge.dst")))
     try:
         return Quiver(vertices, edges)
     except ValueError as exc:

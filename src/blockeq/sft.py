@@ -25,21 +25,18 @@ from .intmat import FgAbelianGroup, IntMatrix, cokernel, determinant, int_to_str
 from .poset_block import SL, BlockedMatrix, BlockShape, Poset, iota_embed, reachability
 
 
+@dataclass(frozen=True, slots=True)
 class SftMatrix:
     """Square nonnegative integer adjacency matrix (entries are edge
     multiplicities; 0/1 matrices are the classical case)."""
 
-    __slots__ = ("matrix",)
+    matrix: IntMatrix
 
-    def __init__(self, matrix: IntMatrix):
-        if matrix.rows != matrix.cols:
+    def __post_init__(self):
+        if self.matrix.rows != self.matrix.cols:
             raise ValueError("adjacency matrix must be square")
-        if any(e < 0 for e in matrix.entries):
+        if any(e < 0 for e in self.matrix.entries):
             raise ValueError("adjacency entries must be nonnegative")
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SftMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows):
@@ -48,14 +45,6 @@ class SftMatrix:
     @property
     def size(self):
         return self.matrix.rows
-
-    def __eq__(self, other):
-        if not isinstance(other, SftMatrix):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
 
     def __repr__(self):
         return f"SftMatrix({self.matrix.to_rows()})"

@@ -342,6 +342,20 @@ class TestSubcommands:
             assert (code, err) == (EXIT_YES, "")
             assert parse_stdout(out) == {"schema": "verdict", "valid": True}
 
+    @pytest.mark.parametrize("edge_id", [[1, 2], None, 7])
+    def test_edge_ids_must_be_strings(self, capsys, tmp_path, edge_id):
+        # An id must be a JSON string; no other value is turned into one.
+        quiver = write(tmp_path, "q.json", {
+            "vertices": 1, "edges": [{"id": edge_id, "src": 0, "dst": 0}]})
+        rep = write(tmp_path, "r.json", {
+            "vertex_presentations": [{"rows": 1, "cols": 1, "entries": ["2"]}],
+            "edge_maps": [{"rows": 1, "cols": 1, "entries": ["1"]}],
+        })
+        for argv in (("validate", quiver), ("rep-iso", quiver, rep, rep)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_DATA, "")
+            assert err == f"blockeq: edge.id: expected a string, got {edge_id!r}\n"
+
     def test_rep_iso_rejects_map_breaking_relations(self, capsys, tmp_path):
         # The edge map sends a relation of C9 (presented with a unit
         # invariant factor) outside the relations of the target Z.

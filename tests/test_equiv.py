@@ -770,7 +770,7 @@ class TestDecideWithUnit:
                0, 0, 0, 0, 1),
               (1, 0, 0, 1, 1, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0,
                0, 0, 0, 0, 1)), (3295, 2)),
-            (16, 4, 2_000, "unknown", None, (2064, 3)),
+            (16, 4, 2_000, "unknown", None, (2000, 3)),
         ],
     )
     def test_stabilizer_sweep_pinned_outputs(
@@ -792,6 +792,18 @@ class TestDecideWithUnit:
         assert got == witness
         rep = verdict.report
         assert (rep.nodes_expanded, rep.depth_reached) == report
+
+    def test_report_stays_within_the_node_budget(self):
+        # The stabilizer sweep is charged only what the search left, so a
+        # report never passes max_nodes.
+        budget = SearchBudget(6, 200)
+        nodes = [
+            decide_with_unit(*sweep_instance(seed, group), group=group,
+                             budget=budget).report.nodes_expanded
+            for seed in range(40) for group in (GL, SL)
+        ]
+        assert max(nodes) <= budget.max_nodes
+        assert budget.max_nodes in nodes  # some instances run out of budget
 
     def test_rectangular_constructed_instances(self):
         # Build instances whose answer is yes by construction:

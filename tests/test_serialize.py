@@ -107,6 +107,11 @@ class TestPosetShapeBlocked:
             serialize.blocked_from_json(doc)
 
 
+CERT = {"name": "cokernel", "left": "C2", "right": "C3"}
+WITNESS = {"U": {"rows": 1, "cols": 1, "entries": ["1"]},
+           "V": {"rows": 1, "cols": 1, "entries": ["1"]}}
+
+
 class TestVerdict:
     def test_round_trip_yes(self):
         v = Verdict.yes(IntMatrix.identity(1), IntMatrix.identity(1), BudgetReport(3, 1))
@@ -133,6 +138,15 @@ class TestVerdict:
             "bowen_franks": {"free_rank": 1, "torsion": []}, "parry_sullivan": "00"}},
         {"status": "yes", "flow_invariants": {
             "bowen_franks": {"free_rank": 0, "torsion": []}, "parry_sullivan": "-2"}},
+        # A no has a certificate and no witness, an unknown has neither, a
+        # yes has no certificate, and flow_invariants ride only on a yes.
+        {"status": "no"},
+        {"status": "no", "certificate": CERT, "witness": WITNESS},
+        {"status": "unknown", "witness": WITNESS},
+        {"status": "unknown", "certificate": CERT},
+        {"status": "yes", "certificate": CERT},
+        {"status": "no", "certificate": CERT, "flow_invariants": {
+            "bowen_franks": {"free_rank": 0, "torsion": []}, "parry_sullivan": "1"}},
     ])
     def test_parse_is_strict(self, doc):
         with pytest.raises(SchemaError):
