@@ -12,13 +12,16 @@ determinism is guaranteed by fixed generator order and the
 lexicographically-least-witness tie-break at the minimal joining depth.
 
 A state is one int: entry k is stored as e + 2^(w-1) in bits [w*k, w*k + w).
-A move is linear in the entries, so it is a shift, a mask, an offset, a
-shift and an add on that int, and the child is exactly the encoding of the
-entry-tuple child while every entry fits its field.  Entries at most double
-per level, so the width starts at bits(max |entry| of a, b) + min(max_depth,
-16) + 2, and a level whose doubled bound would not fit first measures its
-frontier's real maximum and, if that does not fit either, re-encodes every
-state at a wider field.  Words (U, W, U^-1, W^-1) stay entry tuples.
+A move is linear in the entries, so it is four operations on that int: mask
+out the source row or column, shift it onto the destination, add or
+subtract it, and subtract a constant that removes the moved fields' offsets.
+The child is exactly the encoding of the entry-tuple child while every
+entry fits its field.  Entries at most double per level, so the width starts
+at bits(max |entry| of a, b) + min(max_depth, 16) + 2, and a level whose
+doubled bound would not fit first measures its frontier's real maximum and,
+if that does not fit either, re-encodes every state at a wider field.  A
+search node is one entry in each of three int lists (state, move, parent);
+words (U, W, U^-1, W^-1) stay entry tuples and are rebuilt on demand.
 
 Expansion never rebuilds a child it can already place: for X = m1(P),
 m1^-1(X) is P, and m2(X) = m1(m2(P)) for every m2 commuting with m1.  Such a
@@ -31,6 +34,7 @@ X --m2--> Y for commuting m2 when P --m2--> m2(P) --m1--> Y are tree edges.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
@@ -216,29 +220,47 @@ _HEADROOM_LEVELS = 16
 class _Side:
     """One frontier of the bidirectional search.
 
-    records[i] = (state, move_index, parent_record, depth); the visited set
-    is keyed by the states themselves, each the packed int of its entries
-    (see _Packing), which is injective at a fixed width.  The root is record
-    0 with no move.  Every entry of a frontier state has |e| < 2^bits.
+    Record i is states[i], the packed int of its entries (see _Packing),
+    reached from record parents[i] by move index moves[i]; the root is record
+    0, with move and parent -1.  visited maps each state to its record, which
+    is injective at a fixed width.  Levels are contiguous: starts[d] is the
+    first record at depth d, and the frontier is the last level begun.
+    depth counts the completed levels, and every entry of a frontier state
+    has |e| < 2^bits.
 
     kids[i] maps each move index to the record holding that child of the
-    expanded record i.  Levels are contiguous in records and expanded in
-    order, so kids is indexed like records and every record below the one
-    being expanded has complete kids: expanding X = m1(P) reads m1^-1(X) = P
-    and m2(X) = kids[kids[P][m2]][m1], for m2 commuting with m1, off them
+    expanded record i.  Levels are expanded in order, so kids is indexed
+    like the records and every record below the one being expanded has
+    complete kids: expanding X = m1(P) reads m1^-1(X) = P and m2(X) =
+    kids[kids[P][m2]][m1], for m2 commuting with m1, off them
     (_Engine._known_children).  The search and the stabilizer sweep both
     fill kids this way.
     """
 
-    __slots__ = ("records", "visited", "depth", "frontier", "kids", "bits")
+    __slots__ = ("states", "moves", "parents", "starts", "visited", "depth", "kids", "bits")
 
     def __init__(self, root_state, bits):
-        self.records = [(root_state, -1, -1, 0)]
+        self.states = [root_state]
+        self.moves = [-1]
+        self.parents = [-1]
+        self.starts = [0]
         self.visited = {root_state: 0}
         self.kids = []
         self.depth = 0
-        self.frontier = [0]
         self.bits = bits
+
+    @property
+    def frontier(self):
+        return range(self.starts[-1], len(self.states))
+
+    def begin_level(self):
+        """Start the next level after the frontier; returns the frontier."""
+        frontier = self.frontier
+        self.starts.append(len(self.states))
+        return frontier
+
+    def depth_of(self, idx):
+        return bisect_right(self.starts, idx) - 1
 
 
 def _entry_bits(entries):
@@ -251,11 +273,17 @@ class _Packing:
 
     Entry k of a row-major state is stored as e + 2^(w-1) in bits
     [w*k, w*k + w), which holds exactly the e with -2^(w-1) <= e < 2^(w-1).
-    A move compiles to (src_shift, mask, base, dst_shift, factor): the row or
-    column of fields at src_shift, less its offsets `base`, is shifted to
-    dst_shift and added with factor +-1 (transvection) or -2 (flip).  The map
-    is linear in the entries, so the child is the encoding of the
-    entry-tuple child whenever every child entry fits.
+    A move adds factor f times the source row or column to the destination:
+    f = s for a transvection I + s*E[a,b], and f = -2 for a flip, whose
+    source is its destination.  It compiles to (mask, shift, left, add,
+    offset): `mask` selects the source fields where they sit, at bit src;
+    shifting them `shift` bits (left or right) puts them at bit dst; they
+    are added for f = 1, and subtracted for f = -1 or, shifted one bit
+    further left, for f = -2; and offset = f * (the fields' offsets shifted to
+    dst) takes the offsets back out.  The masked bits all sit at or above
+    bit src, so a right shift by src - dst is exact.  The map is linear in
+    the entries, so the child is the encoding of the entry-tuple child
+    whenever every child entry fits.
     """
 
     __slots__ = ("width", "size", "moves", "inverse_moves")
@@ -275,11 +303,13 @@ class _Packing:
         def compile(axis, move):
             stride, mask, base = axes[axis]
             kind, a, b, sign = move
-            if kind != "t":  # a flip, with a == b
-                return (stride * a, mask, base, stride * a, -2)
+            if kind != "t":  # a flip, with a == b: -2x is -(x << 1)
+                src = stride * a
+                return (mask << src, 1, True, False, -2 * (base << src))
             # I + s*E[a,b] adds s times row b to row a, or column a to column b.
             src, dst = (b, a) if axis == _LEFT else (a, b)
-            return (stride * src, mask, base, stride * dst, sign)
+            src, dst = stride * src, stride * dst
+            return (mask << src, abs(dst - src), dst > src, sign > 0, sign * (base << dst))
 
         self.moves = [compile(*am) for am in engine.moves]
         self.inverse_moves = [self.moves[j] for j in engine.inverse_index]
@@ -300,17 +330,18 @@ class _Packing:
 
 def _apply_move(state, move):
     """The child of a packed state under a move compiled by _Packing."""
-    src_shift, mask, base, dst_shift, factor = move
-    return state + factor * ((((state >> src_shift) & mask) - base) << dst_shift)
+    mask, shift, left, add, offset = move
+    moved = (state & mask) << shift if left else (state & mask) >> shift
+    return (state + moved if add else state - moved) - offset
 
 
 def _chain_moves(side, idx):
-    """Moves applied from the root to records[idx], in application order."""
+    """Moves applied from the root to record idx, in application order."""
     chain = []
+    moves, parents = side.moves, side.parents
     while idx > 0:
-        _, move_idx, parent, _ = side.records[idx]
-        chain.append(move_idx)
-        idx = parent
+        chain.append(moves[idx])
+        idx = parents[idx]
     chain.reverse()
     return chain
 
@@ -340,18 +371,20 @@ class _Engine:
         self.inverse_index = [index[am] for am in self.inverse_moves]
         # I+sE[a,b] and I+tE[c,d] on one side commute unless b == c or a == d
         # (a flip has a == b); moves on opposite sides always commute.  The
-        # inverse alphabet keeps every (a, b), so one table serves both.
+        # inverse alphabet keeps every (a, b), so one table serves both.  The
+        # move (b, a) is listed twice for (a, b), which does no harm.
         starts, ends = defaultdict(list), defaultdict(list)
         for i, (ax, (_, a, b, _)) in enumerate(self.moves):
             starts[ax, a].append(i)
             ends[ax, b].append(i)
         self.noncommuting = [
-            frozenset(starts[ax, b] + ends[ax, a]) - {i}
+            list(filter(i.__ne__, starts[ax, b] + ends[ax, a]))
             for i, (ax, (_, a, b, _)) in enumerate(self.moves)
         ]
         u = IntMatrix.identity(self.rows).entries
         w = IntMatrix.identity(self.cols).entries
         self.identity_word = (u, w, u, w)
+        self._packings = {}
 
     # -- words -------------------------------------------------------------
 
@@ -393,12 +426,19 @@ class _Engine:
 
     # -- packed states ---------------------------------------------------------
 
+    def _packing(self, width):
+        """The engine's moves compiled at one width, once per engine."""
+        packing = self._packings.get(width)
+        if packing is None:
+            packing = self._packings[width] = _Packing(self, width)
+        return packing
+
     def _start(self, *roots):
         """The packing and one side per root entry tuple, at the starting
         width: room for min(max_depth, _HEADROOM_LEVELS) doubling levels."""
         bits = [_entry_bits(r) for r in roots]
         levels = min(self.budget.max_depth, _HEADROOM_LEVELS)
-        packing = _Packing(self, max(bits) + levels + 2)
+        packing = self._packing(max(bits) + levels + 2)
         return packing, [_Side(packing.pack(r), b) for r, b in zip(roots, bits)]
 
     def _fit(self, packing, side, sides):
@@ -410,29 +450,29 @@ class _Engine:
         if side.bits + 2 <= packing.width:
             return packing
         side.bits = max(
-            (_entry_bits(packing.unpack(side.records[idx][0])) for idx in side.frontier),
+            (_entry_bits(packing.unpack(side.states[idx])) for idx in side.frontier),
             default=0,
         )
         if side.bits + 2 <= packing.width:
             return packing
-        wider = _Packing(self, max(2 * packing.width, side.bits + 2))
+        wider = self._packing(max(2 * packing.width, side.bits + 2))
         for s in sides:
-            s.records[:] = [(wider.pack(packing.unpack(state)), *rest)
-                            for state, *rest in s.records]
+            s.states[:] = [wider.pack(packing.unpack(state)) for state in s.states]
             s.visited.clear()
-            s.visited.update((rec[0], i) for i, rec in enumerate(s.records))
+            s.visited.update(zip(s.states, range(len(s.states))))
         return wider
 
     # -- search drivers ------------------------------------------------------
 
     def _known_children(self, side, idx):
-        """The kids row of records[idx] as far as earlier expansions place it:
+        """The kids row of record idx as far as earlier expansions place it:
         for X = m1(P), m1^-1(X) is P and m2(X) = kids[kids[P][m2]][m1] for
         every m2 commuting with m1 whose child of P is already expanded.  The
         other entries are None and must be built."""
-        _, m1, parent, _ = side.records[idx]
+        parent = side.parents[idx]
         if parent < 0:
             return [None] * len(self.moves)
+        m1 = side.moves[idx]
         kids = side.kids
         known = [kids[r][m1] if r < idx else None for r in kids[parent]]
         for m2 in self.noncommuting[m1]:
@@ -444,17 +484,17 @@ class _Engine:
         """Expand one full level of `side` by the compiled `moves`; returns
         (joins, nodes, truncated)."""
         joins = []
-        new_frontier = []
         count = nodes_used
         max_nodes = self.budget.max_nodes
-        records, visited, kids = side.records, side.visited, side.kids
-        add_record, add_frontier, place = records.append, new_frontier.append, visited.setdefault
+        states, visited, kids = side.states, side.visited, side.kids
+        add_state, add_move = states.append, side.moves.append
+        add_parent, place = side.parents.append, visited.setdefault
         other_get = other.visited.get
         apply_move = _apply_move
-        new = len(records)
-        for idx in side.frontier:
-            state, _, _, depth = records[idx]
-            depth += 1
+        frontier = side.begin_level()
+        new = len(states)
+        for idx in frontier:
+            state = states[idx]
             known = self._known_children(side, idx)
             for move_idx, rec in enumerate(known):
                 if rec is not None:
@@ -465,8 +505,9 @@ class _Engine:
                     if count >= max_nodes:
                         del visited[child]
                         return joins, count, True
-                    add_record((child, move_idx, idx, depth))
-                    add_frontier(rec)
+                    add_state(child)
+                    add_move(move_idx)
+                    add_parent(idx)
                     new += 1
                     count += 1
                     hit = other_get(child)
@@ -474,7 +515,6 @@ class _Engine:
                         joins.append((rec, hit))
                 known[move_idx] = rec
             kids.append(known)
-        side.frontier = new_frontier
         side.depth += 1
         side.bits += 1
         return joins, count, False
@@ -512,9 +552,7 @@ class _Engine:
         report = BudgetReport(nodes, fwd.depth + bwd.depth)
         if not joins:
             return [], report, truncated
-        depth_of = lambda pair: (
-            fwd.records[pair[0]][3] + bwd.records[pair[1]][3]
-        )
+        depth_of = lambda pair: fwd.depth_of(pair[0]) + bwd.depth_of(pair[1])
         best = min(depth_of(p) for p in joins)
         out = [self._witness(fwd, bwd, f, b_) for f, b_ in joins if depth_of((f, b_)) == best]
         out.sort(key=lambda word: word[:2])
@@ -565,16 +603,16 @@ class _Engine:
                          IntMatrix._trusted(cols, cols, w2),
                          IntMatrix._trusted(cols, cols, w2_inv))
 
-        records, visited, kids = side.records, side.visited, side.kids
+        states, via, parents = side.states, side.moves, side.parents
+        visited, kids = side.visited, side.kids
         inverse_index = self.inverse_index
         max_nodes = self.budget.max_nodes
         apply_move = _apply_move
         while side.frontier and depth < self.budget.max_depth and not truncated:
             packing = self._fit(packing, side, (side,))
             moves = packing.moves
-            new_frontier = []
-            for idx in side.frontier:
-                state, m1, parent, _ = records[idx]
+            for idx in side.begin_level():
+                state, m1, parent = states[idx], via[idx], parents[idx]
                 known = self._known_children(side, idx)
                 for move_idx, hit in enumerate(known):
                     if hit is None:
@@ -584,10 +622,11 @@ class _Engine:
                             if work + 1 > max_nodes:
                                 truncated = True
                                 break
-                            hit = len(records)
-                            records.append((child, move_idx, idx, depth + 1))
+                            hit = len(states)
+                            states.append(child)
+                            via.append(move_idx)
+                            parents.append(idx)
                             visited[child] = hit
-                            new_frontier.append(hit)
                             work += 1
                             known[move_idx] = hit
                             continue
@@ -600,8 +639,8 @@ class _Engine:
                         # P --m2--> Q --m1--> Y.
                         q = kids[parent][move_idx]
                         identity = move_idx == inverse_index[m1] or (
-                            records[hit][1] == m1 and records[hit][2] == q
-                            and records[q][1] == move_idx and records[q][2] == parent
+                            via[hit] == m1 and parents[hit] == q
+                            and via[q] == move_idx and parents[q] == parent
                         )
                     # Non-tree edge: harvest word(Y)^-1 * g * word(X), which
                     # seen already holds when it is the identity.
@@ -625,7 +664,6 @@ class _Engine:
                 if truncated:
                     break
                 kids.append(known)
-            side.frontier = new_frontier
             side.bits += 1
             depth += 1
 

@@ -282,10 +282,14 @@ class BlockShape:
 
     def row_square(self):
         """The square shape carrying left (row-side) transformations."""
+        if self.is_square:
+            return self
         return BlockShape(self.poset, self.row_sizes, self.row_sizes)
 
     def col_square(self):
         """The square shape carrying right (column-side) transformations."""
+        if self.is_square:
+            return self
         return BlockShape(self.poset, self.col_sizes, self.col_sizes)
 
     def __repr__(self):

@@ -43,16 +43,18 @@ class Edge:
 @dataclass(frozen=True, slots=True)
 class Quiver:
     """Finite directed graph; parallel edges and loops allowed.  Edges may be
-    given as Edge values or (id, src, dst) triples."""
+    given as Edge values or (id, src, dst) triples; every id is a string."""
 
     vertices: int
     edges: tuple
 
     def __post_init__(self):
         edges = tuple(
-            e if isinstance(e, Edge) else Edge(str(e[0]), e[1], e[2]) for e in self.edges
+            e if isinstance(e, Edge) else Edge(e[0], e[1], e[2]) for e in self.edges
         )
         for e in edges:
+            if not isinstance(e.id, str):
+                raise ValueError(f"edge id must be a string, got {e.id!r}")
             if not (0 <= e.src < self.vertices and 0 <= e.dst < self.vertices):
                 raise ValueError(f"edge {e.id} endpoint out of range")
         if len({e.id for e in edges}) != len(edges):

@@ -241,7 +241,8 @@ def verdict_to_json(v: Verdict, budget: SearchBudget | None = None) -> dict:
 def verdict_from_json(doc) -> Verdict:
     """A verdict as verdict_to_json writes it, plus the optional
     flow_invariants that `blockeq flow-eq` adds to a yes.  A no has a
-    certificate, and only a yes may have a witness or flow_invariants."""
+    certificate, only a yes may have a witness (two square matrices) or
+    flow_invariants, and every verdict has a budget with its report."""
     if not isinstance(doc, dict) or "status" not in doc:
         raise SchemaError("verdict: expected an object with a status")
     allowed = {"status", "witness", "certificate", "budget", "flow_invariants"}
@@ -264,6 +265,9 @@ def verdict_from_json(doc) -> Verdict:
             matrix_from_json(doc["witness"]["U"]),
             matrix_from_json(doc["witness"]["V"]),
         )
+        for key, m in zip("UV", witness):
+            if m.rows != m.cols:
+                raise SchemaError(f"verdict.witness.{key}: expected a square matrix")
     certificate = None
     if "certificate" in doc:
         fields = ("name", "left", "right")
@@ -272,17 +276,20 @@ def verdict_from_json(doc) -> Verdict:
             if not isinstance(doc["certificate"][key], str):
                 raise SchemaError(f"verdict.certificate.{key}: expected a string")
         certificate = Certificate(*(doc["certificate"][key] for key in fields))
-    report = None
-    if "budget" in doc:
-        b = doc["budget"]
-        if not isinstance(b, dict):
-            raise SchemaError("verdict.budget: expected an object")
-        extra = b.keys() - {"max_depth", "max_nodes", "nodes_expanded", "depth_reached"}
-        if extra:
-            raise SchemaError(f"verdict.budget: unexpected keys {sorted(extra)}")
-        for key in b:
-            _count(b[key], f"budget.{key}")
-        report = BudgetReport(b.get("nodes_expanded", 0), b.get("depth_reached", 0))
+    if "budget" not in doc:
+        raise SchemaError("verdict: missing keys ['budget']")
+    b = doc["budget"]
+    if not isinstance(b, dict):
+        raise SchemaError("verdict.budget: expected an object")
+    missing = {"nodes_expanded", "depth_reached"} - b.keys()
+    if missing:
+        raise SchemaError(f"verdict.budget: missing keys {sorted(missing)}")
+    extra = b.keys() - {"max_depth", "max_nodes", "nodes_expanded", "depth_reached"}
+    if extra:
+        raise SchemaError(f"verdict.budget: unexpected keys {sorted(extra)}")
+    for key in b:
+        _count(b[key], f"budget.{key}")
+    report = BudgetReport(b["nodes_expanded"], b["depth_reached"])
     if "flow_invariants" in doc:
         inv = doc["flow_invariants"]
         _require_keys(inv, ("bowen_franks", "parry_sullivan"), "verdict.flow_invariants")

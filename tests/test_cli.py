@@ -342,6 +342,32 @@ class TestSubcommands:
             assert (code, err) == (EXIT_YES, "")
             assert parse_stdout(out) == {"schema": "verdict", "valid": True}
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"status": "unknown"}, "verdict: missing keys ['budget']"),
+        ({"status": "unknown", "budget": {}},
+         "verdict.budget: missing keys ['depth_reached', 'nodes_expanded']"),
+        ({"status": "unknown", "budget": {"nodes_expanded": 3, "max_nodes": 9}},
+         "verdict.budget: missing keys ['depth_reached']"),
+        ({"status": "unknown", "budget": {"depth_reached": 1}},
+         "verdict.budget: missing keys ['nodes_expanded']"),
+        ({"status": "yes", "budget": {"nodes_expanded": 3, "depth_reached": 1},
+          "witness": {"U": {"rows": 1, "cols": 2, "entries": ["1", "0"]},
+                      "V": {"rows": 1, "cols": 1, "entries": ["1"]}}},
+         "verdict.witness.U: expected a square matrix"),
+        ({"status": "yes", "budget": {"nodes_expanded": 3, "depth_reached": 1},
+          "witness": {"U": {"rows": 1, "cols": 1, "entries": ["1"]},
+                      "V": {"rows": 2, "cols": 1, "entries": ["1", "0"]}}},
+         "verdict.witness.V: expected a square matrix"),
+    ])
+    def test_validate_rejects_incomplete_verdicts(self, capsys, tmp_path, doc, message):
+        # verdict_to_json always writes the budget report, and a witness is
+        # a pair of square matrices; nothing less validates.
+        path = write(tmp_path, "verdict.json", doc)
+        for schema in ((), ("--schema", "verdict")):
+            code, out, err = run(capsys, "validate", path, *schema)
+            assert (code, out) == (EXIT_DATA, "")
+            assert err == f"blockeq: {message}\n"
+
     @pytest.mark.parametrize("edge_id", [[1, 2], None, 7])
     def test_edge_ids_must_be_strings(self, capsys, tmp_path, edge_id):
         # An id must be a JSON string; no other value is turned into one.

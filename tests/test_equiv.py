@@ -373,7 +373,8 @@ class TestSearchExpansion:
         a = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [0, 0, 5]])
         packing, (side, other) = engine._start(a.entries, a.entries)
         _, count, truncated = engine._expand(side, other, packing.moves, 1)
-        assert truncated and count == 3 and len(side.records) == 3
+        assert truncated and count == 3
+        assert len(side.states) == len(side.moves) == len(side.parents) == 3
         assert sorted(side.visited.values()) == [0, 1, 2]
 
 
@@ -465,6 +466,60 @@ class TestPackedStates:
                 assert_same_verdict(packed, reference)
 
     @pytest.mark.parametrize("headroom", [None, 0])
+    def test_every_compiled_move_variant(self, monkeypatch, headroom):
+        # A compiled move shifts its source fields left or right onto the
+        # destination, adds or subtracts them, and a flip doubles by a
+        # one-bit shift.  Every such variant, on both axes, under GL, SL and
+        # the unit-restricted group, on square, rectangular and zero-size
+        # blocks, gives the entry-tuple search's verdicts, witnesses and
+        # reports.
+        import blockeq.equiv as equiv
+
+        def variant(axis, move):
+            kind, a, b, sign = move
+            src, dst = (b, a) if axis == equiv._LEFT else (a, b)
+            return axis, kind, sign, src > dst
+
+        widths = packing_widths(monkeypatch, headroom)
+        shapes = [
+            BlockShape.square(chain_poset(2), (2, 2)),
+            BlockShape.square(Poset(3, [(1, 3)]), (2, 1, 2)),
+            BlockShape(chain_poset(3), (2, 0, 1), (1, 2, 2)),
+            BlockShape(Poset(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 4)]),
+                       (1, 0, 1, 0, 1), (1, 1, 0, 1, 1)),
+        ]
+        rng = random.Random(61)
+        covered, groups_seen, statuses = set(), set(), set()
+        searches = 0
+        for shape in shapes:
+            for group in (GL, SL, UNIT_RESTRICTED):
+                moves = equiv._Engine(shape, group, SearchBudget()).moves
+                a = rand_blocked(rng, shape, -10**6, 10**6)
+                _, _, b = scramble(rng, a, group, 5)
+                for side, budget in ((SIDE_UAV, SearchBudget(5, 3_000)),
+                                     (SIDE_UAV_INV, SearchBudget(5, 300))):
+                    packed, reference = packed_and_tuple_verdicts(monkeypatch, a, b, group,
+                                                                  side, budget)
+                    assert_same_verdict(packed, reference)
+                    statuses.add(packed.status)
+                    searches += 1
+                    # A search past its roots builds every child of a root.
+                    if packed.report.nodes_expanded > 2:
+                        covered |= {variant(*am) for am in moves}
+                        groups_seen.add(group)
+        assert covered == {
+            (axis, kind, sign, after)
+            for axis in (equiv._LEFT, equiv._RIGHT)
+            for kind, sign, after in (("t", 1, True), ("t", 1, False), ("t", -1, True),
+                                      ("t", -1, False), ("f", -1, False))
+        }
+        assert groups_seen == {GL, SL, UNIT_RESTRICTED}
+        assert statuses == {"yes", "unknown"}
+        if headroom == 0:
+            # Some search outgrew its starting width and was re-encoded.
+            assert len(widths) > searches
+
+    @pytest.mark.parametrize("headroom", [None, 0])
     def test_sl_line_orbit_stays_narrow(self, monkeypatch, headroom):
         # On the 2-chain with 1x1 blocks, SL moves only add +-5 to the
         # corner, so entries grow linearly over 3,000 levels and the width
@@ -496,6 +551,19 @@ class TestPackedStates:
             assert fast == recorded_sweep(equiv._Engine.stabilizer_sweep, engine, b.matrix)
         if headroom == 0:
             assert len(widths) > 4
+
+    @pytest.mark.parametrize("seed, group", [(16, GL), (20, SL)])
+    def test_search_and_sweep_compile_each_width_once(self, monkeypatch, seed, group):
+        # decide_with_unit's search and stabilizer sweep share one engine,
+        # which compiles the moves of each width once.
+        import blockeq.equiv as equiv
+
+        widths = packing_widths(monkeypatch, None)
+        sweeps = count_calls(monkeypatch, equiv._Engine.stabilizer_sweep, equiv._Engine)
+        a, b, x, y = sweep_instance(seed, group)
+        decide_with_unit(a, b, x, y, group=group, budget=SearchBudget(4, 3_000))
+        assert len(sweeps) == 1
+        assert len(widths) == len(set(widths)) == 1
 
     def test_replay_applies_no_state_move(self, monkeypatch):
         import blockeq.equiv as equiv
@@ -844,14 +912,24 @@ def tuple_move(axis, move, entries, rows, cols):
 
 
 class TupleSide:
-    """A search side whose states are entry tuples."""
+    """A search side whose states are entry tuples, with the engine's record
+    layout: record i is states[i], reached from parents[i] by moves[i] at
+    depths[i]."""
 
     def __init__(self, root):
-        self.records = [(root, -1, -1, 0)]
+        self.states, self.moves, self.parents, self.depths = [root], [-1], [-1], [0]
         self.visited = {root: 0}
-        self.kids = []
         self.depth = 0
         self.frontier = [0]
+
+    def add(self, child, move_idx, parent):
+        rec = len(self.states)
+        self.states.append(child)
+        self.moves.append(move_idx)
+        self.parents.append(parent)
+        self.depths.append(self.depths[parent] + 1)
+        self.visited[child] = rec
+        return rec
 
 
 def tuple_search(engine, a, b):
@@ -865,16 +943,14 @@ def tuple_search(engine, a, b):
     def expand(side, other, moves, count):
         joins, new_frontier = [], []
         for idx in side.frontier:
-            entries, _, _, depth = side.records[idx]
+            entries = side.states[idx]
             for move_idx, (axis, move) in enumerate(moves):
                 child = tuple_move(axis, move, entries, rows, cols)
                 if child in side.visited:
                     continue
                 if count + 1 > max_nodes:
                     return joins, count, True
-                rec = len(side.records)
-                side.records.append((child, move_idx, idx, depth + 1))
-                side.visited[child] = rec
+                rec = side.add(child, move_idx, idx)
                 new_frontier.append(rec)
                 count += 1
                 if child in other.visited:
@@ -899,7 +975,7 @@ def tuple_search(engine, a, b):
     report = BudgetReport(nodes, fwd.depth + bwd.depth)
     if not joins:
         return [], report, truncated
-    depth_of = lambda pair: fwd.records[pair[0]][3] + bwd.records[pair[1]][3]
+    depth_of = lambda pair: fwd.depths[pair[0]] + bwd.depths[pair[1]]
     best = min(map(depth_of, joins))
     out = [engine._witness(fwd, bwd, f, b_) for f, b_ in joins if depth_of((f, b_)) == best]
     out.sort(key=lambda word: word[:2])
@@ -936,7 +1012,7 @@ def reference_sweep(engine, b, check):
     while side.frontier and depth < engine.budget.max_depth and not truncated:
         new_frontier = []
         for idx in side.frontier:
-            entries = side.records[idx][0]
+            entries = side.states[idx]
             for move_idx, (axis, move) in enumerate(engine.moves):
                 child = tuple_move(axis, move, entries, rows, cols)
                 hit = side.visited.get(child)
@@ -944,10 +1020,7 @@ def reference_sweep(engine, b, check):
                     if work + 1 > engine.budget.max_nodes:
                         truncated = True
                         break
-                    rec = len(side.records)
-                    side.records.append((child, move_idx, idx, depth + 1))
-                    side.visited[child] = rec
-                    new_frontier.append(rec)
+                    new_frontier.append(side.add(child, move_idx, idx))
                     work += 1
                     continue
                 if work + 1 > engine.budget.max_nodes:

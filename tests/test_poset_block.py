@@ -156,6 +156,14 @@ class TestShape:
         with pytest.raises(ShapeError):
             BlockShape(Poset(2), (1,), (1, 1))
 
+    def test_square_sides(self):
+        s = rect_shape()
+        assert s.row_square() == BlockShape.square(s.poset, s.row_sizes)
+        assert s.col_square() == BlockShape.square(s.poset, s.col_sizes)
+        # A square shape is its own row and column side.
+        sq = s.col_square()
+        assert sq.row_square() is sq and sq.col_square() is sq
+
 
 class TestMembership:
     def test_paper_rectangular_pattern(self):

@@ -110,6 +110,7 @@ class TestPosetShapeBlocked:
 CERT = {"name": "cokernel", "left": "C2", "right": "C3"}
 WITNESS = {"U": {"rows": 1, "cols": 1, "entries": ["1"]},
            "V": {"rows": 1, "cols": 1, "entries": ["1"]}}
+BUDGET = {"nodes_expanded": 0, "depth_reached": 0}
 
 
 class TestVerdict:
@@ -129,24 +130,43 @@ class TestVerdict:
         assert back.certificate == v.certificate
 
     @pytest.mark.parametrize("doc", [
-        {"status": "no", "certificate": {"name": 1, "left": [1], "right": None}},
-        {"status": "no", "certificate": {"name": "cokernel", "left": "C2", "right": 3}},
+        {"status": "no", "certificate": {"name": 1, "left": [1], "right": None},
+         "budget": BUDGET},
+        {"status": "no", "certificate": {"name": "cokernel", "left": "C2", "right": 3},
+         "budget": BUDGET},
         {"status": "unknown", "budget": {"nodes_expanded": 1, "depth_reached": 0, "seed": 3}},
         {"status": "unknown", "budget": {"nodes_expanded": 1, "max_depth": "8"}},
-        {"status": "yes", "flow_invariants": {"parry_sullivan": "0"}},
+        {"status": "unknown", "budget": {"nodes_expanded": 1, "depth_reached": 0,
+                                         "max_depth": "8"}},
+        {"status": "yes", "flow_invariants": {"parry_sullivan": "0"}, "budget": BUDGET},
         {"status": "yes", "flow_invariants": {
-            "bowen_franks": {"free_rank": 1, "torsion": []}, "parry_sullivan": "00"}},
+            "bowen_franks": {"free_rank": 1, "torsion": []}, "parry_sullivan": "00"},
+         "budget": BUDGET},
         {"status": "yes", "flow_invariants": {
-            "bowen_franks": {"free_rank": 0, "torsion": []}, "parry_sullivan": "-2"}},
+            "bowen_franks": {"free_rank": 0, "torsion": []}, "parry_sullivan": "-2"},
+         "budget": BUDGET},
         # A no has a certificate and no witness, an unknown has neither, a
         # yes has no certificate, and flow_invariants ride only on a yes.
-        {"status": "no"},
-        {"status": "no", "certificate": CERT, "witness": WITNESS},
-        {"status": "unknown", "witness": WITNESS},
-        {"status": "unknown", "certificate": CERT},
-        {"status": "yes", "certificate": CERT},
+        {"status": "no", "budget": BUDGET},
+        {"status": "no", "certificate": CERT, "witness": WITNESS, "budget": BUDGET},
+        {"status": "unknown", "witness": WITNESS, "budget": BUDGET},
+        {"status": "unknown", "certificate": CERT, "budget": BUDGET},
+        {"status": "yes", "certificate": CERT, "budget": BUDGET},
         {"status": "no", "certificate": CERT, "flow_invariants": {
-            "bowen_franks": {"free_rank": 0, "torsion": []}, "parry_sullivan": "1"}},
+            "bowen_franks": {"free_rank": 0, "torsion": []}, "parry_sullivan": "1"},
+         "budget": BUDGET},
+        # Every verdict carries its budget report, and a witness is two
+        # square matrices.
+        {"status": "unknown"},
+        {"status": "yes", "witness": WITNESS},
+        {"status": "unknown", "budget": {}},
+        {"status": "unknown", "budget": {"nodes_expanded": 1}},
+        {"status": "unknown", "budget": {"depth_reached": 0, "max_depth": 8}},
+        {"status": "unknown", "budget": []},
+        {"status": "yes", "budget": BUDGET, "witness": {
+            "U": {"rows": 1, "cols": 2, "entries": ["1", "0"]}, "V": WITNESS["V"]}},
+        {"status": "yes", "budget": BUDGET, "witness": {
+            "U": WITNESS["U"], "V": {"rows": 2, "cols": 1, "entries": ["1", "0"]}}},
     ])
     def test_parse_is_strict(self, doc):
         with pytest.raises(SchemaError):
@@ -156,8 +176,18 @@ class TestVerdict:
 
     def test_flow_invariants_accepted(self):
         doc = {"status": "yes", "flow_invariants": {
-            "bowen_franks": {"free_rank": 0, "torsion": ["2"]}, "parry_sullivan": "-2"}}
+            "bowen_franks": {"free_rank": 0, "torsion": ["2"]}, "parry_sullivan": "-2"},
+            "budget": BUDGET}
         assert serialize.verdict_from_json(doc).status == "yes"
+
+    def test_rectangular_witness_sizes_accepted(self):
+        # A rectangular shape has U and V of different sizes, each square.
+        doc = {"status": "yes", "budget": {"nodes_expanded": 4, "depth_reached": 1},
+               "witness": {"U": WITNESS["U"],
+                           "V": {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}}}
+        v = serialize.verdict_from_json(doc)
+        assert [m.rows for m in v.witness] == [1, 2]
+        assert (v.report.nodes_expanded, v.report.depth_reached) == (4, 1)
 
     def test_status_checked(self):
         with pytest.raises(SchemaError):

@@ -128,6 +128,15 @@ def test_quiver_edges_given_as_triples_or_edges():
     assert triples != Quiver(3, [("e", 0, 1)])
 
 
+@pytest.mark.parametrize("edge_id", [None, 7, ["e"], b"e"])
+@pytest.mark.parametrize("as_edge", [False, True])
+def test_quiver_edge_ids_must_be_strings(edge_id, as_edge):
+    # No id is turned into a string: (None, 0, 0) must not become 'None'.
+    edge = Edge(edge_id, 0, 0) if as_edge else (edge_id, 0, 0)
+    with pytest.raises(ValueError, match="edge id must be a string"):
+        Quiver(1, [("e", 0, 0), edge])
+
+
 def test_sft_matrix_compares_matrices():
     assert SftMatrix.from_rows([[2]]) == SftMatrix(IntMatrix.from_rows([[2]]))
     assert SftMatrix.from_rows([[2]]) != SftMatrix.from_rows([[1]])
