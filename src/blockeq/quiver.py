@@ -75,7 +75,9 @@ class PresentedGroup:
     relation matrix in normal coordinates.  to_normal / from_normal convert
     coordinate columns; from_normal followed by to_normal is the identity on
     normal coordinates exactly.  dec, when given, is
-    smith_normal_form(relations) already computed, as in solve_matrix.
+    smith_normal_form(relations) already computed, as in solve_matrix; either
+    way U * relations * V = S is re-verified once, with S diagonal and
+    nonnegative, since every normal-coordinate computation reads it.
     Equality is identity.
     """
 
@@ -94,7 +96,14 @@ class PresentedGroup:
             raise DimensionError("relations must have one row per generator")
         if dec is None:
             dec = smith_normal_form(self.relations)
+        s = dec.S
         diag = dec.diagonal()
+        if (
+            dec.U * self.relations * dec.V != s
+            or any(e for k, e in enumerate(s.entries) if k // s.cols != k % s.cols)
+            or any(d < 0 for d in diag)
+        ):
+            raise AssertionError("Smith form of the relations failed re-verification")
         torsion_idx = [i for i, d in enumerate(diag) if d >= 2]
         free_idx = [i for i, d in enumerate(diag) if d == 0]
         free_idx += list(range(len(diag), gens))
@@ -539,12 +548,18 @@ class KWeb:
           -> cok B{S1} -> cok B{S} -> cok B{S2} -> 0
 
     for every splitting of a convex S into a down-set S1 and its complement.
-    Exactness of every sequence is asserted at construction time, at each
-    position as two lattice inclusions: the image lies in the kernel when the
-    composition with the next map vanishes modulo the next relations (a
-    product, no Smith form), and the kernel lies in the image when a basis of
-    the kernel solves against the image (one Smith form of the image, which
-    is the matrix whose kernel the previous position took).
+    Exactness of every sequence is asserted at construction time, on the
+    representation's normal edge maps, where each group is Z^k / diag(orders):
+    to_normal is an isomorphism from Z^gens / im(relations) onto that
+    quotient and the normal maps are the raw maps read through it, so a
+    sequence is exact in normal coordinates exactly when it is exact in raw
+    ones, and the Smith form behind those coordinates is re-verified when each
+    group is built.  At each position exactness is two lattice inclusions:
+    the image lies in the kernel when the composition with the next map
+    vanishes modulo the next orders (a product, no Smith form), and the
+    kernel lies in the image when a basis of the kernel solves against the
+    image (one Smith form of the image, which is the matrix whose kernel the
+    previous position took).
     """
 
     shape: BlockShape
@@ -561,22 +576,26 @@ def _sub_cols(shape, subset):
     return [c for j in subset for c in shape.col_range(j)]
 
 
-def _exact_at(f_in, f_out, mid: PresentedGroup, nxt: PresentedGroup, snf) -> bool:
-    """Exactness at `mid`, compared as sublattices of its generator lattice.
+def _exact_at(g_in, g_out, mid: PresentedGroup, nxt: PresentedGroup, snf) -> bool:
+    """Exactness at `mid` of normal-coordinate maps g_in into it and g_out out
+    of it, compared as sublattices of Z^k for the k normal generators of mid.
 
-    With image = [f_in | mid relations] and K = {x : f_out x = 0 in nxt},
-    image in K holds when f_out * image vanishes in nxt, which is a product
-    and a reduction; K in image holds when the preimage part of
-    ker [f_out | nxt relations], which spans K, solves against image.  snf
-    returns the Smith decomposition of a matrix; the matrix whose kernel is
-    taken here is the image at the next position of a six-term sequence.
+    With image = [g_in | mid normal relations] and K = {y : g_out y = 0 in
+    nxt}, image in K holds when nxt reduces g_out * image to zero, which is a
+    product and a reduction; K in image holds when the preimage part of
+    ker [g_out | nxt normal relations], which spans K, solves against image.
+    Normal coordinates give the same answer as raw ones, because to_normal is
+    an isomorphism of each group onto Z^k / diag(orders) that carries the raw
+    maps to the normal ones.  snf returns the Smith decomposition of a
+    matrix; the matrix whose kernel is taken here is the image at the next
+    position of a six-term sequence.
     """
-    image = f_in.hstack(mid.relations)
-    if not nxt.contains_relation(f_out * image):
+    image = g_in.hstack(mid.normal_relations)
+    if not nxt.reduce(g_out * image).is_zero():
         return False
-    stacked = f_out.hstack(nxt.relations)
+    stacked = g_out.hstack(nxt.normal_relations)
     ker = kernel_basis(stacked, snf(stacked))
-    pre = ker.submatrix(range(f_out.cols), range(ker.cols))
+    pre = ker.submatrix(range(g_out.cols), range(ker.cols))
     return solve_matrix(image, pre, snf(image)) is not None
 
 
@@ -615,10 +634,7 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
 
     edges = []
     maps = []
-    trivial = PresentedGroup.free(0)
-    # Exactness at a position depends only on the two maps and the relations
-    # of the middle and next groups, so each such question is proved once.
-    proved = set()
+    sequences = []
     for s in convex:
         col_index = {j: pos for pos, j in enumerate(_sub_cols(shape, s))}
         row_index = {r: pos for pos, r in enumerate(_sub_rows(shape, s))}
@@ -660,43 +676,49 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
 
             tag = f"S={list(s)}|S1={list(s1)}"
             seq_nodes = [ker1, ker, ker2, cok1, cok, cok2]
-            seq_maps = [f1, f2, delta, f4, f5]
+            sequences.append((tag, seq_nodes, len(maps)))
             for kind, src, dst, f in zip(
                 ("ker-incl", "ker-proj", "delta", "cok-incl", "cok-proj"),
                 seq_nodes,
                 seq_nodes[1:],
-                seq_maps,
+                (f1, f2, delta, f4, f5),
             ):
                 edges.append(Edge(f"{kind}[{tag}]", src, dst))
                 maps.append(f)
 
-            # Exactness of the whole six-term sequence, node by node.
-            seq_groups = [groups[n] for n in seq_nodes]
-            zero_in = IntMatrix.zero(seq_groups[0].gens, 0)
-            zero_out = IntMatrix.zero(0, seq_groups[-1].gens)
-            chain_in = [zero_in] + seq_maps
-            chain_out = seq_maps + [zero_out]
-            chain_next = seq_groups[1:] + [trivial]
-            for pos in range(6):
-                key = (
-                    chain_in[pos],
-                    chain_out[pos],
-                    seq_groups[pos].relations,
-                    chain_next[pos].relations,
-                )
-                if key in proved:
-                    continue
-                if not _exact_at(
-                    chain_in[pos], chain_out[pos], seq_groups[pos], chain_next[pos], snf
-                ):
-                    raise AssertionError(
-                        f"six-term sequence not exact at position {pos} for {tag}"
-                    )
-                proved.add(key)
-
     quiver = Quiver(len(groups), edges)
+    rep = ZRep(quiver, groups, maps)
+
+    # Exactness of every six-term sequence, node by node, on the normal edge
+    # maps.  A position depends only on the two maps and the orders of the
+    # middle and next groups, so each such question is proved once.
+    trivial = PresentedGroup.free(0)
+    proved = set()
+    for tag, seq_nodes, first in sequences:
+        seq_groups = [rep.groups[n] for n in seq_nodes]
+        seq_maps = list(rep.normal_edge_maps[first : first + 5])
+        chain_in = [IntMatrix.zero(seq_groups[0].normal_gens, 0)] + seq_maps
+        chain_out = seq_maps + [IntMatrix.zero(0, seq_groups[-1].normal_gens)]
+        chain_next = seq_groups[1:] + [trivial]
+        for pos in range(6):
+            key = (
+                chain_in[pos],
+                chain_out[pos],
+                seq_groups[pos].orders,
+                chain_next[pos].orders,
+            )
+            if key in proved:
+                continue
+            if not _exact_at(
+                chain_in[pos], chain_out[pos], seq_groups[pos], chain_next[pos], snf
+            ):
+                raise AssertionError(
+                    f"six-term sequence not exact at position {pos} for {tag}"
+                )
+            proved.add(key)
+
     labels = tuple(f"{kind}{list(s)}" for s in convex for kind in ("ker", "cok"))
-    return KWeb(shape, quiver, ZRep(quiver, groups, maps), labels)
+    return KWeb(shape, quiver, rep, labels)
 
 
 def decide_kweb_isomorphism(

@@ -264,7 +264,8 @@ def decide_flow_equivalence(
     Irreducible inputs get the complete Franks decision (yes/no, no witness
     matrix).  Otherwise both inputs are condensed; every invariant-compatible
     alignment of the component posets is stabilized and handed to the blocked
-    SL engine.  Yes propagates immediately; No needs every alignment refuted.
+    SL engine, and the alignments share the budget's nodes.  Yes propagates
+    immediately; No needs every alignment refuted.
     """
     return _decide_flow(a, a2, budget)[0]
 
@@ -309,14 +310,21 @@ def _decide_flow(a: SftMatrix, a2: SftMatrix, budget: SearchBudget):
     max_depth = 0
     all_no = True
     first_no = None
+    # The alignments share one node budget.  Once it is spent, an alignment
+    # has searched without an answer (a no costs no nodes), so no is out of
+    # reach and the verdict is unknown.
     for sigma in sigmas:
+        left = budget.max_nodes - total_nodes
+        if left <= 0:
+            return Verdict.unknown(BudgetReport(total_nodes, max_depth)), None
         sub, sizes2 = _relabel_blocked(c2, sigma)
         target = stabilization_target(c1.sizes, sizes2)
         shape2 = BlockShape.square(c1.poset, sizes2)
         b1 = iota_embed(c1.blocked, target)
         b2 = iota_embed(BlockedMatrix(shape2, sub), target)
         verdict = decide_blocked_equivalence(
-            b1, b2, group=SL, side=SIDE_UAV, budget=budget
+            b1, b2, group=SL, side=SIDE_UAV,
+            budget=SearchBudget(budget.max_depth, left),
         )
         if verdict.report:
             total_nodes += verdict.report.nodes_expanded

@@ -21,7 +21,8 @@ from blockeq import (
     is_morphism,
     smith_normal_form,
 )
-from blockeq.intmat import kernel_basis, solve_matrix
+from blockeq import quiver as quiver_module
+from blockeq.intmat import SmithDecomposition, kernel_basis, solve_matrix
 from blockeq.poset_block import Poset, antichain_poset, chain_poset
 from blockeq.quiver import (
     PresentedGroup,
@@ -79,6 +80,23 @@ class TestPresentedGroup:
             assert g.orders == (0,) * r
             assert (g.to_normal, g.from_normal) == (want.to_normal, want.from_normal)
         assert calls == []
+
+    def test_corrupted_smith_form_raises(self):
+        # The Smith form behind the normal coordinates is re-verified: a
+        # product that misses S, an S with an off-diagonal entry, and a
+        # diagonal with a negative entry are each refused.
+        rel = IntMatrix.from_rows([[2, 1], [0, 3]])
+        dec = smith_normal_form(rel)
+        ident = IntMatrix.identity(2)
+        diag = IntMatrix.diagonal([1, 6])
+        for relations, bad in (
+            (rel, SmithDecomposition(dec.U, dec.S + dec.S, dec.V)),
+            (rel, SmithDecomposition(ident, rel, ident)),
+            (diag, SmithDecomposition(-ident, -diag, ident)),
+        ):
+            with pytest.raises(AssertionError, match="Smith form"):
+                PresentedGroup(2, relations, bad)
+        assert PresentedGroup(2, rel, dec).orders == (6,)
 
     def test_round_trip_transforms(self):
         rng = random.Random(50)
@@ -565,11 +583,42 @@ class TestKWeb:
         assert web.quiver.vertices == len(web.labels) == 48
         assert len(calls) <= 450
 
+    @pytest.mark.parametrize(
+        "kind, position", [("ker-incl", 1), ("delta", 3), ("cok-proj", 5)]
+    )
+    def test_corrupted_map_breaks_exactness(self, monkeypatch, kind, position):
+        # Zero diagonal blocks make the kernel and cokernel of every nonempty
+        # subset Z, and each of these maps of S=[1, 2]|S1=[1] an isomorphism
+        # Z -> Z; doubling one makes its image an index-2 sublattice of the
+        # kernel of the next map.
+        shape = BlockShape.square(chain_poset(2), (1, 1))
+        b = BlockedMatrix(shape, IntMatrix.from_rows([[0, 1], [0, 0]]))
+        build_kweb(b)  # exact as built
+        tag = "S=[1, 2]|S1=[1]"
+        real = quiver_module.ZRep
+
+        def corrupted(quiver, groups, maps):
+            maps = list(maps)
+            k = next(
+                i for i, e in enumerate(quiver.edges) if e.id == f"{kind}[{tag}]"
+            )
+            maps[k] = maps[k] + maps[k]
+            return real(quiver, groups, maps)
+
+        monkeypatch.setattr(quiver_module, "ZRep", corrupted)
+        with pytest.raises(
+            AssertionError,
+            match=rf"not exact at position {position} for S=\[1, 2\]\|S1=\[1\]$",
+        ):
+            build_kweb(b)
+
     def test_exactness_one_smith_form_and_one_solve_per_position(self, monkeypatch):
-        # The same diamond web: exactness proves image in kernel by a product
-        # and kernel in image by one solve against the image, whose Smith
-        # form the previous position already took, and a position that asks
-        # a question the web has already proved is skipped.
+        # The same diamond web: exactness works on the normal edge maps, so
+        # sequences whose raw maps or relations differ but whose normal maps
+        # and orders agree ask one question.  Image in kernel is a product,
+        # kernel in image one solve against the image, whose Smith form the
+        # previous position already took, and a position that asks a
+        # question the web has already proved is skipped.
         diamond = Poset(5, [(1, 5), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)])
         shape = BlockShape.square(diamond, (2,) * 5)
         snfs = count_calls(monkeypatch, smith_normal_form)
@@ -577,9 +626,9 @@ class TestKWeb:
         exact = count_calls(monkeypatch, _exact_at)
         web = build_kweb(rand_blocked(random.Random(5), shape))
         assert web.quiver.vertices == len(web.labels) == 48
-        assert len(snfs) <= 135
-        assert len(solves) <= 300
-        assert len(exact) == 175
+        assert len(snfs) <= 93
+        assert len(solves) <= 208
+        assert len(exact) == 92
 
     def test_kweb_iso_self(self):
         shape = BlockShape.square(chain_poset(2), (1, 1))
@@ -666,7 +715,9 @@ def _lifted_hom(rng, src: PresentedGroup, dst: PresentedGroup) -> IntMatrix:
 class TestExactAt:
     """_exact_at rejects a sequence whose composition is nonzero and one
     whose kernel is strictly larger than its image, on free and torsion
-    groups, and agrees with the two-solve reference."""
+    groups, and on normal-coordinate maps agrees with the two-solve
+    reference on the raw ones.  The maps are given raw, f_in from a free
+    group on its columns, and passed through normalize_hom."""
 
     Z = PresentedGroup.free(1)
     C2 = PresentedGroup(1, IntMatrix.from_rows([[2]]))
@@ -676,14 +727,22 @@ class TestExactAt:
     TO_ZERO = IntMatrix(0, 1, ())  # the map from a one-generator group --> 0
 
     @staticmethod
-    def exact(f_in, f_out, mid, nxt):
+    def normal(f_in, f_out, mid, nxt):
+        return (
+            normalize_hom(f_in, PresentedGroup.free(f_in.cols), mid),
+            normalize_hom(f_out, mid, nxt),
+        )
+
+    @classmethod
+    def exact(cls, f_in, f_out, mid, nxt):
         calls = []
 
         def snf(a):
             calls.append(a)
             return smith_normal_form(a)
 
-        return _exact_at(f_in, f_out, mid, nxt, snf), calls
+        g_in, g_out = cls.normal(f_in, f_out, mid, nxt)
+        return _exact_at(g_in, g_out, mid, nxt, snf), calls
 
     @staticmethod
     def m(x):
@@ -744,7 +803,8 @@ class TestExactAt:
                 f_in = pre + pre
             else:  # anything
                 f_in = rand_matrix(rng, mid.gens, rng.randint(0, 2))
-            ok = _exact_at(f_in, f_out, mid, nxt, smith_normal_form)
+            g_in, g_out = self.normal(f_in, f_out, mid, nxt)
+            ok = _exact_at(g_in, g_out, mid, nxt, smith_normal_form)
             assert ok == _exact_at_two_solves(
                 f_in, f_out, mid, nxt, smith_normal_form
             )

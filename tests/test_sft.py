@@ -23,7 +23,7 @@ from blockeq import (
     validate_membership,
 )
 from blockeq.poset_block import chain_poset, generator_moves, move_matrix
-from blockeq.sft import _digraph_sccs, _edges, is_single_cycle
+from blockeq.sft import _alignments, _digraph_sccs, _edges, is_single_cycle
 
 FULL2 = SftMatrix.from_rows([[2]])
 FULL3 = SftMatrix.from_rows([[3]])
@@ -370,6 +370,23 @@ class TestDecideFlowEquivalence:
         if a.matrix != a2.matrix:
             v = decide_flow_equivalence(a, a2, SearchBudget(1, 10))
             assert v.status in ("unknown", "yes")
+
+    def test_alignments_share_one_node_budget(self):
+        # Two alignments, each left unknown by its search: together they
+        # report no more nodes than the budget allows.  At depth 1 each
+        # search stops after 6 nodes, so the second alignment runs on the 2
+        # nodes the first one left.
+        a = SftMatrix.from_rows(
+            [[6, 1, 0, 0], [0, 6, 0, 0], [0, 0, 6, 1], [0, 0, 0, 6]]
+        )
+        b = SftMatrix.from_rows(
+            [[6, 4, 0, 0], [0, 6, 0, 0], [0, 0, 6, 4], [0, 0, 0, 6]]
+        )
+        assert len(_alignments(condense(a), condense(b))) == 2
+        for budget in (SearchBudget(8, 10), SearchBudget(8, 50), SearchBudget(1, 8)):
+            v = decide_flow_equivalence(a, b, budget)
+            assert v.status == "unknown"
+            assert 0 < v.report.nodes_expanded <= budget.max_nodes
 
     def test_never_no_on_scrambles(self):
         # Soundness: anything related by constructed SL moves is never
