@@ -13,7 +13,7 @@ implies i <= j as integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress, count
 
 from .intmat import DimensionError, IntMatrix, determinant
 
@@ -104,27 +104,28 @@ class Poset:
 
         Grown from singletons: removing a maximal element keeps a convex set
         convex, so each one of size k + 1 is some convex C of size k plus an
-        x whose intervals [x, c] and [c, x] to every c in C lie in C + {x}.
+        x.  Sets are bitmasks, bit x for element x.  A set g is convex
+        exactly when the elements above some member and below some member
+        are g itself, (| up) & (| down) == g, and both unions grow with g.
         """
-        elems = list(self.elements())
-        between = {
-            (a, b): frozenset(j for j in elems if self.leq(a, j) and self.leq(j, b))
-            for (a, b) in self.pairs
-        }
-        empty = frozenset()
+        up = [0] * (self.size + 1)
+        down = [0] * (self.size + 1)
+        for i, j in self.pairs:
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+        elems = self.elements()
         out = []
-        level = {frozenset((x,)) for x in elems}
+        level = {1 << x: (up[x], down[x]) for x in elems}
         while level:
-            out.extend(sorted(tuple(sorted(c)) for c in level))
-            grown = set()
-            for c in level:
+            out.extend(sorted(tuple(x for x in elems if c >> x & 1) for c in level))
+            grown = {}
+            for c, (cu, cd) in level.items():
                 for x in elems:
-                    g = c | {x}
-                    if x not in c and g not in grown and all(
-                        between.get((x, y), empty) <= g and between.get((y, x), empty) <= g
-                        for y in c
-                    ):
-                        grown.add(g)
+                    g = c | 1 << x
+                    if g != c and g not in grown:
+                        gu, gd = cu | up[x], cd | down[x]
+                        if gu & gd == g:
+                            grown[g] = (gu, gd)
             level = grown
         return out
 
@@ -297,25 +298,21 @@ class BlockShape:
 
 
 def validate_membership(matrix: IntMatrix, shape: BlockShape) -> bool:
-    """Whether every block with i not-below j is identically zero."""
+    """Whether every block with i not-below j is identically zero: each
+    nonzero entry's row block must lie below its column block."""
     if matrix.rows != shape.total_rows or matrix.cols != shape.total_cols:
         raise DimensionError(
             f"matrix is {matrix.rows}x{matrix.cols}, shape wants "
             f"{shape.total_rows}x{shape.total_cols}"
         )
-    poset = shape.poset
-    for i in poset.elements():
-        rows = shape.row_range(i)
-        if not rows:
-            continue
-        for j in poset.elements():
-            if poset.leq(i, j):
-                continue
-            for r in rows:
-                base = r * matrix.cols
-                for c in shape.col_range(j):
-                    if matrix.entries[base + c]:
-                        return False
+    row_block = [i for i, k in enumerate(shape.row_sizes, start=1) for _ in range(k)]
+    col_block = [j for j, k in enumerate(shape.col_sizes, start=1) for _ in range(k)]
+    pairs = shape.poset.pairs
+    cols = matrix.cols
+    for k in compress(count(), matrix.entries):
+        r, c = divmod(k, cols)
+        if (row_block[r], col_block[c]) not in pairs:
+            return False
     return True
 
 

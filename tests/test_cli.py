@@ -2,6 +2,7 @@
 
 import json
 import random
+from math import prod
 
 import pytest
 
@@ -121,6 +122,17 @@ class TestSubcommands:
         assert u * a * v == s
         assert s == IntMatrix.diagonal(s.entries[:: s.cols + 1])
         assert abs(determinant(u)) == abs(determinant(v)) == 1
+
+    def test_cokernel_40x40(self, tmp_path, capsys):
+        a = rand_matrix(random.Random(1), 40, 40, -9, 9)
+        path = write(tmp_path, "a.json", serialize.matrix_to_json(a))
+        code, out, err = run(capsys, "cokernel", path)
+        assert (code, err) == (EXIT_YES, "")
+        doc = parse_stdout(out)
+        assert doc["free_rank"] == 0
+        torsion = [int(d) for d in doc["torsion"]]
+        assert all(y % x == 0 for x, y in zip(torsion, torsion[1:]))
+        assert prod(torsion) == abs(determinant(a))
 
     def test_ten_thousand_digit_entries(self, tmp_path, capsys):
         n = 7**11832

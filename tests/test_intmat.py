@@ -142,6 +142,42 @@ class TestSmithNormalForm:
         assert max(abs(e) for m in (dec.U, dec.V) for e in m.entries) < 10**200
 
 
+class TestSmithDiagonal:
+    # The transform-free elimination retires pivots in any order and makes
+    # them a divisibility chain at the end by pairwise gcd and lcm.
+    @pytest.mark.parametrize("rows, expected", [
+        ([[4, 0], [0, 6]], (2, 12)),
+        ([[6, 0, 0], [0, 0, 0], [0, 0, 4]], (2, 12, 0)),
+        ([[-4, 0], [0, 6]], (2, 12)),
+        ([[-6, 0], [0, -4]], (2, 12)),
+        ([[0, 0, -9], [0, 3, 0], [-2, 0, 0]], (1, 3, 18)),
+        ([[4, 0, 0], [0, 6, 0]], (2, 12)),
+        ([[4, 0], [0, 0], [0, 6]], (2, 12)),
+        ([[0, 0, 0], [0, -6, 0]], (6, 0)),
+        ([[0, 0], [0, 0], [10, 4]], (2, 0)),
+    ])
+    def test_gcd_lcm_chain(self, rows, expected):
+        a = IntMatrix.from_rows(rows)
+        assert smith_diagonal(a) == expected
+        assert smith_diagonal(a) == smith_normal_form(a).diagonal()
+
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (4, 0)])
+    def test_empty(self, rows, cols):
+        assert smith_diagonal(IntMatrix.zero(rows, cols)) == ()
+        assert cokernel(IntMatrix.zero(rows, cols)).iso_class() == (rows, ())
+
+    def test_40x40_cokernel_is_fast(self):
+        # Before the diagonal had an elimination of its own, this matrix
+        # took about 20 seconds.
+        a = rand_matrix(random.Random(1), 40, 40, -9, 9)
+        start = time.perf_counter()
+        g = cokernel(a)
+        assert time.perf_counter() - start < 5
+        assert g.free_rank == 0
+        assert g.order() == abs(determinant(a))
+        assert smith_diagonal(a) == smith_normal_form(a).diagonal()
+
+
 class TestDeterminant:
     def test_identity(self):
         assert determinant(IntMatrix.identity(3)) == 1

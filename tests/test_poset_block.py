@@ -121,6 +121,10 @@ class TestPoset:
             assert q.convex_subsets() == scanned(q)
         assert antichain_poset(4).convex_subsets() == scanned(antichain_poset(4))
         assert len(antichain_poset(4).convex_subsets()) == 15
+        assert Poset(0).convex_subsets() == []
+        # Every nonempty subset of an antichain is convex: 2^6 - 1 of them.
+        assert antichain_poset(6).convex_subsets() == scanned(antichain_poset(6))
+        assert len(antichain_poset(6).convex_subsets()) == 63
         # The convex subsets of a chain are its 136 intervals.
         assert chain_poset(16).convex_subsets() == [
             tuple(range(i, i + k)) for k in range(1, 17) for i in range(1, 18 - k)
@@ -194,6 +198,36 @@ class TestMembership:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             validate_membership(IntMatrix.zero(2, 2), rect_shape())
+
+    def test_matches_block_pair_scan(self):
+        # Against a scan of every entry of every block (i, j) with i not
+        # below j, on seeded shapes with zero-size blocks and sparse
+        # entries, some of them in forbidden blocks.
+        def pair_scan(m, shape):
+            return not any(
+                m[r, c]
+                for i in shape.poset.elements() for j in shape.poset.elements()
+                if not shape.poset.leq(i, j)
+                for r in shape.row_range(i) for c in shape.col_range(j)
+            )
+
+        rng = random.Random(66)
+        verdicts = set()
+        for _ in range(400):
+            poset = rand_poset(rng, rng.randint(1, 5))
+            while True:
+                rows = tuple(rng.randint(0, 2) for _ in poset.elements())
+                cols = tuple(rng.randint(0, 2) for _ in poset.elements())
+                if any(rows) and any(cols):
+                    break
+            shape = BlockShape(poset, rows, cols)
+            m = IntMatrix(shape.total_rows, shape.total_cols, [
+                rng.choice((0, 0, 0, 1, -2)) for _ in range(shape.total_rows * shape.total_cols)
+            ])
+            verdict = validate_membership(m, shape)
+            assert verdict == pair_scan(m, shape)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_blocked_constructor_rejects(self):
         shape = BlockShape.square(antichain_poset(2), (1, 1))
