@@ -45,6 +45,7 @@ from .intmat import (
     DimensionError,
     FgAbelianGroup,
     IntMatrix,
+    _check_ints,
     cokernel,
     determinant,
     image_annihilator,
@@ -80,6 +81,7 @@ class SearchBudget:
     max_nodes: int = 1_000_000
 
     def __post_init__(self):
+        _check_ints((self.max_depth, self.max_nodes), "budget bound")
         if self.max_depth <= 0 or self.max_nodes <= 0:
             raise ValueError("budget bounds must be positive")
 
@@ -184,11 +186,7 @@ def invariant_profile(a: BlockedMatrix, group: str) -> InvariantProfile:
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     shape = a.shape
-    convex = []
-    for s in shape.poset.convex_subsets():
-        rows = [r for i in s for r in shape.row_range(i)]
-        cols = [c for j in s for c in shape.col_range(j)]
-        convex.append((s, cokernel(a.matrix.submatrix(rows, cols))))
+    convex = [(s, cokernel(a.restrict(s))) for s in shape.poset.convex_subsets()]
     # The whole poset and every singleton are convex, so the whole matrix
     # and each diagonal block already have their class in the list.
     classes = dict(convex)

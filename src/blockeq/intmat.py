@@ -37,10 +37,10 @@ class DimensionError(ValueError):
     """Operands have incompatible dimensions."""
 
 
-def _check_entries(entries):
-    for e in entries:
+def _check_ints(values, what="entry"):
+    for e in values:
         if not isinstance(e, int) or isinstance(e, bool):
-            raise TypeError(f"non-integer entry {e!r}")
+            raise TypeError(f"non-integer {what} {e!r}")
 
 
 class IntMatrix:
@@ -54,7 +54,8 @@ class IntMatrix:
 
     def __init__(self, rows, cols, entries):
         """Validated construction, for entries from outside the package:
-        every entry must be an int and not a bool."""
+        the dimensions and every entry must be ints and not bools."""
+        _check_ints((rows, cols), "dimension")
         if rows < 0 or cols < 0:
             raise DimensionError("negative matrix dimension")
         entries = tuple(entries)
@@ -62,7 +63,7 @@ class IntMatrix:
             raise DimensionError(
                 f"entry count {len(entries)} != {rows}x{cols}"
             )
-        _check_entries(entries)
+        _check_ints(entries)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
@@ -109,7 +110,7 @@ class IntMatrix:
     @classmethod
     def diagonal(cls, values):
         values = list(values)
-        _check_entries(values)
+        _check_ints(values)
         n = len(values)
         ent = [0] * (n * n)
         ent[:: n + 1] = values

@@ -8,6 +8,11 @@ stabilizes a blocked matrix into larger block sizes.
 
 Poset elements are the integers 1..N, normalized so that i <= j in the order
 implies i <= j as integers.
+
+Poset and block geometry each have one source here.  A Poset's up and down
+bitmask tables, built once at construction, answer every order query; and
+BlockShape.rows_of / cols_of, with BlockedMatrix.restrict, are the one map
+from a sequence of poset elements to matrix rows, columns and submatrix.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, compress, count
 
-from .intmat import DimensionError, IntMatrix, determinant
+from .intmat import DimensionError, IntMatrix, _check_ints, determinant
 
 GL = "gl"
 SL = "sl"
@@ -37,22 +42,31 @@ class BlockStructureError(ValueError):
 class Poset:
     """Finite poset on {1..size} given by its (reflexively and transitively
     closed) order relation, normalized so i <= j in P implies i <= j in Z.
-    Any generating pairs may be given; `pairs` holds their closure."""
+    Any generating pairs may be given; `pairs` holds their closure.  Every
+    order query reads the same closure as two bitmask tables, which take no
+    part in equality: bit j of up[i] and bit i of down[j] are set when i <= j
+    (entry 0 is empty)."""
 
     size: int
     pairs: frozenset = ()
+    up: tuple = field(init=False, compare=False)
+    down: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.size < 0:
             raise ValueError("negative poset size")
-        rel = _order_closure(self.size, self.pairs)
-        for i, j in rel:
-            if i > j:
+        up, down = _order_closure(self.size, tuple(self.pairs))
+        for i in self.elements():
+            if up[i] & ((1 << i) - 1):
+                j = (up[i] & -up[i]).bit_length() - 1
                 raise ValueError(
                     f"normalization violated: {i} precedes {j} but {i} > {j}; "
                     "relabel with Poset.normalized"
                 )
-        object.__setattr__(self, "pairs", frozenset(rel))
+        pairs = frozenset((i, j) for i in self.elements()
+                          for j in range(i, self.size + 1) if up[i] >> j & 1)
+        for name, value in (("pairs", pairs), ("up", up), ("down", down)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def normalized(cls, size, pairs):
@@ -61,43 +75,35 @@ class Poset:
 
         Returns (poset, relabel) where relabel[old - 1] = new label.
         """
-        rel = _order_closure(size, pairs)
+        pairs = tuple(pairs)
+        _, down = _order_closure(size, pairs)
         # Stable topological order: repeatedly place the least label whose
         # strict predecessors are all placed.
-        below = [0] * (size + 1)
-        for i, j in rel:
-            if i != j:
-                below[j] |= 1 << i
         placed = 0
-        order = []
-        for _ in range(size):
-            x = next(x for x in range(1, size + 1)
-                     if not placed >> x & 1 and not below[x] & ~placed)
-            placed |= 1 << x
-            order.append(x)
         relabel = [0] * size
-        for new, old in enumerate(order, start=1):
-            relabel[old - 1] = new
-        new_pairs = {(relabel[i - 1], relabel[j - 1]) for (i, j) in rel}
+        for new in range(1, size + 1):
+            x = next(x for x in range(1, size + 1)
+                     if down[x] & ~placed == 1 << x)
+            placed |= 1 << x
+            relabel[x - 1] = new
+        new_pairs = [(relabel[i - 1], relabel[j - 1]) for (i, j) in pairs]
         return cls(size, new_pairs), tuple(relabel)
 
     def leq(self, i, j):
-        return (i, j) in self.pairs
+        """Whether i <= j, for elements i and j."""
+        return bool(self.up[i] >> j & 1)
 
     def elements(self):
         return range(1, self.size + 1)
 
     def strict_pairs(self):
-        return sorted((i, j) for (i, j) in self.pairs if i != j)
+        return [(i, j) for i in self.elements()
+                for j in range(i + 1, self.size + 1) if self.up[i] >> j & 1]
 
     def is_convex(self, subset):
-        s = set(subset)
-        for i in s:
-            for k in s:
-                for j in self.elements():
-                    if j not in s and self.leq(i, j) and self.leq(j, k):
-                        return False
-        return True
+        """No element outside the subset lies between two inside it."""
+        s, above, below = self._spans(subset)
+        return above & below == s
 
     def convex_subsets(self):
         """All nonempty convex subsets, by size and then lexicographically.
@@ -108,11 +114,7 @@ class Poset:
         exactly when the elements above some member and below some member
         are g itself, (| up) & (| down) == g, and both unions grow with g.
         """
-        up = [0] * (self.size + 1)
-        down = [0] * (self.size + 1)
-        for i, j in self.pairs:
-            up[i] |= 1 << j
-            down[j] |= 1 << i
+        up, down = self.up, self.down
         elems = self.elements()
         out = []
         level = {1 << x: (up[x], down[x]) for x in elems}
@@ -130,17 +132,26 @@ class Poset:
         return out
 
     def downsets_within(self, subset):
-        """Nonempty proper subsets of `subset` closed downward within it."""
+        """Nonempty proper subsets of `subset` closed downward within it, in
+        `combinations` order."""
         subset = tuple(subset)
+        within = self._spans(subset)[0]
         out = []
         for size in range(1, len(subset)):
             for comb in combinations(subset, size):
-                s = set(comb)
-                if all(
-                    (y in s) for x in s for y in subset if self.leq(y, x)
-                ):
+                s, _, below = self._spans(comb)
+                if below & within == s:
                     out.append(comb)
         return out
+
+    def _spans(self, elements):
+        """Bitmasks of the elements and of all elements above and below them."""
+        s = above = below = 0
+        for x in elements:
+            s |= 1 << x
+            above |= self.up[x]
+            below |= self.down[x]
+        return s, above, below
 
     def order_isomorphisms(self, other):
         """All bijections {1..n} -> {1..n} preserving order both ways."""
@@ -193,22 +204,20 @@ def reachability(size, edges):
 
 
 def _order_closure(size, pairs):
-    """Reflexive and transitive closure of pairs on 1..size, rejecting pairs
-    out of range and cycles."""
-    edges = []
+    """The tables (up, down) of Poset for the reflexive and transitive
+    closure of pairs on 1..size, rejecting pairs out of range and cycles."""
     for i, j in pairs:
         if not (1 <= i <= size and 1 <= j <= size):
             raise ValueError(f"pair ({i},{j}) out of range 1..{size}")
-        if i != j:
-            edges.append((i - 1, j - 1))
-    up = reachability(size, edges)
-    for i, mask in enumerate(up):
-        if mask >> i & 1:
-            j = next(j for j in range(size)
-                     if j != i and mask >> j & 1 and up[j] >> i & 1)
-            raise ValueError(f"antisymmetry violated at ({i + 1},{j + 1})")
-    return {(i + 1, j + 1) for i, mask in enumerate(up)
-            for j in range(size) if j == i or mask >> j & 1}
+    # Vertex 0 has no edges, so entry x of each table is element x.
+    loops = [(x, x) for x in range(1, size + 1)]
+    up = reachability(size + 1, [*pairs, *loops])
+    down = reachability(size + 1, [(j, i) for i, j in pairs] + loops)
+    for i in range(1, size + 1):
+        if both := up[i] & down[i] & ~(1 << i):
+            j = (both & -both).bit_length() - 1
+            raise ValueError(f"antisymmetry violated at ({i},{j})")
+    return tuple(up), tuple(down)
 
 
 def chain_poset(n):
@@ -242,6 +251,7 @@ class BlockShape:
         col_sizes = tuple(self.col_sizes)
         if len(row_sizes) != poset.size or len(col_sizes) != poset.size:
             raise ShapeError("size vectors must have one entry per poset element")
+        _check_ints(row_sizes + col_sizes, "block size")
         if any(s < 0 for s in row_sizes + col_sizes):
             raise ShapeError("negative block size")
         bi = tuple(i for i in poset.elements() if row_sizes[i - 1] > 0)
@@ -281,6 +291,14 @@ class BlockShape:
     def col_range(self, j):
         return range(self.col_offsets[j - 1], self.col_offsets[j])
 
+    def rows_of(self, elements):
+        """Matrix rows of the blocks of a sequence of elements, in order."""
+        return [r for i in elements for r in self.row_range(i)]
+
+    def cols_of(self, elements):
+        """Matrix columns of the blocks of a sequence of elements, in order."""
+        return [c for j in elements for c in self.col_range(j)]
+
     def row_square(self):
         """The square shape carrying left (row-side) transformations."""
         if self.is_square:
@@ -307,11 +325,11 @@ def validate_membership(matrix: IntMatrix, shape: BlockShape) -> bool:
         )
     row_block = [i for i, k in enumerate(shape.row_sizes, start=1) for _ in range(k)]
     col_block = [j for j, k in enumerate(shape.col_sizes, start=1) for _ in range(k)]
-    pairs = shape.poset.pairs
+    up = shape.poset.up
     cols = matrix.cols
     for k in compress(count(), matrix.entries):
         r, c = divmod(k, cols)
-        if (row_block[r], col_block[c]) not in pairs:
+        if not up[row_block[r]] >> col_block[c] & 1:
             return False
     return True
 
@@ -342,6 +360,13 @@ class BlockedMatrix:
 
     def diagonal_block(self, i):
         return self.block(i, i)
+
+    def restrict(self, elements):
+        """The submatrix on the block rows and columns of a sequence of poset
+        elements, in the order given."""
+        return self.matrix.submatrix(
+            self.shape.rows_of(elements), self.shape.cols_of(elements)
+        )
 
     def __repr__(self):
         return f"BlockedMatrix({self.shape!r}, {self.matrix.to_rows()})"

@@ -568,14 +568,6 @@ class KWeb:
     labels: tuple
 
 
-def _sub_rows(shape, subset):
-    return [r for i in subset for r in shape.row_range(i)]
-
-
-def _sub_cols(shape, subset):
-    return [c for j in subset for c in shape.col_range(j)]
-
-
 def _exact_at(g_in, g_out, mid: PresentedGroup, nxt: PresentedGroup, snf) -> bool:
     """Exactness at `mid` of normal-coordinate maps g_in into it and g_out out
     of it, compared as sublattices of Z^k for the k normal generators of mid.
@@ -621,12 +613,8 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
     index = {s: 2 * k for k, s in enumerate(convex)}
     groups = []
     kernel_bases = {}
-    submatrices = {}
     for s in convex:
-        rows = _sub_rows(shape, s)
-        cols = _sub_cols(shape, s)
-        sub = b.matrix.submatrix(rows, cols)
-        submatrices[s] = sub
+        sub = b.restrict(s)
         basis = kernel_basis(sub, snf(sub))
         kernel_bases[s] = basis
         groups.append(PresentedGroup.free(basis.cols))
@@ -635,12 +623,12 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
     edges = []
     maps = []
     sequences = []
+    # The shape is square, so the rows of a set of elements are also its
+    # columns, and the inclusions and projections of coordinates between S1,
+    # S and S2, on the kernel and the cokernel side, are pieces of identity.
+    ident = IntMatrix.identity(shape.total_rows)
     for s in convex:
-        col_index = {j: pos for pos, j in enumerate(_sub_cols(shape, s))}
-        row_index = {r: pos for pos, r in enumerate(_sub_rows(shape, s))}
-        n_rows, n_cols = len(row_index), len(col_index)
-        row_ident = IntMatrix.identity(n_rows)
-        col_ident = IntMatrix.identity(n_cols)
+        at = shape.rows_of(s)
         for s1 in poset.downsets_within(s):
             s2 = tuple(x for x in s if x not in s1)
             ker1, ker, ker2 = index[s1], index[s], index[s2]
@@ -648,31 +636,22 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
             n1 = kernel_bases[s1]
             nn = kernel_bases[s]
             n2 = kernel_bases[s2]
-            cols_s1 = [col_index[c] for c in _sub_cols(shape, s1)]
-            cols_s2 = [col_index[c] for c in _sub_cols(shape, s2)]
-            rows_s1 = [row_index[r] for r in _sub_rows(shape, s1)]
+            at1, at2 = shape.rows_of(s1), shape.rows_of(s2)
+            incl = ident.submatrix(at, at1)
+            proj = ident.submatrix(at2, at)
 
             # ker B{S1} -> ker B{S}: include and re-express in the S basis.
-            emb = col_ident.submatrix(range(n_cols), cols_s1)
-            f1 = solve_matrix(nn, emb * n1, snf(nn))
+            f1 = solve_matrix(nn, incl * n1, snf(nn))
             if f1 is None:  # pragma: no cover - theory
                 raise AssertionError("kernel inclusion failed")
 
             # ker B{S} -> ker B{S2}: project to the S2 coordinates.
-            proj = nn.submatrix(cols_s2, range(nn.cols))
-            f2 = solve_matrix(n2, proj, snf(n2))
+            f2 = solve_matrix(n2, proj * nn, snf(n2))
             if f2 is None:  # pragma: no cover - theory
                 raise AssertionError("kernel projection failed")
 
             # Connecting map: w -> X w in cok B{S1}, X the upper-right block.
-            x = submatrices[s].submatrix(rows_s1, cols_s2)
-            delta = x * n2
-
-            # cok B{S1} -> cok B{S} includes the S1 rows; cok B{S} ->
-            # cok B{S2} projects onto the S2 rows.
-            f4 = row_ident.submatrix(range(n_rows), rows_s1)
-            rows_s2 = [row_index[r] for r in _sub_rows(shape, s2)]
-            f5 = row_ident.submatrix(rows_s2, range(n_rows))
+            delta = b.matrix.submatrix(at1, at2) * n2
 
             tag = f"S={list(s)}|S1={list(s1)}"
             seq_nodes = [ker1, ker, ker2, cok1, cok, cok2]
@@ -681,7 +660,7 @@ def build_kweb(b: BlockedMatrix) -> KWeb:
                 ("ker-incl", "ker-proj", "delta", "cok-incl", "cok-proj"),
                 seq_nodes,
                 seq_nodes[1:],
-                (f1, f2, delta, f4, f5),
+                (f1, f2, delta, incl, proj),
             ):
                 edges.append(Edge(f"{kind}[{tag}]", src, dst))
                 maps.append(f)

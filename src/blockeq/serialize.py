@@ -147,13 +147,9 @@ def _shape_from_json_with_relabel(doc):
     if len(m) != poset.size or len(n) != poset.size:
         raise SchemaError("shape: size vectors must match the poset size")
     # Apply the same relabelling the poset received.
-    m2 = [0] * poset.size
-    n2 = [0] * poset.size
-    for old in range(poset.size):
-        m2[relabel[old] - 1] = m[old]
-        n2[relabel[old] - 1] = n[old]
+    old = _inverse(relabel)
     try:
-        return BlockShape(poset, m2, n2), relabel
+        return BlockShape(poset, [m[x] for x in old], [n[x] for x in old]), relabel
     except ValueError as exc:
         raise SchemaError(f"shape: {exc}") from exc
 
@@ -166,30 +162,21 @@ def blocked_from_json(doc) -> BlockedMatrix:
     _require_keys(doc, ("shape", "matrix"), "blocked matrix")
     shape, relabel = _shape_from_json_with_relabel(doc["shape"])
     matrix = matrix_from_json(doc["matrix"])
-    if relabel != tuple(range(1, shape.poset.size + 1)):
-        # Permute matrix rows/columns consistently with the poset relabelling.
-        old_m = doc["shape"]["m"]
-        old_n = doc["shape"]["n"]
-        row_perm = _block_permutation(old_m, relabel)
-        col_perm = _block_permutation(old_n, relabel)
-        matrix = matrix.submatrix(row_perm, col_perm)
+    if (matrix.rows, matrix.cols) == (shape.total_rows, shape.total_cols):
+        # The document's rows and columns are the new blocks in the order
+        # relabel lists them.
+        matrix = matrix.submatrix(
+            _inverse(shape.rows_of(relabel)), _inverse(shape.cols_of(relabel))
+        )
     try:
         return BlockedMatrix(shape, matrix)
     except ValueError as exc:
         raise SchemaError(f"blocked matrix: {exc}") from exc
 
 
-def _block_permutation(old_sizes, relabel):
-    """Row indices of the relabelled matrix: new block order over old data."""
-    n = len(old_sizes)
-    old_offsets = [0]
-    for s in old_sizes:
-        old_offsets.append(old_offsets[-1] + s)
-    order = sorted(range(n), key=lambda old: relabel[old])
-    perm = []
-    for old in order:
-        perm.extend(range(old_offsets[old], old_offsets[old + 1]))
-    return perm
+def _inverse(perm):
+    """Positions 0..k-1 in the order of perm's values at them."""
+    return sorted(range(len(perm)), key=perm.__getitem__)
 
 
 # -- groups, verdicts ----------------------------------------------------------

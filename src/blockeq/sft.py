@@ -217,17 +217,9 @@ def stabilization_target(m, m2):
 def _relabel_blocked(cond: CondensedForm, sigma) -> tuple[IntMatrix, tuple]:
     """cond.blocked pulled back along sigma: block (i, j) of the result is
     block (sigma(i), sigma(j)) of the source.  Returns (matrix, sizes)."""
-    shape = cond.blocked.shape
-    perm = []
-    sizes = []
-    for i in range(1, shape.poset.size + 1):
-        src = sigma[i - 1]
-        perm.extend(shape.row_range(src))
-        sizes.append(shape.row_sizes[src - 1])
-    sub = cond.blocked.matrix.submatrix(perm, perm)
     # sigma is an order isomorphism, so the pulled-back matrix is blocked
     # over the *source* poset with the permuted sizes.
-    return sub, tuple(sizes)
+    return cond.blocked.restrict(sigma), tuple(cond.sizes[x - 1] for x in sigma)
 
 
 def _alignments(c1: CondensedForm, c2: CondensedForm):

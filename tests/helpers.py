@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from blockeq import (
     BlockShape,
@@ -56,6 +56,48 @@ def rand_poset(rng, size):
             if rng.random() < 0.5:
                 pairs.append((i, j))
     return Poset(size, pairs)
+
+
+class BruteOrder:
+    """The order generated by pairs on 1..size, with every query answered
+    from its definition: no bitmasks and nothing shared with Poset."""
+
+    def __init__(self, size, pairs):
+        self.size = size
+        self.elements = range(1, size + 1)
+        leq = {(x, x) for x in self.elements} | set(pairs)
+        while True:
+            grown = leq | {(a, d) for (a, b) in leq for (c, d) in leq if b == c}
+            if grown == leq:
+                break
+            leq = grown
+        self.pairs = leq
+
+    def leq(self, i, j):
+        return (i, j) in self.pairs
+
+    def is_convex(self, subset):
+        """No j outside the subset has i <= j <= k for some i, k in it."""
+        s = set(subset)
+        return not any(self.leq(i, j) and self.leq(j, k)
+                       for i in s for k in s for j in self.elements if j not in s)
+
+    def convex_subsets(self):
+        return [c for k in range(1, self.size + 1)
+                for c in combinations(self.elements, k) if self.is_convex(c)]
+
+    def downsets_within(self, subset):
+        """Nonempty proper subsets of subset holding every y of subset below
+        one of their members."""
+        subset = tuple(subset)
+        return [c for k in range(1, len(subset)) for c in combinations(subset, k)
+                if all(y in c for x in c for y in subset if self.leq(y, x))]
+
+    def up(self, i):
+        return sum(1 << j for j in self.elements if self.leq(i, j))
+
+    def down(self, j):
+        return sum(1 << i for i in self.elements if self.leq(i, j))
 
 
 def rand_square_shape(rng, max_poset=3, max_block=2):

@@ -48,6 +48,14 @@ def single_block(value):
     return BlockedMatrix(shape, IntMatrix.from_rows([[value]]))
 
 
+@pytest.mark.parametrize("depth, nodes", [(2.5, 100), (True, 5), (8, 10.0), (8, False)])
+def test_budget_bounds_must_be_ints(depth, nodes):
+    # A float bound would otherwise reach the search's bit packing and fail
+    # there in a shift.
+    with pytest.raises(TypeError, match="non-integer budget bound"):
+        SearchBudget(depth, nodes)
+
+
 class TestInvariantProfile:
     def test_identity_trivial(self):
         shape = BlockShape.square(chain_poset(2), (1, 1))

@@ -475,6 +475,11 @@ class TestEntryValidation:
         with pytest.raises(TypeError, match="non-integer entry"):
             IntMatrix.column([bad])
 
+    @pytest.mark.parametrize("rows, cols", [(2.0, 1), (1, 2.0), (True, 2), (2, False)])
+    def test_rejects_non_integer_dimensions(self, rows, cols):
+        with pytest.raises(TypeError, match="non-integer dimension"):
+            IntMatrix(rows, cols, (1, 2))
+
     def test_rejects_negative_dimensions(self):
         with pytest.raises(DimensionError, match="negative matrix dimension"):
             IntMatrix(-1, 0, ())

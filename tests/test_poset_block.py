@@ -28,7 +28,7 @@ from blockeq.poset_block import (
     antichain_poset, chain_poset, generator_moves, reachability,
 )
 
-from helpers import rand_blocked, rand_poset, rand_square_shape
+from helpers import BruteOrder, rand_blocked, rand_poset, rand_square_shape
 
 
 def five_element_poset():
@@ -136,6 +136,31 @@ class TestPoset:
         q = antichain_poset(2)
         assert q.downsets_within((1, 2)) == [(1,), (2,)]
 
+    def test_order_queries_against_definitions(self):
+        # Seeded random orders on up to 7 elements, given with shuffled labels
+        # and relabelled by Poset.normalized, against BruteOrder on the
+        # relabelled generating pairs.
+        rng = random.Random(67)
+        for t in range(200):
+            size = t % 8
+            perm = rng.sample(range(1, size + 1), size)
+            gen = [(perm[i], perm[j]) for i in range(size)
+                   for j in range(i + 1, size) if rng.random() < 0.3]
+            p, relabel = Poset.normalized(size, gen)
+            ref = BruteOrder(size, [(relabel[i - 1], relabel[j - 1]) for i, j in gen])
+            elems = list(ref.elements)
+            assert p.pairs == ref.pairs
+            assert [p.leq(i, j) for i in elems for j in elems] == [
+                ref.leq(i, j) for i in elems for j in elems]
+            assert (p.up, p.down) == ((0, *map(ref.up, elems)), (0, *map(ref.down, elems)))
+            assert p.convex_subsets() == ref.convex_subsets()
+            for k in range(size + 1):
+                for c in combinations(elems, k):
+                    assert p.is_convex(c) == ref.is_convex(c)
+            # downsets_within keeps the order its subset is given in.
+            for c in ref.convex_subsets() + [tuple(rng.sample(elems, size))]:
+                assert p.downsets_within(c) == ref.downsets_within(c)
+
     def test_order_isomorphisms(self):
         chain = chain_poset(2)
         anti = antichain_poset(2)
@@ -159,6 +184,13 @@ class TestShape:
     def test_bad_lengths(self):
         with pytest.raises(ShapeError):
             BlockShape(Poset(2), (1,), (1, 1))
+
+    @pytest.mark.parametrize("rows, cols", [
+        ((1.5, 1), (1, 1)), ((2.0, 0), (1, 1)), ((1, 1), (1, True)), ((1, 1), ("1", 1)),
+    ])
+    def test_sizes_must_be_ints(self, rows, cols):
+        with pytest.raises(TypeError, match="non-integer block size"):
+            BlockShape(chain_poset(2), rows, cols)
 
     def test_square_sides(self):
         s = rect_shape()
@@ -275,6 +307,26 @@ class TestGroupMembership:
 
 
 class TestBlockedArithmetic:
+    def test_restrict_on_a_permutation(self):
+        # Elements in any order, as flow-equivalence alignments give them,
+        # against entry-by-entry indexing with each block's rows and columns
+        # found by summing the sizes before it.
+        rng = random.Random(68)
+        for _ in range(200):
+            size = rng.randint(1, 4)
+            m = [rng.randint(0, 2) for _ in range(size)]
+            n = [rng.randint(0, 2) for _ in range(size)]
+            if not any(m) or not any(n):
+                continue
+            b = rand_blocked(rng, BlockShape(rand_poset(rng, size), m, n))
+            sigma = rng.sample(range(1, size + 1), rng.randint(0, size))
+            rows = [r for x in sigma for r in range(sum(m[: x - 1]), sum(m[:x]))]
+            cols = [c for x in sigma for c in range(sum(n[: x - 1]), sum(n[:x]))]
+            assert (b.shape.rows_of(sigma), b.shape.cols_of(sigma)) == (rows, cols)
+            assert b.restrict(sigma) == IntMatrix(
+                len(rows), len(cols), [b.matrix[r, c] for r in rows for c in cols]
+            )
+
     def test_multiply_identity(self):
         rng = random.Random(1)
         shape = rand_square_shape(rng)

@@ -98,6 +98,35 @@ class TestPosetShapeBlocked:
         # Old block 2 becomes new block 1: rows/cols swap.
         assert b.matrix == IntMatrix.from_rows([[5, 7], [0, 3]])
 
+    RELABELLED_3 = {
+        # Old 2 and 3 lie below old 1, so old (1, 2, 3) become new (3, 1, 2);
+        # rows and columns move with different block sizes, zeros included.
+        "poset": {"n": 3, "leq": [[3, 1], [2, 1]]}, "m": [2, 0, 1], "n": [1, 0, 2],
+    }
+
+    def test_blocked_relabelled_three_blocks(self):
+        doc = {
+            "shape": self.RELABELLED_3,
+            "matrix": {"rows": 3, "cols": 3,
+                       "entries": ["1", "0", "0", "2", "0", "0", "3", "4", "5"]},
+        }
+        b = serialize.blocked_from_json(doc)
+        # New block 2 is old block 3 (one row, two columns) and new block 3
+        # is old block 1 (two rows, one column).
+        assert b.shape == BlockShape(Poset(3, [(1, 3), (2, 3)]), (0, 1, 2), (0, 2, 1))
+        assert b.matrix == IntMatrix.from_rows([[4, 5, 3], [0, 0, 1], [0, 0, 2]])
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_blocked_relabelled_wrong_size_rejected(self, rows):
+        # A matrix with a row too many or too few for the relabelled shape is
+        # refused, not cut down or indexed past its end.
+        doc = {
+            "shape": self.RELABELLED_3,
+            "matrix": {"rows": rows, "cols": 3, "entries": ["0"] * (3 * rows)},
+        }
+        with pytest.raises(SchemaError, match=f"matrix is {rows}x3, shape wants 3x3"):
+            serialize.blocked_from_json(doc)
+
     def test_blocked_pattern_enforced(self):
         doc = {
             "shape": {"poset": {"n": 2, "leq": []}, "m": [1, 1], "n": [1, 1]},
