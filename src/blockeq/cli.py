@@ -12,23 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from functools import cache
+from typing import NamedTuple
 
-from . import serialize
-from .equiv import (
-    GL,
-    GROUPS,
-    SIDE_UAV,
-    SIDE_UAV_INV,
-    SL,
-    SearchBudget,
-    decide_blocked_equivalence,
-    decide_with_unit,
-)
+from . import equiv, serialize
 from .intmat import cokernel, smith_normal_form
 from .quiver import build_kweb, decide_rep_isomorphism
 from .serialize import SchemaError
-from .sft import SftMatrix, _decide_flow
+from .sft import SftMatrix, _decide_flow, bowen_franks, parry_sullivan
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -40,11 +32,11 @@ EXIT_CANTCREAT = 73
 
 
 class _UsageError(Exception):
-    pass
+    code = EXIT_USAGE
 
 
 class _OutputError(Exception):
-    pass
+    code = EXIT_CANTCREAT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,85 +44,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state."""
-    parser = _Parser(prog="blockeq", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_budget(p):
-        p.add_argument("--max-depth", type=int, default=8)
-        p.add_argument("--max-nodes", type=int, default=1_000_000)
-
-    def add_output(p):
-        p.add_argument("--output", "-o", default=None, help="write JSON here instead of stdout")
-
-    p = sub.add_parser("snf", help="Smith normal form of a matrix")
-    p.add_argument("matrix")
-    add_output(p)
-
-    p = sub.add_parser("cokernel", help="cokernel of a matrix as an abelian group")
-    p.add_argument("matrix")
-    add_output(p)
-
-    p = sub.add_parser("bf", help="Bowen-Franks group of an SFT matrix")
-    p.add_argument("matrix")
-    add_output(p)
-
-    p = sub.add_parser("ps", help="Parry-Sullivan number of an SFT matrix")
-    p.add_argument("matrix")
-    add_output(p)
-
-    p = sub.add_parser("flow-eq", help="flow equivalence of two SFT matrices")
-    p.add_argument("left")
-    p.add_argument("right")
-    add_budget(p)
-    add_output(p)
-
-    p = sub.add_parser("blocked-eq", help="blocked equivalence of two blocked matrices")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--group", choices=GROUPS, default=SL)
-    p.add_argument("--side", choices=(SIDE_UAV, SIDE_UAV_INV), default=SIDE_UAV)
-    add_budget(p)
-    add_output(p)
-
-    p = sub.add_parser("unit-eq", help="blocked equivalence with the unit-vector condition")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--group", choices=GROUPS, default=GL)
-    add_budget(p)
-    add_output(p)
-
-    p = sub.add_parser("kweb", help="K-web of a blocked matrix as a quiver representation")
-    p.add_argument("blocked")
-    add_output(p)
-
-    p = sub.add_parser("rep-iso", help="isomorphism of two quiver representations")
-    p.add_argument("quiver")
-    p.add_argument("rep1")
-    p.add_argument("rep2")
-    add_budget(p)
-    add_output(p)
-
-    p = sub.add_parser("validate", help="check an input file against its schema")
-    p.add_argument("file")
-    p.add_argument("--schema", choices=sorted(serialize.SCHEMAS), default=None)
-    add_output(p)
-
-    return parser
-
-
 def _load(path):
+    """The JSON document in a file.  Bytes that are not UTF-8 and nesting
+    deeper than the decoder recurses are malformed input, like bad syntax."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _matrix(path):
+    return serialize.matrix_from_json(_load(path))
+
+
+def _blocked(path):
+    return serialize.blocked_from_json(_load(path))
+
+
+def _sft(path):
+    m = _matrix(path)
+    try:
+        return SftMatrix(m)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _emit(doc, args) -> None:
@@ -145,158 +84,159 @@ def _emit(doc, args) -> None:
         sys.stdout.write(text)
 
 
-def _budget(args) -> SearchBudget:
+def _snf(args):
+    dec = smith_normal_form(_matrix(args.matrix))
+    return {name: serialize.matrix_to_json(m)
+            for name, m in (("U", dec.U), ("S", dec.S), ("V", dec.V))}
+
+
+def _cokernel(args):
+    return serialize.group_to_json(cokernel(_matrix(args.matrix)))
+
+
+def _bf(args):
+    return serialize.group_to_json(bowen_franks(_sft(args.matrix)))
+
+
+def _ps(args):
+    return {"parry_sullivan": serialize.int_to_str(parry_sullivan(_sft(args.matrix)))}
+
+
+def _kweb(args):
+    blocked = _blocked(args.blocked)
     try:
-        return SearchBudget(args.max_depth, args.max_nodes)
+        web = build_kweb(blocked)
     except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        raise SchemaError(str(exc)) from exc
+    return {
+        "quiver": serialize.quiver_to_json(web.quiver),
+        "rep": serialize.rep_to_json(web.rep),
+        "labels": list(web.labels),
+    }
 
 
-def _verdict_exit(verdict) -> int:
-    return {"yes": EXIT_YES, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}[verdict.status]
+def _validate(args):
+    name = serialize.validate_document(_load(args.file), args.schema)
+    return {"schema": name, "valid": True}
+
+
+def _flow_eq(args, budget):
+    verdict, inv = _decide_flow(_sft(args.left), _sft(args.right), budget)
+    if inv is None:
+        return verdict, {}
+    return verdict, {"flow_invariants": {
+        "bowen_franks": serialize.group_to_json(inv.bowen_franks),
+        "parry_sullivan": serialize.int_to_str(inv.parry_sullivan),
+    }}
+
+
+def _blocked_eq(args, budget):
+    left, right = _blocked(args.left), _blocked(args.right)
+    return equiv.decide_blocked_equivalence(
+        left, right, group=args.group, side=args.side, budget=budget), {}
+
+
+def _unit_eq(args, budget):
+    left, right = _blocked(args.left), _blocked(args.right)
+    x, y = _matrix(args.x), _matrix(args.y)
+    return equiv.decide_with_unit(left, right, x, y, group=args.group, budget=budget), {}
+
+
+def _rep_iso(args, budget):
+    quiver = serialize.quiver_from_json(_load(args.quiver))
+    rep1, rep2 = (serialize.rep_from_json(_load(path), quiver)
+                  for path in (args.rep1, args.rep2))
+    return decide_rep_isomorphism(rep1, rep2, quiver, budget), {}
+
+
+def _option(*flags, **settings):
+    return flags, settings
+
+
+class _Command(NamedTuple):
+    """One subcommand.  A plain handler maps the parsed arguments to the
+    output document.  A verdict command also takes the budget options, and
+    its handler maps (args, budget) to the verdict and any fields to add to
+    the verdict's JSON."""
+
+    help: str
+    positionals: tuple[str, ...]
+    handler: Callable
+    options: tuple = ()
+    verdict: bool = False
+
+
+_BUDGET = (_option("--max-depth", type=int, default=8),
+           _option("--max-nodes", type=int, default=1_000_000))
+_OUTPUT = _option("--output", "-o", default=None, help="write JSON here instead of stdout")
+
+# The one declaration of each subcommand, in the order --help lists them.
+_COMMANDS = {
+    "snf": _Command("Smith normal form of a matrix", ("matrix",), _snf),
+    "cokernel": _Command("cokernel of a matrix as an abelian group", ("matrix",), _cokernel),
+    "bf": _Command("Bowen-Franks group of an SFT matrix", ("matrix",), _bf),
+    "ps": _Command("Parry-Sullivan number of an SFT matrix", ("matrix",), _ps),
+    "flow-eq": _Command("flow equivalence of two SFT matrices", ("left", "right"),
+                        _flow_eq, verdict=True),
+    "blocked-eq": _Command(
+        "blocked equivalence of two blocked matrices", ("left", "right"), _blocked_eq,
+        (_option("--group", choices=equiv.GROUPS, default=equiv.SL),
+         _option("--side", choices=(equiv.SIDE_UAV, equiv.SIDE_UAV_INV),
+                 default=equiv.SIDE_UAV)),
+        verdict=True),
+    "unit-eq": _Command(
+        "blocked equivalence with the unit-vector condition", ("left", "right", "x", "y"),
+        _unit_eq, (_option("--group", choices=equiv.GROUPS, default=equiv.GL),), verdict=True),
+    "kweb": _Command("K-web of a blocked matrix as a quiver representation", ("blocked",),
+                     _kweb),
+    "rep-iso": _Command("isomorphism of two quiver representations",
+                        ("quiver", "rep1", "rep2"), _rep_iso, verdict=True),
+    "validate": _Command(
+        "check an input file against its schema", ("file",), _validate,
+        (_option("--schema", choices=sorted(serialize.SCHEMAS), default=None),)),
+}
+
+
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state."""
+    parser = _Parser(prog="blockeq", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for positional in cmd.positionals:
+            p.add_argument(positional)
+        for flags, settings in cmd.options + (_BUDGET if cmd.verdict else ()) + (_OUTPUT,):
+            p.add_argument(*flags, **settings)
+    return parser
 
 
 def _run(args) -> int:
-    cmd = args.command
-    if cmd == "snf":
-        m = serialize.matrix_from_json(_load(args.matrix))
-        dec = smith_normal_form(m)
-        _emit(
-            {
-                "U": serialize.matrix_to_json(dec.U),
-                "S": serialize.matrix_to_json(dec.S),
-                "V": serialize.matrix_to_json(dec.V),
-            },
-            args,
-        )
+    cmd = _COMMANDS[args.command]
+    if not cmd.verdict:
+        _emit(cmd.handler(args), args)
         return EXIT_YES
-
-    if cmd == "cokernel":
-        m = serialize.matrix_from_json(_load(args.matrix))
-        _emit(serialize.group_to_json(cokernel(m)), args)
-        return EXIT_YES
-
-    if cmd in ("bf", "ps"):
-        m = serialize.matrix_from_json(_load(args.matrix))
-        try:
-            a = SftMatrix(m)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-        if cmd == "bf":
-            from .sft import bowen_franks
-
-            _emit(serialize.group_to_json(bowen_franks(a)), args)
-        else:
-            from .sft import parry_sullivan
-
-            _emit({"parry_sullivan": serialize.int_to_str(parry_sullivan(a))}, args)
-        return EXIT_YES
-
-    if cmd == "flow-eq":
-        left = serialize.matrix_from_json(_load(args.left))
-        right = serialize.matrix_from_json(_load(args.right))
-        try:
-            a, a2 = SftMatrix(left), SftMatrix(right)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-        budget = _budget(args)
-        verdict, inv = _decide_flow(a, a2, budget)
-        doc = serialize.verdict_to_json(verdict, budget)
-        if inv is not None:
-            doc["flow_invariants"] = {
-                "bowen_franks": serialize.group_to_json(inv.bowen_franks),
-                "parry_sullivan": serialize.int_to_str(inv.parry_sullivan),
-            }
-        _emit(doc, args)
-        return _verdict_exit(verdict)
-
-    if cmd == "blocked-eq":
-        left = serialize.blocked_from_json(_load(args.left))
-        right = serialize.blocked_from_json(_load(args.right))
-        budget = _budget(args)
-        try:
-            verdict = decide_blocked_equivalence(
-                left,
-                right,
-                group=args.group,
-                side=args.side,
-                budget=budget,
-            )
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-        _emit(serialize.verdict_to_json(verdict, budget), args)
-        return _verdict_exit(verdict)
-
-    if cmd == "unit-eq":
-        left = serialize.blocked_from_json(_load(args.left))
-        right = serialize.blocked_from_json(_load(args.right))
-        x = serialize.matrix_from_json(_load(args.x))
-        y = serialize.matrix_from_json(_load(args.y))
-        budget = _budget(args)
-        try:
-            verdict = decide_with_unit(
-                left, right, x, y, group=args.group, budget=budget
-            )
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-        _emit(serialize.verdict_to_json(verdict, budget), args)
-        return _verdict_exit(verdict)
-
-    if cmd == "kweb":
-        blocked = serialize.blocked_from_json(_load(args.blocked))
-        try:
-            web = build_kweb(blocked)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-        _emit(
-            {
-                "quiver": serialize.quiver_to_json(web.quiver),
-                "rep": serialize.rep_to_json(web.rep),
-                "labels": list(web.labels),
-            },
-            args,
-        )
-        return EXIT_YES
-
-    if cmd == "rep-iso":
-        quiver = serialize.quiver_from_json(_load(args.quiver))
-        rep1 = serialize.rep_from_json(_load(args.rep1), quiver)
-        rep2 = serialize.rep_from_json(_load(args.rep2), quiver)
-        budget = _budget(args)
-        try:
-            verdict = decide_rep_isomorphism(rep1, rep2, quiver, budget)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-        _emit(serialize.verdict_to_json(verdict, budget), args)
-        return _verdict_exit(verdict)
-
-    if cmd == "validate":
-        doc = _load(args.file)
-        name = serialize.validate_document(doc, args.schema)
-        _emit({"schema": name, "valid": True}, args)
-        return EXIT_YES
-
-    raise _UsageError(f"unknown command {cmd!r}")  # pragma: no cover
+    try:
+        budget = equiv.SearchBudget(args.max_depth, args.max_nodes)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    try:
+        verdict, extra = cmd.handler(args, budget)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    _emit({**serialize.verdict_to_json(verdict, budget), **extra}, args)
+    return {"yes": EXIT_YES, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}[verdict.status]
 
 
 def execute(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        return _run(_build_parser().parse_args(argv))
+    except (_UsageError, _OutputError) as exc:
         print(f"blockeq: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _run(args)
-    except _UsageError as exc:
-        print(f"blockeq: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.code
     except SchemaError as exc:
         print(f"blockeq: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _OutputError as exc:
-        print(f"blockeq: {exc}", file=sys.stderr)
-        return EXIT_CANTCREAT
     except Exception as exc:  # a crash must not exit with a verdict's code
         print(f"blockeq: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -747,17 +747,15 @@ def _search(engine, a, b, side):
 
 def _sign_products(engine, axis):
     """Every product of the engine's sign flips on one side, in lexicographic
-    order of entries: the whole group of that side when it has no
-    transvection."""
+    order of entries, made one at a time: the whole group of that side when
+    it has no transvection."""
     n = engine.rows if axis == _LEFT else engine.cols
     coords = [k for ax, (_, k, _, _) in engine.moves if ax == axis]
-    out = []
     for signs in product((-1, 1), repeat=len(coords)):
         diag = [1] * n
         for k, sign in zip(coords, signs):
             diag[k] = sign
-        out.append(IntMatrix.diagonal(diag))
-    return out
+        yield IntMatrix.diagonal(diag)
 
 
 def decide_with_unit(
@@ -795,13 +793,15 @@ def decide_with_unit(
     if all(kind == "f" for _, (kind, _, _, _) in engine.moves):
         # A transvection has infinite order; without one the group is
         # exactly the products of its sign flips.  Each V is a +-1 diagonal
-        # matrix, hence its own inverse.
-        us, vs = _sign_products(engine, _LEFT), _sign_products(engine, _RIGHT)
+        # matrix, hence its own inverse.  Each pair checked costs one node.
         checked = 0
-        for u in us:
-            for v in vs:
+        for u in _sign_products(engine, _LEFT):
+            ua = u * a.matrix
+            for v in _sign_products(engine, _RIGHT):
+                if checked == budget.max_nodes:
+                    return Verdict.unknown(BudgetReport(checked, 0))
                 checked += 1
-                if u * a.matrix * v == b.matrix and condition2(v):
+                if ua * v == b.matrix and condition2(v):
                     return Verdict.yes(u, v, BudgetReport(checked, 0))
         return Verdict.no(
             Certificate(

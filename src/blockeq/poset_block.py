@@ -53,6 +53,7 @@ class Poset:
     down: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
+        _check_ints((self.size,), "poset size")
         if self.size < 0:
             raise ValueError("negative poset size")
         up, down = _order_closure(self.size, tuple(self.pairs))
@@ -154,35 +155,34 @@ class Poset:
         return s, above, below
 
     def order_isomorphisms(self, other):
-        """All bijections {1..n} -> {1..n} preserving order both ways."""
+        """All bijections {1..n} -> {1..n} preserving order both ways, in
+        lexicographic order.  Elements are placed in increasing order, so all
+        of down[x] but x is placed before x, and a candidate c fits exactly
+        when the elements below c are the images of those below x.  Matching
+        counts above prune only maps that cannot be completed."""
         if self.size != other.size:
             return []
         out = []
+        image = [0] * (self.size + 1)  # image[x] for each placed x
 
-        def extend(partial, used):
-            i = len(partial) + 1
-            if i > self.size:
-                out.append(tuple(partial))
+        def extend(x, used):
+            if x > self.size:
+                out.append(tuple(image[1:]))
                 return
-            for cand in other.elements():
-                if cand in used:
-                    continue
-                ok = True
-                for prev in range(1, i):
-                    if self.leq(prev, i) != other.leq(partial[prev - 1], cand):
-                        ok = False
-                        break
-                    if self.leq(i, prev) != other.leq(cand, partial[prev - 1]):
-                        ok = False
-                        break
-                if ok:
-                    partial.append(cand)
-                    used.add(cand)
-                    extend(partial, used)
-                    partial.pop()
-                    used.remove(cand)
+            below, rest = 0, self.down[x] & ~(1 << x)
+            while rest:
+                low = rest & -rest
+                below |= 1 << image[low.bit_length() - 1]
+                rest ^= low
+            above = self.up[x].bit_count()
+            for c in other.elements():
+                bit = 1 << c
+                if (not used & bit and other.down[c] == below | bit
+                        and other.up[c].bit_count() == above):
+                    image[x] = c
+                    extend(x + 1, used | bit)
 
-        extend([], set())
+        extend(1, 0)
         return out
 
     def __repr__(self):

@@ -1,5 +1,6 @@
 """CLI conformance: JSON round-trips, exit codes matching verdict status."""
 
+import hashlib
 import json
 import random
 from math import prod
@@ -439,6 +440,19 @@ class TestErrorPaths:
         code, _, err = run(capsys, "snf", str(path))
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("command, content", [
+        ("snf", b"\xff\xfe[\x00]\x00"),  # UTF-16 with a byte-order mark
+        ("validate", b"[" * 100_000 + b"]" * 100_000),  # deeper than json.load recurses
+    ])
+    def test_unreadable_json(self, tmp_path, capsys, command, content):
+        # Text that json.load cannot decode is malformed input, not a crash.
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith(f"blockeq: {path}: invalid JSON: ")
+        assert err.count("\n") == 1
+
     def test_schema_violation(self, tmp_path, capsys):
         path = write(tmp_path, "neg.json", {"rows": 1, "cols": 1, "entries": ["-1"]})
         code, _, err = run(capsys, "ps", str(path))
@@ -466,6 +480,10 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         code, _, err = run(capsys, "ps", corpus["fib"], "--format", "json")
         assert code == EXIT_USAGE
+        # The budget is checked before any file is read.
+        code, _, err = run(capsys, "rep-iso", "/nonexistent/q.json", "/nonexistent/r.json",
+                           "/nonexistent/r.json", "--max-nodes", "0")
+        assert (code, err) == (EXIT_USAGE, "blockeq: budget bounds must be positive\n")
 
     def test_output_file(self, corpus, capsys, tmp_path):
         out_path = tmp_path / "out.json"
@@ -485,3 +503,72 @@ class TestErrorPaths:
         assert err.startswith(f"blockeq: cannot write {out_path}: ")
         assert err.count("\n") == 1
         assert not out_path.exists()
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()[:16]
+NO_BUDGET = "blockeq: budget bounds must be positive\n"
+
+
+@pytest.mark.parametrize("argv, code, out_digest, err", [
+    (("snf", "fib.json"), EXIT_YES, "4cc61a5af7cda8bd", ""),
+    (("cokernel", "full2.json"), EXIT_YES, "d634e4b54c305942", ""),
+    (("bf", "full3.json"), EXIT_YES, "d634e4b54c305942", ""),
+    (("ps", "fib.json"), EXIT_YES, "4e792132aa9143a8", ""),
+    (("ps", "fib.json", "-o", "out.json"), EXIT_YES, EMPTY, ""),
+    (("flow-eq", "full2.json", "fib.json"), EXIT_YES, "fa682369a53374d3", ""),
+    (("flow-eq", "full2.json", "full3.json"), EXIT_NO, "c73f434897556fc0", ""),
+    (("blocked-eq", "b2.json", "b2.json"), EXIT_YES, "944a8095dfb34bb9", ""),
+    (("blocked-eq", "b2.json", "b3.json", "--group", "sl", "--max-depth", "1"),
+     EXIT_NO, "f35341bae5775caa", ""),
+    (("blocked-eq", "ua.json", "ub.json", "--max-depth", "1", "--max-nodes", "5"),
+     EXIT_UNKNOWN, "d7ef682fdfe13d09", ""),
+    (("blocked-eq", "web.json", "web.json", "--side", "uav-inv", "--group", "gl"),
+     EXIT_YES, "de697952bbcf87a1", ""),
+    (("unit-eq", "b2.json", "b2.json", "x.json", "y.json", "--group", "gl"),
+     EXIT_YES, "92b3833466528da8", ""),
+    (("kweb", "web.json"), EXIT_YES, "0e2faf76756abcb5", ""),
+    (("rep-iso", "quiver.json", "rep2.json", "rep2.json"), EXIT_YES, "2b09bf124176c89b", ""),
+    (("rep-iso", "quiver.json", "rep2.json", "rep3.json"), EXIT_NO, "aac366626818495e", ""),
+    (("validate", "web.json", "--schema", "blocked"), EXIT_YES, "db634a3bf70dddd3", ""),
+    (("ps",), EXIT_USAGE, EMPTY, "blockeq: the following arguments are required: matrix\n"),
+    (("ps", "fib.json", "--format", "json"), EXIT_USAGE, EMPTY,
+     "blockeq: unrecognized arguments: --format json\n"),
+    (("flow-eq", "full2.json", "fib.json", "--max-depth", "0"), EXIT_USAGE, EMPTY, NO_BUDGET),
+    (("rep-iso", "quiver.json", "rep2.json", "rep2.json", "--max-nodes", "-3"),
+     EXIT_USAGE, EMPTY, NO_BUDGET),
+    (("ps", "missing.json"), EXIT_DATA, EMPTY, "blockeq: cannot read missing.json: "
+     "[Errno 2] No such file or directory: 'missing.json'\n"),
+    (("snf", "bad.json"), EXIT_DATA, EMPTY, "blockeq: bad.json: invalid JSON: Expecting "
+     "property name enclosed in double quotes: line 1 column 2 (char 1)\n"),
+    (("kweb", "fib.json"), EXIT_DATA, EMPTY,
+     "blockeq: blocked matrix: missing keys ['matrix', 'shape']\n"),
+    (("validate", "fib.json", "--schema", "poset"), EXIT_DATA, EMPTY,
+     "blockeq: poset: missing keys ['leq', 'n']\n"),
+    (("blocked-eq", "b2.json", "web.json"), EXIT_DATA, EMPTY,
+     "blockeq: operands live in different blocked shapes\n"),
+    (("unit-eq", "b2.json", "b2.json", "fib.json", "y.json"), EXIT_DATA, EMPTY,
+     "blockeq: x and y must be columns of the total column count\n"),
+    (("snf", "fib.json", "--output", "missing/out.json"), EXIT_CANTCREAT, EMPTY,
+     "blockeq: cannot write missing/out.json: "
+     "[Errno 2] No such file or directory: 'missing/out.json'\n"),
+    (("snf", "fib.json"), EXIT_INTERNAL, EMPTY,
+     "blockeq: internal error: RuntimeError: simulated fault\n"),
+])
+def test_pinned_bytes(corpus, capsys, monkeypatch, tmp_path, argv, code, out_digest, err):
+    # Exit code, stdout digest and stderr of one invocation of every
+    # subcommand and of every error path, recorded from an earlier CLI.
+    # Paths are relative so that messages naming them are fixed.
+    two = {"poset": {"n": 1, "leq": []}, "m": [2], "n": [2]}
+    for name, entries in (("ua.json", ["2", "1", "1", "1"]), ("ub.json", ["1", "1", "1", "2"])):
+        write(tmp_path, name, {"shape": two,
+                               "matrix": {"rows": 2, "cols": 2, "entries": entries}})
+    (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    if code == EXIT_INTERNAL:
+        def broken(a):
+            raise RuntimeError("simulated fault")
+
+        monkeypatch.setattr(cli, "smith_normal_form", broken)
+    got, out, got_err = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()[:16], got_err) == (
+        code, out_digest, err)

@@ -791,6 +791,29 @@ class TestDecideWithUnit:
         assert u * a.matrix * v == b.matrix
         assert solve_integer(b.matrix.transpose(), v.transpose() * x - y) is not None
 
+    def test_finite_branch_stays_within_the_node_budget(self):
+        # GL on six 1x1 blocks has 64 x 64 sign pairs, and none moves
+        # x = (1, ..., 1) into im(B^T) = 2Z^6; all 4,096 were checked at any
+        # budget.  A yes found within the budget stays as it was.
+        shape = BlockShape.square(antichain_poset(6), (1,) * 6)
+        a = BlockedMatrix(shape, IntMatrix.diagonal([2] * 6))
+        x, y = IntMatrix.column([1] * 6), IntMatrix.zero(6, 1)
+        for max_nodes, status in ((10, "unknown"), (4_095, "unknown"), (4_096, "no")):
+            verdict = decide_with_unit(a, a, x, y, group=GL,
+                                       budget=SearchBudget(8, max_nodes))
+            assert verdict.status == status
+            assert verdict.report.nodes_expanded == max_nodes
+        b = BlockedMatrix(shape, IntMatrix.diagonal([2, -2, 2, 2, -2, 2]))
+        x = IntMatrix.column([1, 1, 1, 1, 1, 2])
+        y = IntMatrix.column([1, -1, 1, 1, -1, 0])
+        found = decide_with_unit(a, b, x, y, group=GL)
+        nodes = found.report.nodes_expanded
+        assert found.is_yes and 1 < nodes < 4_096
+        assert decide_with_unit(a, b, x, y, group=GL,
+                                budget=SearchBudget(8, nodes)) == found
+        assert decide_with_unit(a, b, x, y, group=GL,
+                                budget=SearchBudget(8, nodes - 1)).status == "unknown"
+
     def test_dimension_errors(self):
         a = single_block(1)
         with pytest.raises(DimensionError):

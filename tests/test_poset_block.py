@@ -1,7 +1,7 @@
 """Posets, block shapes, membership, generators, and the corner embedding."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -27,6 +27,7 @@ from blockeq.intmat import DimensionError, invert_unimodular
 from blockeq.poset_block import (
     antichain_poset, chain_poset, generator_moves, reachability,
 )
+from blockeq.sft import SftMatrix, condense
 
 from helpers import BruteOrder, rand_blocked, rand_poset, rand_square_shape
 
@@ -167,6 +168,53 @@ class TestPoset:
         assert chain.order_isomorphisms(anti) == []
         assert anti.order_isomorphisms(anti) == [(1, 2), (2, 1)]
         assert chain.order_isomorphisms(chain) == [(1, 2)]
+
+    def test_order_isomorphisms_against_permutation_scan(self):
+        # Every bijection preserving BruteOrder both ways, in the order
+        # permutations lists them, on seeded orders of up to 7 elements of
+        # varied density; one pair in three is an order and a relabelled copy.
+        rng = random.Random(68)
+
+        def shuffled(size):
+            perm = rng.sample(range(1, size + 1), size)
+            density = rng.choice((0.05, 0.2, 0.4, 0.7))
+            gen = [(perm[i], perm[j]) for i in range(size) for j in range(i + 1, size)
+                   if rng.random() < density]
+            return Poset.normalized(size, gen)[0]
+
+        for t in range(150):
+            size = t % 8
+            p = shuffled(size)
+            if t % 3:
+                q = shuffled(size)
+            else:
+                perm = rng.sample(range(1, size + 1), size)
+                q = Poset.normalized(
+                    size, [(perm[i - 1], perm[j - 1]) for i, j in p.strict_pairs()])[0]
+            ref_p, ref_q = BruteOrder(size, p.pairs), BruteOrder(size, q.pairs)
+            elems = list(ref_p.elements)
+            assert p.order_isomorphisms(q) == [
+                s for s in permutations(elems)
+                if all(ref_p.leq(i, j) == ref_q.leq(s[i - 1], s[j - 1])
+                       for i in elems for j in elems)
+            ]
+
+    def test_order_isomorphisms_of_a_condensed_graph(self):
+        # The condensation of a 20-vertex graph with one out-edge per vertex:
+        # 19 components, two automorphisms.  Checking each placement against
+        # every earlier one with leq took about 5 s on this poset.
+        rng = random.Random(3)
+        rows = [[0] * 20 for _ in range(20)]
+        for u in range(20):
+            rows[u][rng.randrange(20)] += 1
+        p = condense(SftMatrix.from_rows(rows)).poset
+        assert p.size == 19
+        assert p.order_isomorphisms(p) == [tuple(range(1, 20)), (1, 2, 3, 5, 4, *range(6, 20))]
+
+    @pytest.mark.parametrize("size", [True, 2.0, "3"])
+    def test_size_must_be_an_int(self, size):
+        with pytest.raises(TypeError, match="non-integer poset size"):
+            Poset(size)
 
 
 class TestShape:
