@@ -7,17 +7,14 @@ type, and isomorphism of Z-quiver representations and K-webs.
 """
 
 from .intmat import (
-    AnnihilatorMatrix,
     DimensionError,
     FgAbelianGroup,
     IntMatrix,
     SmithDecomposition,
     cokernel,
     determinant,
-    image_annihilator,
     kernel_basis,
     smith_normal_form,
-    solve_integer,
 )
 from .poset_block import (
     GL,
@@ -42,17 +39,12 @@ from .equiv import (
     SIDE_UAV_INV,
     BudgetReport,
     Certificate,
-    Gadget,
     InvariantProfile,
     SearchBudget,
     Verdict,
     decide_blocked_equivalence,
     decide_with_unit,
-    gadget_action,
-    gadget_pack,
     invariant_profile,
-    is_image_endomorphism,
-    stabilizer_transport_check,
 )
 from .sft import (
     CondensedForm,

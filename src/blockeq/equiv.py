@@ -48,8 +48,6 @@ from .intmat import (
     _check_ints,
     cokernel,
     determinant,
-    image_annihilator,
-    invert_unimodular,
     smith_normal_form,
     solve_matrix,
 )
@@ -849,102 +847,3 @@ def decide_with_unit(
     if found is not None:
         return Verdict.yes(found[0], found[1], total)
     return Verdict.unknown(total)
-
-
-# ---------------------------------------------------------------------------
-# The stabilizer gadget
-
-
-@dataclass(frozen=True)
-class Gadget:
-    """The block matrix K of size n(m+1) with K00 in the upper-left n x n
-    corner, K0j = -r_j * I along the top row of blocks, identity diagonal
-    blocks elsewhere, and zeros everywhere else."""
-
-    matrix: IntMatrix
-    n: int
-    m: int
-
-    def block(self, i, j):
-        n = self.n
-        return self.matrix.submatrix(
-            range(i * n, (i + 1) * n), range(j * n, (j + 1) * n)
-        )
-
-    @property
-    def k00(self):
-        return self.block(0, 0)
-
-    def k0(self, j):
-        if not 1 <= j <= self.m:
-            raise IndexError(j)
-        return self.block(0, j)
-
-    def unpack(self):
-        """Recover (V, r) with K00 = (V^-1)^T and K0j = -r_j * I."""
-        v = invert_unimodular(self.k00).transpose()
-        rs = []
-        for j in range(1, self.m + 1):
-            blk = self.k0(j)
-            r = -blk[0, 0] if self.n else 0
-            if blk != IntMatrix.diagonal([-r] * self.n):
-                raise ValueError(f"block (0,{j}) is not a scalar multiple of I")
-            rs.append(r)
-        return v, tuple(rs)
-
-
-def gadget_pack(v: IntMatrix, r) -> Gadget:
-    """Build the gadget for a unimodular V and integer vector r."""
-    if v.rows != v.cols:
-        raise DimensionError("V must be square")
-    r = tuple(r)
-    n = v.rows
-    m = len(r)
-    blocks = {(0, 0): invert_unimodular(v).transpose()}
-    for j in range(1, m + 1):
-        blocks[0, j] = IntMatrix.diagonal([-r[j - 1]] * n)
-        blocks[j, j] = IntMatrix.identity(n)
-    sizes = [n] * (m + 1)
-    return Gadget(IntMatrix.from_blocks(sizes, sizes, blocks), n, m)
-
-
-def gadget_action(g: Gadget, vectors):
-    """The action on (m+1)-tuples of columns: the 0th component becomes
-    sum_j K0j * w_j, the others are fixed."""
-    vectors = list(vectors)
-    if len(vectors) != g.m + 1:
-        raise DimensionError(f"expected {g.m + 1} columns")
-    for w in vectors:
-        if w.rows != g.n or w.cols != 1:
-            raise DimensionError("component of wrong size")
-    head = IntMatrix.zero(g.n, 1)
-    for j, w in enumerate(vectors):
-        head = head + g.block(0, j) * w
-    return (head, *vectors[1:])
-
-
-def is_image_endomorphism(d: IntMatrix, c: IntMatrix) -> bool:
-    """Whether d maps the rational column span of c into itself
-    (equivalently M*d*c = 0 for the image annihilator M of c)."""
-    if d.rows != d.cols:
-        raise DimensionError("endomorphism candidate must be square")
-    if d.cols != c.rows:
-        raise DimensionError("dimension mismatch")
-    ann = image_annihilator(c)
-    return (ann.matrix * (d * c)).is_zero()
-
-
-class StabilizerError(ValueError):
-    """The supplied (U, V) does not stabilize A."""
-
-
-def stabilizer_transport_check(a: IntMatrix, u: IntMatrix, v: IntMatrix) -> bool:
-    """For a stabilizer pair (U*A*V^-1 = A), transport says V^T preserves the
-    rational column span of A^T; exposed as a checkable property."""
-    try:
-        vinv = invert_unimodular(v)
-    except ValueError as exc:
-        raise StabilizerError("V is not unimodular") from exc
-    if u * a * vinv != a:
-        raise StabilizerError("(U, V) does not stabilize A")
-    return is_image_endomorphism(v.transpose(), a.transpose())

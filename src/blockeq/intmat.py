@@ -3,8 +3,8 @@
 Everything here is computed over Z with arbitrary-precision arithmetic:
 Smith normal forms with recorded unimodular transforms, determinants,
 cokernels as finitely generated abelian groups, integer linear system
-solving with verified witnesses, kernel lattice bases, integral
-annihilators of rational images, and decimal text of integers of any size.
+solving with verified witnesses, kernel lattice bases, and decimal text of
+integers of any size.
 """
 
 from __future__ import annotations
@@ -296,14 +296,6 @@ class FgAbelianGroup:
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"C{int_to_str(d)}" for d in self.torsion]
         return " x ".join(parts) if parts else "trivial"
-
-
-@dataclass(frozen=True)
-class AnnihilatorMatrix:
-    """Integer matrix M with M*C = 0 and ker_Q M = im_Q(C) for the source C."""
-
-    matrix: IntMatrix
-    source_cols: int
 
 
 # ---------------------------------------------------------------------------
@@ -618,18 +610,6 @@ def cokernel(a: IntMatrix) -> FgAbelianGroup:
     return FgAbelianGroup(a.rows - r, torsion)
 
 
-def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """A column z with a*z = b over Z, or None when no integer solution exists.
-
-    The returned solution is re-verified by exact multiplication.
-    """
-    if b.cols != 1:
-        raise DimensionError("right-hand side must be a column")
-    if a.rows != b.rows:
-        raise DimensionError("row count mismatch")
-    return solve_matrix(a, b)
-
-
 def solve_matrix(a: IntMatrix, b: IntMatrix, dec=None) -> IntMatrix | None:
     """Integer solution X of a*X = b (all columns at once), or None.  dec,
     when given, is smith_normal_form(a) already computed, so a caller solving
@@ -686,18 +666,3 @@ def invert_unimodular(a: IntMatrix) -> IntMatrix:
     if a * inv != IntMatrix.identity(n):  # pragma: no cover
         raise AssertionError("inverse verification failed")
     return inv
-
-
-def image_annihilator(c: IntMatrix) -> AnnihilatorMatrix:
-    """An integer M with M*c = 0 and M*x = 0 iff x lies in im_Q(c): the rows
-    of the left Smith transform of c below its rank."""
-    dec = smith_normal_form(c)
-    m = dec.U.submatrix(range(dec.rank, c.rows), range(c.rows))
-    return AnnihilatorMatrix(m, c.cols)
-
-
-def in_rational_image(ann: AnnihilatorMatrix, x: IntMatrix) -> bool:
-    """Membership of the column x in the rational image the annihilator cuts out."""
-    if x.cols != 1 or x.rows != ann.matrix.cols:
-        raise DimensionError("column of wrong length")
-    return (ann.matrix * x).is_zero()

@@ -22,6 +22,7 @@ from .intmat import (
     FgAbelianGroup,
     IntMatrix,
     SmithDecomposition,
+    _check_ints,
     cokernel,
     invert_unimodular,
     kernel_basis,
@@ -49,12 +50,14 @@ class Quiver:
     edges: tuple
 
     def __post_init__(self):
+        _check_ints((self.vertices,), "vertex count")
         edges = tuple(
             e if isinstance(e, Edge) else Edge(e[0], e[1], e[2]) for e in self.edges
         )
         for e in edges:
             if not isinstance(e.id, str):
                 raise ValueError(f"edge id must be a string, got {e.id!r}")
+            _check_ints((e.src, e.dst), "edge endpoint")
             if not (0 <= e.src < self.vertices and 0 <= e.dst < self.vertices):
                 raise ValueError(f"edge {e.id} endpoint out of range")
         if len({e.id for e in edges}) != len(edges):

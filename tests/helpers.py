@@ -1,9 +1,9 @@
 """Shared deterministic builders and independent oracles for the test suite.
 
 Oracles here deliberately avoid the code paths they check: residue classes
-are counted through a home-grown column Hermite form, stabilizer pairs come
-from exhaustive sign-matrix enumeration, and representation isomorphism is
-decided by enumerating raw generator-image tuples.
+are counted through a home-grown column Hermite form, small unimodular
+matrices come from exhaustive sign-matrix enumeration, and representation
+isomorphism is decided by enumerating raw generator-image tuples.
 """
 
 from __future__ import annotations
@@ -177,21 +177,6 @@ def make_solver(a: IntMatrix):
         return dec.V * IntMatrix.column(w)
 
     return solve
-
-
-def stabilizer_v_side(a: IntMatrix):
-    """All sign-bounded unimodular V with some sign-bounded unimodular U
-    satisfying U*A = A*V (the entry-bounded stabilizer slice of Lemma-7
-    style brute force)."""
-    m, n = a.rows, a.cols
-    left_keys = set()
-    for u in sign_unimodulars(m):
-        left_keys.add((u * a).entries)
-    out = []
-    for v in sign_unimodulars(n):
-        if (a * v).entries in left_keys:
-            out.append(v)
-    return out
 
 
 # ---------------------------------------------------------------------------

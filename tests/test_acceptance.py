@@ -29,28 +29,20 @@ from blockeq import (
     decide_kweb_isomorphism,
     decide_rep_isomorphism,
     determinant,
-    gadget_action,
-    gadget_pack,
     iota_embed,
     parry_sullivan,
     smith_normal_form,
     stabilization_target,
-    stabilizer_transport_check,
 )
-from blockeq.equiv import Gadget
-from blockeq.intmat import invert_unimodular
 from blockeq.quiver import PresentedGroup, hom_inverse, raw_hom
 
 from helpers import (
-    make_solver,
     rand_blocked,
     rand_matrix,
     rand_square_shape,
     residue_class_count,
     rep_iso_oracle,
     scramble,
-    sign_unimodulars,
-    stabilizer_v_side,
 )
 
 
@@ -143,73 +135,6 @@ def test_criterion_04_witness_recovery():
             assert verdict.is_yes, f"instance {i} not recovered"
             wu, wv = verdict.witness
             assert wu * a.matrix * wv == b.matrix
-
-
-def test_criterion_05_lemma7_equivalence():
-    with _Criterion(5, "Lemma-7 two-route agreement on 200 instances", 300):
-        rng = random.Random(105)
-        agree = 0
-        for _ in range(200):
-            m = rng.randint(1, 3)
-            n = rng.randint(1, 3)
-            a = rand_matrix(rng, m, n, -2, 2)
-            x = rand_matrix(rng, n, 1, -3, 3)
-            y = rand_matrix(rng, n, 1, -3, 3)
-            at = a.transpose()
-            solver = make_solver(at)
-            direct = False
-            via_gadget = False
-            for v in stabilizer_v_side(a):
-                diff = invert_unimodular(v).transpose() * x - y
-                r = solver(diff)
-                if r is None:
-                    continue
-                direct = True
-                gadget = gadget_pack(v, r.column_values(0))
-                columns = [x] + [at.submatrix(range(n), [j]) for j in range(m)]
-                mapped = gadget_action(gadget, columns)
-                assert mapped[0] == y
-                assert mapped[1:] == tuple(columns[1:])
-                via_gadget = True
-                break
-            assert direct == via_gadget
-            agree += 1
-        assert agree == 200
-
-
-def test_criterion_06_gadget_algebra():
-    with _Criterion(6, "gadget block law + stabilizer transport", 10):
-        rng = random.Random(106)
-        for _ in range(100):
-            n = rng.randint(1, 2)
-            m = rng.randint(1, 3)
-            units = sign_unimodulars(n)
-            k = gadget_pack(
-                units[rng.randrange(len(units))],
-                [rng.randint(-3, 3) for _ in range(m)],
-            )
-            l = gadget_pack(
-                units[rng.randrange(len(units))],
-                [rng.randint(-3, 3) for _ in range(m)],
-            )
-            kl = Gadget(k.matrix * l.matrix, n, m)
-            for j in range(1, m + 1):
-                assert kl.k0(j) == k.k00 * l.k0(j) + k.k0(j)
-            for i in range(1, m + 1):
-                assert kl.block(i, i) == IntMatrix.identity(n)
-        checked = 0
-        rng2 = random.Random(1060)
-        while checked < 40:
-            mm = rng2.randint(1, 2)
-            nn = rng2.randint(1, 2)
-            a = rand_matrix(rng2, mm, nn, -2, 2)
-            for v in stabilizer_v_side(a)[:3]:
-                for u in sign_unimodulars(mm):
-                    if u * a == a * v:
-                        assert stabilizer_transport_check(a, u, v)
-                        checked += 1
-                        break
-        assert checked >= 40
 
 
 def test_criterion_07_kweb_exactness():

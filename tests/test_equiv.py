@@ -1,4 +1,4 @@
-"""The three-valued engine: profiles, searches, gadgets, unit conditions."""
+"""The three-valued engine: profiles, searches, unit conditions."""
 
 import random
 from fractions import Fraction
@@ -21,15 +21,10 @@ from blockeq import (
     cokernel,
     decide_blocked_equivalence,
     decide_with_unit,
-    gadget_action,
-    gadget_pack,
     invariant_profile,
-    is_image_endomorphism,
     smith_normal_form,
-    stabilizer_transport_check,
 )
-from blockeq.equiv import StabilizerError
-from blockeq.intmat import DimensionError, invert_unimodular, solve_integer
+from blockeq.intmat import DimensionError, invert_unimodular, solve_matrix
 from blockeq.poset_block import ShapeError, antichain_poset, chain_poset, group_membership
 
 from helpers import (
@@ -39,7 +34,6 @@ from helpers import (
     rand_square_shape,
     scramble,
     sign_unimodulars,
-    stabilizer_v_side,
 )
 
 
@@ -682,7 +676,7 @@ class TestDecideWithUnitOracle:
                 bt = b.matrix.transpose()
                 oracle = any(
                     u * a.matrix * invert_unimodular(v) == b.matrix
-                    and solve_integer(bt, invert_unimodular(v).transpose() * x - y)
+                    and solve_matrix(bt, invert_unimodular(v).transpose() * x - y)
                     is not None
                     for u in us
                     for v in vs
@@ -732,7 +726,7 @@ class TestDecideWithUnit:
         u, w = v.witness
         vin_t = invert_unimodular(w).transpose()
         diff = vin_t * IntMatrix.column([1]) - IntMatrix.column([3])
-        assert solve_integer(a.matrix.transpose(), diff) is not None
+        assert solve_matrix(a.matrix.transpose(), diff) is not None
 
     def test_stabilizer_sweep_finds_coset_witness(self):
         # The identity satisfies (1) but fails (2): x - y = (1, 0) is odd in
@@ -743,12 +737,12 @@ class TestDecideWithUnit:
         a = BlockedMatrix(shape, IntMatrix.from_rows([[2, 0], [0, 0]]))
         x = IntMatrix.column([1, 1])
         y = IntMatrix.column([0, 1])
-        assert solve_integer(a.matrix.transpose(), x - y) is None
+        assert solve_matrix(a.matrix.transpose(), x - y) is None
         v = decide_with_unit(a, a, x, y, group=SL, budget=SearchBudget(6, 50_000))
         assert v.is_yes
         u, w = v.witness
         vin_t = invert_unimodular(w).transpose()
-        assert solve_integer(a.matrix.transpose(), vin_t * x - y) is not None
+        assert solve_matrix(a.matrix.transpose(), vin_t * x - y) is not None
         assert u * a.matrix * invert_unimodular(w) == a.matrix
 
     def test_witness_inverses_come_from_words(self, monkeypatch):
@@ -789,7 +783,7 @@ class TestDecideWithUnit:
         u, v = verdict.witness
         assert v * v == IntMatrix.identity(4)
         assert u * a.matrix * v == b.matrix
-        assert solve_integer(b.matrix.transpose(), v.transpose() * x - y) is not None
+        assert solve_matrix(b.matrix.transpose(), v.transpose() * x - y) is not None
 
     def test_finite_branch_stays_within_the_node_budget(self):
         # GL on six 1x1 blocks has 64 x 64 sign pairs, and none moves
@@ -822,15 +816,7 @@ class TestDecideWithUnit:
     def test_stabilizer_sweep_runs_no_smith_form_per_edge(self, monkeypatch):
         # The coset-witness instance above: the sweep carries inverse words,
         # so only the base witness is ever inverted by a Smith normal form.
-        import blockeq.equiv as equiv
-
-        calls = []
-
-        def counted(m):
-            calls.append(m)
-            return invert_unimodular(m)
-
-        monkeypatch.setattr(equiv, "invert_unimodular", counted)
+        calls = count_calls(monkeypatch, invert_unimodular)
         shape = BlockShape.square(Poset(1), (2,))
         a = BlockedMatrix(shape, IntMatrix.from_rows([[2, 0], [0, 0]]))
         x = IntMatrix.column([1, 1])
@@ -923,7 +909,7 @@ class TestDecideWithUnit:
             wu, wv = verdict.witness
             assert wu * a.matrix * invert_unimodular(wv) == b.matrix
             diff = invert_unimodular(wv).transpose() * x - y
-            assert solve_integer(b.matrix.transpose(), diff) is not None
+            assert solve_matrix(b.matrix.transpose(), diff) is not None
 
 
 def tuple_move(axis, move, entries, rows, cols):
@@ -1207,130 +1193,6 @@ class TestStabilizerSweepKnownChildren:
         assert calls == []
 
 
-class TestGadget:
-    def test_pack_1x1(self):
-        g = gadget_pack(IntMatrix.identity(1), (2,))
-        assert g.matrix == IntMatrix.from_rows([[1, -2], [0, 1]])
-
-    def test_pack_identity(self):
-        g = gadget_pack(IntMatrix.identity(2), (0, 0))
-        assert g.matrix == IntMatrix.identity(6)
-
-    def test_pack_negative(self):
-        g = gadget_pack(IntMatrix.from_rows([[-1]]), (0, 1))
-        assert g.matrix == IntMatrix.from_rows(
-            [[-1, 0, -1], [0, 1, 0], [0, 0, 1]]
-        )
-
-    def test_unpack_inverts_pack(self):
-        rng = random.Random(27)
-        for _ in range(20):
-            n = rng.randint(1, 3)
-            v = None
-            while v is None:
-                cand = IntMatrix(n, n, [rng.randint(-2, 2) for _ in range(n * n)])
-                from blockeq import determinant
-
-                if determinant(cand) in (1, -1):
-                    v = cand
-            r = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3)))
-            g = gadget_pack(v, r)
-            v2, r2 = g.unpack()
-            assert v2 == v and r2 == r
-
-    def test_pack_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            gadget_pack(IntMatrix.from_rows([[2]]), (1,))
-
-    def test_closure_block_law(self):
-        # (KL)_{0j} = K00*L0j + K0j with identity diagonal elsewhere.
-        rng = random.Random(28)
-        for _ in range(25):
-            n = rng.randint(1, 2)
-            m = rng.randint(1, 3)
-            vs = [v for v in sign_unimodulars(n)]
-            v1 = vs[rng.randrange(len(vs))]
-            v2 = vs[rng.randrange(len(vs))]
-            k = gadget_pack(v1, [rng.randint(-3, 3) for _ in range(m)])
-            l = gadget_pack(v2, [rng.randint(-3, 3) for _ in range(m)])
-            prod = k.matrix * l.matrix
-            from blockeq.equiv import Gadget
-
-            kl = Gadget(prod, n, m)
-            for j in range(1, m + 1):
-                assert kl.k0(j) == k.k00 * l.k0(j) + k.k0(j)
-            for i in range(1, m + 1):
-                assert kl.block(i, i) == IntMatrix.identity(n)
-
-    def test_gadget_is_unimodular(self):
-        # Block-triangular with identity diagonal: det K = det K00 = +-1.
-        from blockeq import determinant
-
-        rng = random.Random(280)
-        for _ in range(10):
-            n = rng.randint(1, 2)
-            units = sign_unimodulars(n)
-            v = units[rng.randrange(len(units))]
-            g = gadget_pack(v, [rng.randint(-3, 3) for _ in range(2)])
-            assert determinant(g.matrix) == determinant(g.k00)
-            assert determinant(g.matrix) in (1, -1)
-
-    def test_kappa_action(self):
-        g = gadget_pack(IntMatrix.identity(1), (2,))
-        out = gadget_action(g, [IntMatrix.column([5]), IntMatrix.column([3])])
-        # head = K00*5 + (-2)*3 = -1, tail fixed
-        assert out[0] == IntMatrix.column([-1])
-        assert out[1] == IntMatrix.column([3])
-
-
-class TestImageEndomorphism:
-    def test_identity_always(self):
-        rng = random.Random(29)
-        for _ in range(10):
-            k = rng.randint(1, 3)
-            c = IntMatrix(2, k, [rng.randint(-2, 2) for _ in range(2 * k)])
-            assert is_image_endomorphism(IntMatrix.identity(2), c)
-
-    def test_escaping_image(self):
-        c = IntMatrix.from_rows([[1], [0]])
-        d = IntMatrix.from_rows([[0, 0], [1, 0]])
-        assert not is_image_endomorphism(d, c)
-
-    def test_full_image_any_d(self):
-        rng = random.Random(30)
-        for _ in range(10):
-            d = IntMatrix(2, 2, [rng.randint(-5, 5) for _ in range(4)])
-            assert is_image_endomorphism(d, IntMatrix.identity(2))
-
-
-class TestStabilizerTransport:
-    def test_trivial_pairs(self):
-        a = IntMatrix.from_rows([[0, 1], [0, 0]])
-        assert stabilizer_transport_check(a, IntMatrix.identity(2), IntMatrix.identity(2))
-
-    def test_sign_pair(self):
-        a = IntMatrix.from_rows([[2]])
-        m = IntMatrix.from_rows([[-1]])
-        assert stabilizer_transport_check(a, m, m)
-
-    def test_rejects_non_stabilizer(self):
-        a = IntMatrix.from_rows([[2]])
-        with pytest.raises(StabilizerError):
-            stabilizer_transport_check(a, IntMatrix.from_rows([[-1]]), IntMatrix.identity(1))
-
-    def test_always_true_on_enumerated_stabilizers(self):
-        rng = random.Random(31)
-        for _ in range(10):
-            m, n = rng.randint(1, 2), rng.randint(1, 2)
-            a = IntMatrix(m, n, [rng.randint(-2, 2) for _ in range(m * n)])
-            for v in stabilizer_v_side(a)[:10]:
-                # find matching u by direct scan
-                for u in sign_unimodulars(m):
-                    if u * a == a * v:
-                        assert stabilizer_transport_check(a, u, v)
-                        break
-
-
 def saturation_basis(at: IntMatrix) -> IntMatrix:
     """Basis of im_Q(A^T) intersected with Z^n, from the left Smith
     transform."""
@@ -1373,32 +1235,3 @@ class TestLemmaSevenMachinery:
                     [ell * sat[i, j] for i in range(at.rows)]
                 )
                 assert solver(scaled) is not None
-
-    def test_gadget_equivalence_small(self):
-        # Existence of a sign-bounded stabilizer pair satisfying both Lemma-7
-        # conditions must agree with the gadget-action formulation.
-        rng = random.Random(33)
-        for _ in range(25):
-            m, n = rng.randint(1, 2), rng.randint(1, 2)
-            a = IntMatrix(m, n, [rng.randint(-2, 2) for _ in range(m * n)])
-            x = IntMatrix.column([rng.randint(-3, 3) for _ in range(n)])
-            y = IntMatrix.column([rng.randint(-3, 3) for _ in range(n)])
-            at = a.transpose()
-            solver = make_solver(at)
-            route1 = False
-            route2 = False
-            for v in stabilizer_v_side(a):
-                diff = invert_unimodular(v).transpose() * x - y
-                r = solver(diff)
-                if r is None:
-                    continue
-                route1 = True
-                gadget = gadget_pack(v, r.column_values(0))
-                cols = [x] + [
-                    at.submatrix(range(n), [j]) for j in range(m)
-                ]
-                out = gadget_action(gadget, cols)
-                assert out[0] == y
-                route2 = True
-                break
-            assert route1 == route2

@@ -1,4 +1,4 @@
-"""Exact linear algebra: normal forms, cokernels, solvability, annihilators."""
+"""Exact linear algebra: normal forms, cokernels, solvability."""
 
 import random
 import time
@@ -19,14 +19,11 @@ from blockeq import (
     cokernel,
     decide_blocked_equivalence,
     determinant,
-    image_annihilator,
     invariant_profile,
     kernel_basis,
     smith_normal_form,
-    solve_integer,
 )
 from blockeq.intmat import (
-    in_rational_image,
     invert_unimodular,
     rank,
     smith_diagonal,
@@ -262,19 +259,19 @@ class TestCokernel:
 
 class TestSolveInteger:
     def test_identity_system(self):
-        z = solve_integer(IntMatrix.identity(2), IntMatrix.column([3, 5]))
+        z = solve_matrix(IntMatrix.identity(2), IntMatrix.column([3, 5]))
         assert z == IntMatrix.column([3, 5])
 
     def test_parity_obstruction(self):
-        assert solve_integer(IntMatrix.from_rows([[2]]), IntMatrix.column([3])) is None
+        assert solve_matrix(IntMatrix.from_rows([[2]]), IntMatrix.column([3])) is None
 
     def test_divisible(self):
-        z = solve_integer(IntMatrix.from_rows([[2]]), IntMatrix.column([4]))
+        z = solve_matrix(IntMatrix.from_rows([[2]]), IntMatrix.column([4]))
         assert z == IntMatrix.column([2])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            solve_integer(IntMatrix.identity(2), IntMatrix.column([1]))
+            solve_matrix(IntMatrix.identity(2), IntMatrix.column([1]))
 
     def test_solutions_verified(self):
         rng = random.Random(7)
@@ -282,7 +279,7 @@ class TestSolveInteger:
         for _ in range(120):
             a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -4, 4)
             b = rand_matrix(rng, a.rows, 1, -6, 6)
-            z = solve_integer(a, b)
+            z = solve_matrix(a, b)
             if z is None:
                 unsolvable += 1
                 # The SNF-transformed system must carry an obstruction.
@@ -334,64 +331,6 @@ class TestKernelBasis:
             z = rand_matrix(rng, k.cols, 1, -3, 3)
             v = k * z
             assert solve_matrix(k, v) is not None
-
-
-class TestImageAnnihilator:
-    def test_full_image(self):
-        ann = image_annihilator(IntMatrix.identity(2))
-        assert ann.matrix.rows == 0
-
-    def test_span_e1(self):
-        ann = image_annihilator(IntMatrix.from_rows([[1], [0]]))
-        assert ann.matrix.rows == 1
-        m = ann.matrix
-        assert m[0, 0] == 0 and m[0, 1] != 0
-
-    def test_zero_image(self):
-        ann = image_annihilator(IntMatrix.zero(2, 2))
-        assert ann.matrix.rows == 2
-        assert rank(IntMatrix(2, 2, [int(e) for e in ann.matrix.entries])) == 2
-
-    def test_annihilates_and_detects(self):
-        rng = random.Random(9)
-        inside = outside = 0
-        for _ in range(100):
-            c = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -3, 3)
-            ann = image_annihilator(c)
-            assert (ann.matrix * c).is_zero()
-            assert ann.matrix.rows == c.rows - rank(c)
-            x = rand_matrix(rng, c.rows, 1, -5, 5)
-            # Rational solvability of C w = x must agree with M x = 0.
-            dec = smith_normal_form(c)
-            cx = dec.U * x
-            diag = dec.diagonal()
-            solvable = all(
-                cx[i, 0] == 0
-                for i in range(c.rows)
-                if i >= len(diag) or diag[i] == 0
-            )
-            assert in_rational_image(ann, x) == solvable
-            if solvable:
-                inside += 1
-            else:
-                outside += 1
-        assert inside and outside
-
-    def test_integral_rows_of_left_transform(self):
-        # The annihilator is the IntMatrix of rows rank.. of the left Smith
-        # transform, with its column count kept when it has no rows.
-        rng = random.Random(13)
-        for _ in range(60):
-            c = rand_matrix(rng, rng.randint(0, 4), rng.randint(0, 4), -3, 3)
-            dec = smith_normal_form(c)
-            ann = image_annihilator(c)
-            assert isinstance(ann.matrix, IntMatrix)
-            assert ann.matrix == IntMatrix(
-                c.rows - dec.rank,
-                c.rows,
-                [e for i in range(dec.rank, c.rows) for e in dec.U.row(i)],
-            )
-            assert ann.source_cols == c.cols
 
 
 class TestFromBlocks:

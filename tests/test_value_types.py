@@ -137,6 +137,20 @@ def test_quiver_edge_ids_must_be_strings(edge_id, as_edge):
         Quiver(1, [("e", 0, 0), edge])
 
 
+@pytest.mark.parametrize("count", [2.0, True, "2"])
+def test_quiver_vertex_count_must_be_an_int(count):
+    with pytest.raises(TypeError, match="non-integer vertex count"):
+        Quiver(count, [("e", 0, 0)])
+
+
+@pytest.mark.parametrize("src, dst", [(0.0, 1), (0, True), (False, 1), (0, 1.0)])
+@pytest.mark.parametrize("as_edge", [False, True])
+def test_quiver_edge_endpoints_must_be_ints(src, dst, as_edge):
+    edge = Edge("f", src, dst) if as_edge else ("f", src, dst)
+    with pytest.raises(TypeError, match="non-integer edge endpoint"):
+        Quiver(2, [("e", 0, 1), edge])
+
+
 def test_sft_matrix_compares_matrices():
     assert SftMatrix.from_rows([[2]]) == SftMatrix(IntMatrix.from_rows([[2]]))
     assert SftMatrix.from_rows([[2]]) != SftMatrix.from_rows([[1]])
