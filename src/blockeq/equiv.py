@@ -148,31 +148,118 @@ class InvariantProfile:
     convex_cokernels: tuple = ()
 
     def differences(self, other):
-        certs = []
-        if self.cokernel != other.cokernel:
-            certs.append(
-                Certificate("cokernel", str(self.cokernel), str(other.cokernel))
+        """A certificate for each invariant that differs from other's, in
+        certificate order.  Profiles of different shapes or groups list
+        different invariants and raise ValueError."""
+        return list(_differences(
+            _certificate_order(self.cokernel, self.diagonal_blocks,
+                               self.det_signs, self.convex_cokernels),
+            _certificate_order(other.cokernel, other.diagonal_blocks,
+                               other.det_signs, other.convex_cokernels),
+        ))
+
+
+def _certificate_order(cokernel, diagonal_blocks, det_signs, convex_cokernels):
+    """(certificate name, value) of every invariant of a profile, in the one
+    order a refutation reports them: the whole cokernel, the diagonal-block
+    classes, the determinant signs, the convex cokernels.  The arguments are
+    a profile's fields, or iterables that compute their entries on demand
+    (_profile_fields)."""
+    yield "cokernel", cokernel
+    for i, _, cls in diagonal_blocks:
+        yield f"diagonal-block-cokernel[{i}]", cls
+    for i, sign in det_signs:
+        yield f"diagonal-det-sign[{i}]", sign
+    for s, cls in convex_cokernels:
+        yield f"convex-cokernel{list(s)}", cls
+
+
+def _differences(items_a, items_b):
+    """Certificates for the pairs of invariants that differ, lazily.
+    Profiles of different shapes or groups list different invariants and
+    raise ValueError when the lists part."""
+    for (name, va), (name_b, vb) in zip(items_a, items_b, strict=True):
+        if name != name_b:
+            raise ValueError(f"profiles list {name} against {name_b}")
+        if va != vb:
+            yield Certificate(name, str(va), str(vb))
+
+
+def _unit_pivot_cokernels(a: BlockedMatrix):
+    """The function s -> cokernel(a.restrict(s)) on convex subsets s, after
+    eliminating every 1x1 diagonal block equal to +-1 once (see
+    invariant_profile); each distinct s minus those elements costs one
+    cokernel call, and the memo lives as long as the function."""
+    shape, m = a.shape, a.matrix
+    units = [
+        k for k in shape.poset.elements()
+        if shape.row_sizes[k - 1] == shape.col_sizes[k - 1] == 1
+        and m.entries[shape.row_offsets[k - 1] * m.cols + shape.col_offsets[k - 1]]
+        in (1, -1)
+    ]
+    reduced = m
+    if units:
+        rows = m.to_rows()
+        for k in units:
+            r, c = shape.row_offsets[k - 1], shape.col_offsets[k - 1]
+            # B[x, y] -= B[x, c] * p * B[r, y], as 1/p = p; row r and column
+            # c are never read again, so they are cleared instead.
+            p = rows[r][c]
+            pivot = [(j, p * v) for j, v in enumerate(rows[r]) if v and j != c]
+            rows[r] = [0] * m.cols
+            for row in rows:
+                f = row[c]
+                if f:
+                    for j, v in pivot:
+                        row[j] -= f * v
+                    row[c] = 0
+        reduced = IntMatrix._trusted(
+            m.rows, m.cols, tuple([e for row in rows for e in row])
+        )
+    memo = {}
+
+    def cok(s):
+        kept = tuple([x for x in s if x not in units]) if units else s
+        cls = memo.get(kept)
+        if cls is None:
+            cls = memo[kept] = cokernel(
+                reduced.submatrix(shape.rows_of(kept), shape.cols_of(kept))
             )
-        for (i, dims, cls_a), (_, _, cls_b) in zip(
-            self.diagonal_blocks, other.diagonal_blocks
-        ):
-            if cls_a != cls_b:
-                certs.append(
-                    Certificate(f"diagonal-block-cokernel[{i}]", str(cls_a), str(cls_b))
-                )
-        for (i, sa), (_, sb) in zip(self.det_signs, other.det_signs):
-            if sa != sb:
-                certs.append(Certificate(f"diagonal-det-sign[{i}]", str(sa), str(sb)))
-        for (s, cls_a), (_, cls_b) in zip(
-            self.convex_cokernels, other.convex_cokernels
-        ):
-            if cls_a != cls_b:
-                certs.append(
-                    Certificate(
-                        f"convex-cokernel{list(s)}", str(cls_a), str(cls_b)
-                    )
-                )
-        return certs
+        return cls
+
+    return cok
+
+
+def _profile_fields(a: BlockedMatrix, group: str):
+    """The whole cokernel of a's profile and three generators of the
+    entries of its other fields, which compute each entry when asked."""
+    if group not in GROUPS:
+        raise ValueError(f"unknown group {group!r}")
+    poset = a.shape.poset
+    cok = _unit_pivot_cokernels(a)
+    # The nonempty diagonal blocks, as diagonal_blocks meets them; det_signs
+    # comes after it in certificate order, so it finds the list complete.
+    blocks = []
+
+    def diagonal_blocks():
+        for i in poset.elements():
+            blk = a.diagonal_block(i)
+            if blk.rows or blk.cols:
+                blocks.append((i, blk))
+                yield i, (blk.rows, blk.cols), cok((i,))
+
+    def det_signs():
+        for i, blk in blocks:
+            if group == SL and blk.rows == blk.cols:
+                d = determinant(blk)
+                yield i, 0 if d == 0 else (1 if d > 0 else -1)
+
+    def convex_cokernels():
+        for s in poset.convex_subsets():
+            yield s, cok(s)
+
+    whole = cok(tuple(poset.elements()))
+    return whole, diagonal_blocks(), det_signs(), convex_cokernels()
 
 
 def invariant_profile(a: BlockedMatrix, group: str) -> InvariantProfile:
@@ -180,26 +267,24 @@ def invariant_profile(a: BlockedMatrix, group: str) -> InvariantProfile:
 
     Accepts rectangular shapes as well; determinant signs are recorded only
     for SL with square diagonal blocks, where they are genuinely invariant.
+
+    Every class is cokernel(a.restrict(s)) for a convex subset s (the whole
+    poset and each singleton are convex), read through one elimination.
+    Let block k be 1x1 and equal to p = +-1, at row r and column c.  Its
+    rank-one Schur update B' = B - B[:, c] * p * B[r, :] changes entry (x, y)
+    only when block(x) <= k <= block(y), since B[x, c] = 0 unless block(x)
+    <= k and B[r, y] = 0 unless k <= block(y).  For convex S without k, no
+    such x and y lie in the blocks of S, so B'[S] = B[S].  For convex S with
+    k, B' restricted to S minus k is B[S]'s own Schur complement at the
+    unit pivot, which has the same cokernel.  No diagonal block other than
+    k changes (that needs j <= k <= j), so B' is blocked over the same
+    poset with the same +-1 blocks, and the pivots can be eliminated one
+    after another: with U the eliminated elements, cok B[S] = cok B'[S - U]
+    for every convex S.  Distinct S with one S - U share one Smith
+    diagonal; larger unimodular blocks are left to it.
     """
-    if group not in GROUPS:
-        raise ValueError(f"unknown group {group!r}")
-    shape = a.shape
-    convex = [(s, cokernel(a.restrict(s))) for s in shape.poset.convex_subsets()]
-    # The whole poset and every singleton are convex, so the whole matrix
-    # and each diagonal block already have their class in the list.
-    classes = dict(convex)
-    diag = []
-    signs = []
-    for i in shape.poset.elements():
-        blk = a.diagonal_block(i)
-        if blk.rows == 0 and blk.cols == 0:
-            continue
-        diag.append((i, (blk.rows, blk.cols), classes[(i,)]))
-        if group == SL and blk.rows == blk.cols:
-            d = determinant(blk)
-            signs.append((i, 0 if d == 0 else (1 if d > 0 else -1)))
-    whole = classes[tuple(shape.poset.elements())]
-    return InvariantProfile(whole, tuple(diag), tuple(signs), tuple(convex))
+    whole, *fields = _profile_fields(a, group)
+    return InvariantProfile(whole, *map(tuple, fields))
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +797,12 @@ def decide_blocked_equivalence(
 
 
 def _refute(a, b, group):
-    """A no verdict certified by the first invariant difference, or None."""
-    diffs = invariant_profile(a, group).differences(invariant_profile(b, group))
-    return Verdict.no(diffs[0], BudgetReport(0, 0)) if diffs else None
+    """A no verdict certified by the first invariant difference, or None.
+    The two sides' invariants are computed in certificate order and only up
+    to that difference: it is differences()[0] of the two full profiles."""
+    first = next(_differences(_certificate_order(*_profile_fields(a, group)),
+                              _certificate_order(*_profile_fields(b, group))), None)
+    return None if first is None else Verdict.no(first, BudgetReport(0, 0))
 
 
 def _search(engine, a, b, side):

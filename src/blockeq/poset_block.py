@@ -76,15 +76,24 @@ class Poset:
 
         Returns (poset, relabel) where relabel[old - 1] = new label.
         """
+        _check_ints((size,), "poset size")
         pairs = tuple(pairs)
-        _, down = _order_closure(size, pairs)
+        _check_pairs(size, pairs)
         # Stable topological order: repeatedly place the least label whose
-        # strict predecessors are all placed.
+        # direct predecessors are all placed.  The placed set stays closed
+        # downward, so its strict predecessors are placed too, and the one
+        # closure is the relabelled poset's own.
+        preds = [0] * (size + 1)
+        for i, j in pairs:
+            if i != j:
+                preds[j] |= 1 << i
         placed = 0
         relabel = [0] * size
         for new in range(1, size + 1):
-            x = next(x for x in range(1, size + 1)
-                     if down[x] & ~placed == 1 << x)
+            x = next((x for x in range(1, size + 1)
+                      if not (placed >> x & 1 or preds[x] & ~placed)), None)
+            if x is None:  # the unplaced elements hold a cycle
+                _order_closure(size, pairs)  # raises the antisymmetry error
             placed |= 1 << x
             relabel[x - 1] = new
         new_pairs = [(relabel[i - 1], relabel[j - 1]) for (i, j) in pairs]
@@ -203,12 +212,16 @@ def reachability(size, edges):
     return reach
 
 
-def _order_closure(size, pairs):
-    """The tables (up, down) of Poset for the reflexive and transitive
-    closure of pairs on 1..size, rejecting pairs out of range and cycles."""
+def _check_pairs(size, pairs):
     for i, j in pairs:
         if not (1 <= i <= size and 1 <= j <= size):
             raise ValueError(f"pair ({i},{j}) out of range 1..{size}")
+
+
+def _order_closure(size, pairs):
+    """The tables (up, down) of Poset for the reflexive and transitive
+    closure of pairs on 1..size, rejecting pairs out of range and cycles."""
+    _check_pairs(size, pairs)
     # Vertex 0 has no edges, so entry x of each table is element x.
     loops = [(x, x) for x in range(1, size + 1)]
     up = reachability(size + 1, [*pairs, *loops])

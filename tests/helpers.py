@@ -16,7 +16,11 @@ from blockeq import (
     BlockShape,
     BlockedMatrix,
     IntMatrix,
+    SL,
+    InvariantProfile,
     Poset,
+    cokernel,
+    determinant,
     smith_normal_form,
 )
 from blockeq.poset_block import generator_moves, move_matrix
@@ -100,6 +104,29 @@ class BruteOrder:
         return sum(1 << i for i in self.elements if self.leq(i, j))
 
 
+def brute_profile(a, group):
+    """The invariant profile from its definition: one cokernel(a.restrict(s))
+    per convex subset, listed by BruteOrder, and the whole-matrix and
+    diagonal-block classes read from that list."""
+    poset = a.shape.poset
+    convex = [(s, cokernel(a.restrict(s)))
+              for s in BruteOrder(poset.size, poset.pairs).convex_subsets()]
+    classes = dict(convex)
+    blocks = [(i, a.diagonal_block(i)) for i in poset.elements()]
+    blocks = [(i, blk) for i, blk in blocks if blk.rows or blk.cols]
+    signs = []
+    for i, blk in blocks:
+        if group == SL and blk.rows == blk.cols:
+            d = determinant(blk)
+            signs.append((i, (d > 0) - (d < 0)))
+    return InvariantProfile(
+        classes[tuple(poset.elements())],
+        tuple((i, (blk.rows, blk.cols), classes[(i,)]) for i, blk in blocks),
+        tuple(signs),
+        tuple(convex),
+    )
+
+
 def rand_square_shape(rng, max_poset=3, max_block=2):
     size = rng.randint(1, max_poset)
     poset = rand_poset(rng, size)
@@ -120,6 +147,26 @@ def rand_blocked(rng, shape, lo=-3, hi=3):
                     for c in shape.col_range(j):
                         ent[r][c] = rng.randint(lo, hi)
     return BlockedMatrix(shape, IntMatrix.from_rows(ent) if rows else IntMatrix(0, cols, ()))
+
+
+def rand_unit_biased_blocked(rng):
+    """A blocked matrix on a random poset of 1-5 elements, with square or
+    rectangular block sizes 0-2 (zero-size blocks included) and each entry
+    on a diagonal block's diagonal set to +-1 half of the time."""
+    size = rng.randint(1, 5)
+    poset = rand_poset(rng, size)
+    while True:
+        rows = tuple(rng.randint(0, 2) for _ in range(size))
+        cols = rows if rng.random() < 0.5 else tuple(rng.randint(0, 2) for _ in range(size))
+        if any(rows) and any(cols):
+            break
+    shape = BlockShape(poset, rows, cols)
+    ent = rand_blocked(rng, shape).matrix.to_rows()
+    for i in poset.elements():
+        for r, c in zip(shape.row_range(i), shape.col_range(i)):
+            if rng.random() < 0.5:
+                ent[r][c] = rng.choice((1, -1))
+    return BlockedMatrix(shape, IntMatrix.from_rows(ent))
 
 
 def scramble(rng, blocked, group, max_moves=6):

@@ -1,6 +1,7 @@
 """The three-valued engine: profiles, searches, unit conditions."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -24,14 +25,17 @@ from blockeq import (
     invariant_profile,
     smith_normal_form,
 )
+from blockeq.equiv import _refute
 from blockeq.intmat import DimensionError, invert_unimodular, solve_matrix
 from blockeq.poset_block import ShapeError, antichain_poset, chain_poset, group_membership
 
 from helpers import (
+    brute_profile,
     count_calls,
     make_solver,
     rand_blocked,
     rand_square_shape,
+    rand_unit_biased_blocked,
     scramble,
     sign_unimodulars,
 )
@@ -75,24 +79,115 @@ class TestInvariantProfile:
                 assert invariant_profile(a, group) == invariant_profile(b, group)
 
     def test_whole_and_block_classes_read_from_convex_list(self, monkeypatch):
-        # The whole set and each singleton are convex, so a 5-chain runs one
-        # cokernel per interval: 15, where a separate whole-matrix and
-        # per-block pass made 21.
+        # Blocks 1 and 3 of this 5-chain are [[1]] and [[-1]] and are
+        # eliminated once, so each of the 15 intervals reads the class of
+        # its other elements: one cokernel per distinct remainder, the 6
+        # intervals of {2, 4, 5} and the empty one.  The whole set and each
+        # singleton are intervals, so there is no separate whole-matrix or
+        # per-block pass (which made 21 calls; one per interval made 15).
         shape = BlockShape.square(chain_poset(5), (1, 2, 1, 2, 1))
         a = rand_blocked(random.Random(5), shape)
+        assert [a.diagonal_block(i).entries for i in (1, 3)] == [(1,), (-1,)]
         calls = count_calls(monkeypatch, cokernel)
         p = invariant_profile(a, SL)
-        assert len(calls) == 15
+        assert len(calls) == 7
         assert p.cokernel == cokernel(a.matrix)
         assert [cls for _, _, cls in p.diagonal_blocks] == [
             cokernel(a.diagonal_block(i)) for i in range(1, 6)
         ]
+
+    def test_profiles_of_different_groups_do_not_compare(self):
+        # An SL profile lists determinant signs where a GL profile of the
+        # same matrix lists its first convex cokernel.
+        a = BlockedMatrix(BlockShape.square(chain_poset(2), (1, 1)),
+                          IntMatrix.from_rows([[2, 1], [0, 3]]))
+        with pytest.raises(ValueError, match="diagonal-det-sign"):
+            invariant_profile(a, SL).differences(invariant_profile(a, GL))
+        assert invariant_profile(a, GL).differences(invariant_profile(a, UNIT_RESTRICTED)) == []
 
     def test_rectangular_accepted(self):
         shape = BlockShape(chain_poset(2), (1, 2), (2, 1))
         m = rand_blocked(random.Random(3), shape)
         p = invariant_profile(m, SL)
         assert p.det_signs == ()
+
+    def test_matches_brute_force_profile(self):
+        # Profiles eliminate each +-1 diagonal block once for every convex
+        # subset; the definition restricts and eliminates per subset.  The
+        # whole cokernel, the diagonal classes, the signs and the convex list
+        # must agree, in order, on square and rectangular shapes with
+        # zero-size blocks.
+        rng = random.Random(2026)
+        with_unit_pivot = 0
+        for _ in range(1000):
+            a = rand_unit_biased_blocked(rng)
+            with_unit_pivot += any(
+                a.diagonal_block(i).entries in ((1,), (-1,))
+                for i in a.shape.poset.elements()
+            )
+            for group in (GL, SL, UNIT_RESTRICTED):
+                assert invariant_profile(a, group) == brute_profile(a, group)
+        assert with_unit_pivot >= 300
+
+
+def _one_entry_changed(rng, a):
+    """a with one entry of an allowed block redrawn, or None when the
+    pattern allows no entry."""
+    shape = a.shape
+    order = shape.poset
+    allowed = [(r, c) for i in order.elements() for j in order.elements()
+               if order.leq(i, j) for r in shape.row_range(i) for c in shape.col_range(j)]
+    if not allowed:
+        return None
+    rows = a.matrix.to_rows()
+    r, c = rng.choice(allowed)
+    rows[r][c] = rng.randint(-3, 3)
+    return BlockedMatrix(shape, IntMatrix.from_rows(rows))
+
+
+class TestRefute:
+    def test_certificate_is_the_first_profile_difference(self, monkeypatch):
+        # Refutation compares the two sides' invariants in certificate order
+        # and stops at the first difference, which must be the first of the
+        # full profiles' differences; a pair whose whole cokernels differ
+        # then costs one cokernel per side.
+        calls = count_calls(monkeypatch, cokernel)
+        rng = random.Random(7)
+        kinds = Counter()
+        for k in range(2000):
+            a = rand_unit_biased_blocked(rng)
+            b = _one_entry_changed(rng, a)
+            if b is None:
+                continue
+            group = (GL, SL, UNIT_RESTRICTED)[k % 3]
+            diffs = invariant_profile(a, group).differences(invariant_profile(b, group))
+            calls.clear()
+            refuted = _refute(a, b, group)
+            if not diffs:
+                assert refuted is None
+                continue
+            assert refuted.is_no and refuted.certificate == diffs[0]
+            kind = diffs[0].name.split("[")[0]
+            kinds[kind] += 1
+            if kind == "cokernel":
+                assert len(calls) == 2
+        assert kinds["cokernel"] >= 500
+        for kind in ("diagonal-block-cokernel", "diagonal-det-sign", "convex-cokernel"):
+            assert kinds[kind] >= 10, kinds
+
+    def test_whole_cokernel_difference_costs_two_cokernels(self, monkeypatch):
+        # The 5-chain of the call-count test above against a copy whose last
+        # block is doubled: the whole cokernels differ, so the verdict needs
+        # neither side's profile.
+        shape = BlockShape.square(chain_poset(5), (1, 2, 1, 2, 1))
+        a = rand_blocked(random.Random(5), shape)
+        rows = a.matrix.to_rows()
+        rows[-1][-1] *= 2
+        b = BlockedMatrix(shape, IntMatrix.from_rows(rows))
+        calls = count_calls(monkeypatch, cokernel)
+        v = decide_blocked_equivalence(a, b, group=SL)
+        assert v.is_no and v.certificate.name == "cokernel"
+        assert len(calls) == 2
 
 
 class TestDecideBlockedEquivalence:

@@ -25,11 +25,11 @@ from blockeq import (
 )
 from blockeq.intmat import DimensionError, invert_unimodular
 from blockeq.poset_block import (
-    antichain_poset, chain_poset, generator_moves, reachability,
+    _order_closure, antichain_poset, chain_poset, generator_moves, reachability,
 )
 from blockeq.sft import SftMatrix, condense
 
-from helpers import BruteOrder, rand_blocked, rand_poset, rand_square_shape
+from helpers import BruteOrder, count_calls, rand_blocked, rand_poset, rand_square_shape
 
 
 def five_element_poset():
@@ -98,6 +98,26 @@ class TestPoset:
             p, relabel = Poset.normalized(size, pairs)
             assert relabel == tuple(order.index(x) + 1 for x in range(1, size + 1))
             assert p.pairs == {(relabel[a - 1], relabel[b - 1]) for a, b in below}
+
+    def test_normalized_builds_one_closure(self, monkeypatch):
+        # The sort reads direct predecessors only; the relabelled poset's
+        # own construction is the one closure.
+        calls = count_calls(monkeypatch, _order_closure)
+        p, relabel = Poset.normalized(4, [(4, 3), (3, 1), (2, 1)])
+        assert len(calls) == 1
+        assert relabel == (4, 1, 3, 2)
+        assert p == Poset(4, [(1, 4), (2, 3), (3, 4)])
+
+    def test_normalized_rejects_like_poset(self):
+        with pytest.raises(ValueError, match=r"pair \(0,2\) out of range 1..3"):
+            Poset.normalized(3, [(1, 2), (0, 2)])
+        # A cycle stalls the sort, and the closure names the pair.
+        with pytest.raises(ValueError, match=r"antisymmetry violated at \(2,3\)"):
+            Poset.normalized(3, [(1, 2), (3, 2), (2, 3)])
+        with pytest.raises(ValueError, match=r"antisymmetry violated at \(1,2\)"):
+            Poset.normalized(4, [(4, 3), (3, 4), (2, 1), (1, 2)])
+        with pytest.raises(TypeError, match="non-integer poset size"):
+            Poset.normalized(2.0, [])
 
     def test_normalized_stable(self):
         # Already-normalized input keeps the identity labelling.
