@@ -53,7 +53,6 @@ from .sft import (
     bowen_franks,
     condense,
     decide_flow_equivalence,
-    decide_flow_equivalence_irreducible,
     is_irreducible,
     parry_sullivan,
     stabilization_target,

@@ -13,10 +13,10 @@ Quiver vertices are 0-based indices; poset elements stay 1-based.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 
-from .equiv import BudgetReport, Certificate, SearchBudget, Verdict
+from .equiv import BudgetReport, Certificate, SearchBudget, Verdict, _differences
 from .intmat import (
     DimensionError,
     FgAbelianGroup,
@@ -363,58 +363,57 @@ def enumerate_isomorphisms(src: PresentedGroup, dst: PresentedGroup):
     return out
 
 
-def _edge_invariant_certificates(rep1: ZRep, rep2: ZRep):
-    certs = []
-    for v in range(rep1.quiver.vertices):
-        c1, c2 = rep1.groups[v].iso_class(), rep2.groups[v].iso_class()
-        if c1 != c2:
-            certs.append(
-                Certificate(
-                    f"vertex-group[{v}]",
-                    str(FgAbelianGroup(*c1)),
-                    str(FgAbelianGroup(*c2)),
-                )
-            )
-    for idx, e in enumerate(rep1.quiver.edges):
-        classes1, classes2 = (
-            hom_classes(r.normal_edge_maps[idx], r.groups[e.src], r.groups[e.dst])
-            for r in (rep1, rep2)
-        )
-        for name, g1, g2 in zip(("kernel", "image", "cokernel"), classes1, classes2):
-            if g1 != g2:
-                certs.append(
-                    Certificate(
-                        f"edge-{name}[{e.id}]",
-                        str(FgAbelianGroup(*g1)),
-                        str(FgAbelianGroup(*g2)),
-                    )
-                )
-    return certs
+def _rep_invariants(rep: ZRep):
+    """(certificate name, class) of every isomorphism invariant of a
+    representation, in the one order a refutation reports them: each vertex
+    group, then the kernel, image and cokernel of each edge map, edge by
+    edge.  The edge classes are computed on demand, so a refutation that
+    stops at the first difference (equiv._differences) skips the rest."""
+    for v, g in enumerate(rep.groups):
+        yield f"vertex-group[{v}]", g.group
+    for e, f in zip(rep.quiver.edges, rep.normal_edge_maps):
+        classes = hom_classes(f, rep.groups[e.src], rep.groups[e.dst])
+        for name, cls in zip(("kernel", "image", "cokernel"), classes):
+            yield f"edge-{name}[{e.id}]", FgAbelianGroup(*cls)
 
 
-def _bounded_candidates(src: PresentedGroup, dst: PresentedGroup, bound):
-    """Raw normal-coordinate candidates with free entries in [-bound, bound]
-    and torsion entries canonical, identity first.  The caller filters for
-    isomorphism (and pays for each candidate against its budget)."""
-    n1, n2 = src.normal_gens, dst.normal_gens
-    if n1 != n2 or src.iso_class() != dst.iso_class():
+def _bounded_isomorphisms(src: PresentedGroup, dst: PresentedGroup, bound):
+    """Every normal-coordinate map between groups of one class with free
+    entries in [-bound, bound] and torsion entries canonical, identity
+    first, each replaced by None unless it is an isomorphism: the search
+    pays one node per map drawn either way."""
+    n = src.normal_gens
+    ranges = [range(min(d, 2 * bound + 1)) if d else range(-bound, bound + 1)
+              for d in dst.orders]
+    ident = IntMatrix.identity(n).entries
+    flats = product(*(r for r in ranges for _ in range(n)))
+    for flat in chain([ident], (f for f in flats if f != ident)):
+        m = IntMatrix._trusted(n, n, flat)
+        yield m if hom_inverse(m, src, dst) is not None else None
+
+
+def _families(rep1: ZRep, rep2: ZRep, edges_at, candidates, family=()):
+    """Depth-first search for a family of normal-coordinate vertex
+    isomorphisms that commutes with every edge map, vertex v's drawn from
+    candidates(v), where None stands for a map that is not an isomorphism.
+    Yields None before testing each candidate drawn, so the caller can
+    charge it, and the family once it is complete.  edges_at[v] lists the
+    (index, edge) pairs whose later endpoint is v."""
+    v = len(family)
+    if v == len(rep1.groups):
+        yield family
         return
-    if n1 == 0:
-        yield IntMatrix(0, 0, ())
-        return
-    ranges = []
-    for i in range(n2):
-        d = dst.orders[i]
-        if d:
-            ranges.append(range(min(d, 2 * bound + 1)))
-        else:
-            ranges.append(range(-bound, bound + 1))
-    ident = IntMatrix.identity(n1)
-    yield ident
-    for flat in product(*(ranges[i] for i in range(n2) for _ in range(n1))):
-        m = IntMatrix(n2, n1, flat)
-        if m != ident:
-            yield m
+    for cand in candidates(v):
+        yield None
+        if cand is None:
+            continue
+        ext = family + (cand,)
+        if all(
+            homs_equal(ext[e.dst] * rep1.normal_edge_maps[i],
+                       rep2.normal_edge_maps[i] * ext[e.src], rep2.groups[e.dst])
+            for i, e in edges_at[v]
+        ):
+            yield from _families(rep1, rep2, edges_at, candidates, ext)
 
 
 def decide_rep_isomorphism(
@@ -422,86 +421,57 @@ def decide_rep_isomorphism(
 ) -> Verdict:
     """Isomorphism of representations over the same quiver.
 
-    Refutation first (vertex classes, edge kernel/image/cokernel classes);
-    complete enumeration when every vertex group is finite of order <= 64;
-    budget-bounded candidate search otherwise.  The yes-witness is the pair
+    Refutation first, at the first invariant that differs (_rep_invariants);
+    then one depth-first search over families of vertex isomorphisms, each
+    candidate drawn costing one node: complete enumeration when every vertex
+    group is finite of order <= 64, else iterative deepening on the entry
+    bound of the candidates, up to max_depth.  The yes-witness is the pair
     (forward, inverse) of block-diagonal matrices over the vertex generators.
     """
     if rep1.quiver != quiver or rep2.quiver != quiver:
         raise ValueError("representations live on different quivers")
 
-    certs = _edge_invariant_certificates(rep1, rep2)
-    if certs:
-        return Verdict.no(certs[0], BudgetReport(0, 0))
+    first = next(_differences(_rep_invariants(rep1), _rep_invariants(rep2)), None)
+    if first is not None:
+        return Verdict.no(first, BudgetReport(0, 0))
 
-    nv = quiver.vertices
+    pairs = list(zip(rep1.groups, rep2.groups))
     finite = all(
         g.group.is_finite and g.group.order() <= ISO_ENUMERATION_CAP
         for g in rep1.groups
     )
-    edges_by_max_vertex = [[] for _ in range(nv + 1)]
+    if finite:
+        isos = [enumerate_isomorphisms(g1, g2) for g1, g2 in pairs]
+        passes = [lambda v: isos[v]]
+    else:
+        passes = [
+            lambda v, bound=bound: _bounded_isomorphisms(*pairs[v], bound)
+            for bound in range(1, budget.max_depth + 1)
+        ]
+    edges_at = [[] for _ in pairs]
     for idx, e in enumerate(quiver.edges):
-        edges_by_max_vertex[max(e.src, e.dst) + 1].append(idx)
-    norm1, norm2 = rep1.normal_edge_maps, rep2.normal_edge_maps
+        edges_at[max(e.src, e.dst)].append((idx, e))
 
     tested = 0
-
-    class _BudgetExhausted(Exception):
-        pass
-
-    def edges_commute(assign, idx):
-        e = quiver.edges[idx]
-        lhs = assign[e.dst] * norm1[idx]
-        rhs = norm2[idx] * assign[e.src]
-        return homs_equal(lhs, rhs, rep2.groups[e.dst])
-
-    def dfs(v, assign, candidate_iter_factory, prefiltered):
-        nonlocal tested
-        if v == nv:
-            return list(assign)
-        for cand in candidate_iter_factory(v):
+    for family in chain.from_iterable(
+        _families(rep1, rep2, edges_at, candidates) for candidates in passes
+    ):
+        if family is None:
             if tested == budget.max_nodes:
-                raise _BudgetExhausted
+                return Verdict.unknown(BudgetReport(tested, 0))
             tested += 1
-            if not prefiltered and (
-                hom_inverse(cand, rep1.groups[v], rep2.groups[v]) is None
-            ):
-                continue
-            assign.append(cand)
-            if all(edges_commute(assign, i) for i in edges_by_max_vertex[v + 1]):
-                res = dfs(v + 1, assign, candidate_iter_factory, prefiltered)
-                if res is not None:
-                    return res
-            assign.pop()
-        return None
-
-    def finish_yes(assign):
-        inverse = [
-            hom_inverse(assign[v], rep1.groups[v], rep2.groups[v]) for v in range(nv)
-        ]
+            continue
+        inverse = [hom_inverse(f, g1, g2) for f, (g1, g2) in zip(family, pairs)]
         if any(g is None for g in inverse):  # pragma: no cover - theory
             raise AssertionError("vertex map of the family is not an isomorphism")
-        fwd_raw = [
-            raw_hom(assign[v], rep1.groups[v], rep2.groups[v]) for v in range(nv)
-        ]
-        if not is_morphism(fwd_raw, rep1, rep2, quiver):  # pragma: no cover
+        forward = [raw_hom(f, g1, g2) for f, (g1, g2) in zip(family, pairs)]
+        if not is_morphism(forward, rep1, rep2, quiver):  # pragma: no cover
             raise AssertionError("isomorphism family failed re-verification")
-        u = _block_diagonal(fwd_raw)
-        w = _block_diagonal(
-            [raw_hom(inverse[v], rep2.groups[v], rep1.groups[v]) for v in range(nv)]
+        back = [raw_hom(g, g2, g1) for g, (g1, g2) in zip(inverse, pairs)]
+        return Verdict.yes(
+            _block_diagonal(forward), _block_diagonal(back), BudgetReport(tested, 0)
         )
-        return Verdict.yes(u, w, BudgetReport(tested, 0))
-
     if finite:
-        iso_lists = [
-            enumerate_isomorphisms(rep1.groups[v], rep2.groups[v]) for v in range(nv)
-        ]
-        try:
-            res = dfs(0, [], lambda v: iso_lists[v], prefiltered=True)
-        except _BudgetExhausted:
-            return Verdict.unknown(BudgetReport(tested, 0))
-        if res is not None:
-            return finish_yes(res)
         return Verdict.no(
             Certificate(
                 "finite-enumeration",
@@ -510,21 +480,6 @@ def decide_rep_isomorphism(
             ),
             BudgetReport(tested, 0),
         )
-
-    # Mixed / infinite vertex groups: iterative deepening on the entry bound,
-    # capped by the node budget (bound itself capped by max_depth).
-    for bound in range(1, budget.max_depth + 1):
-        try:
-            res = dfs(
-                0,
-                [],
-                lambda v: _bounded_candidates(rep1.groups[v], rep2.groups[v], bound),
-                prefiltered=False,
-            )
-        except _BudgetExhausted:
-            return Verdict.unknown(BudgetReport(tested, 0))
-        if res is not None:
-            return finish_yes(res)
     return Verdict.unknown(BudgetReport(tested, 0))
 
 

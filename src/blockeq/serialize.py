@@ -351,40 +351,29 @@ def dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-SCHEMAS = ("matrix", "poset", "shape", "blocked", "quiver", "rep", "verdict", "group")
-
-_PARSERS = {
-    "matrix": matrix_from_json,
-    "poset": poset_from_json,
-    "shape": shape_from_json,
-    "blocked": blocked_from_json,
-    "quiver": quiver_from_json,
-    "rep": _rep_matrices,
-    "verdict": verdict_from_json,
-    "group": group_from_json,
+# Each schema once: the keys that identify a document and its parser, in
+# the order sniff_schema tries them.  A verdict is any object with a
+# "status"; every other document is identified by its exact set of keys.
+_SCHEMAS = {
+    "matrix": ({"rows", "cols", "entries"}, matrix_from_json),
+    "poset": ({"n", "leq"}, poset_from_json),
+    "shape": ({"poset", "m", "n"}, shape_from_json),
+    "blocked": ({"shape", "matrix"}, blocked_from_json),
+    "quiver": ({"vertices", "edges"}, quiver_from_json),
+    "rep": ({"vertex_presentations", "edge_maps"}, _rep_matrices),
+    "verdict": ({"status"}, verdict_from_json),
+    "group": ({"free_rank", "torsion"}, group_from_json),
 }
+SCHEMAS = tuple(_SCHEMAS)
 
 
 def sniff_schema(doc) -> str:
     if not isinstance(doc, dict):
         raise SchemaError("expected a JSON object")
-    keys = set(doc.keys())
-    if keys == {"rows", "cols", "entries"}:
-        return "matrix"
-    if keys == {"n", "leq"}:
-        return "poset"
-    if keys == {"poset", "m", "n"}:
-        return "shape"
-    if keys == {"shape", "matrix"}:
-        return "blocked"
-    if keys == {"vertices", "edges"}:
-        return "quiver"
-    if keys == {"vertex_presentations", "edge_maps"}:
-        return "rep"
-    if "status" in keys:
-        return "verdict"
-    if keys == {"free_rank", "torsion"}:
-        return "group"
+    keys = set(doc)
+    for name, (ident, _) in _SCHEMAS.items():
+        if (ident <= keys) if name == "verdict" else (ident == keys):
+            return name
     raise SchemaError(f"unrecognized document with keys {sorted(keys)}")
 
 
@@ -392,7 +381,7 @@ def validate_document(doc, schema: str | None = None) -> str:
     """Parse the document under its (sniffed or declared) schema; returns the
     schema name or raises SchemaError."""
     name = schema or sniff_schema(doc)
-    if name not in SCHEMAS:
+    if name not in _SCHEMAS:
         raise SchemaError(f"unknown schema {name!r}")
-    _PARSERS[name](doc)
+    _SCHEMAS[name][1](doc)
     return name

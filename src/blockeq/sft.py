@@ -123,14 +123,6 @@ def is_single_cycle(a: SftMatrix) -> bool:
     return is_irreducible(a) and all(sum(row) == 1 for row in a.matrix.to_rows())
 
 
-def decide_flow_equivalence_irreducible(a: SftMatrix, a2: SftMatrix) -> bool:
-    """Complete decision for irreducible shifts: both trivial single cycles,
-    or neither trivial and the FlowInvariants agree."""
-    if not is_irreducible(a) or not is_irreducible(a2):
-        raise ValueError("both inputs must be irreducible")
-    return _irreducible_certificate(a, a2)[0] is None
-
-
 def _irreducible_certificate(a: SftMatrix, a2: SftMatrix):
     """(certificate, invariant): the invariant separating two irreducible
     shifts, or None when they are flow equivalent (single-cycle flags, then

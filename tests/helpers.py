@@ -29,21 +29,25 @@ from blockeq.poset_block import generator_moves, move_matrix
 def count_calls(monkeypatch, fn, holder=None):
     """Route fn through a counter; returns the list each call appends its
     positional arguments to.  With a holder (a class, say) only the holder's
-    attribute named like fn is patched, else every blockeq binding of fn."""
+    attribute named like fn is patched, else every blockeq binding of fn.
+    Raises LookupError when no binding holds fn, as after an earlier
+    count_calls on it, whose list the calls would then fill instead."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return fn(*args)
 
-    if holder is not None:
-        monkeypatch.setattr(holder, fn.__name__, counted)
-        return calls
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "blockeq" and (
-            getattr(module, fn.__name__, None) is fn
-        ):
-            monkeypatch.setattr(module, fn.__name__, counted)
+    name = fn.__name__
+    owners = [holder] if holder is not None else [
+        module for key, module in list(sys.modules.items())
+        if key.split(".")[0] == "blockeq"
+    ]
+    owners = [owner for owner in owners if getattr(owner, name, None) == fn]
+    if not owners:
+        raise LookupError(f"no binding of {name} holds the function to count")
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 

@@ -25,7 +25,7 @@ from blockeq import (
     build_kweb,
     cokernel,
     decide_blocked_equivalence,
-    decide_flow_equivalence_irreducible,
+    decide_flow_equivalence,
     decide_kweb_isomorphism,
     decide_rep_isomorphism,
     determinant,
@@ -110,8 +110,8 @@ def test_criterion_03_franks_decisions():
         full2 = SftMatrix.from_rows([[2]])
         fib = SftMatrix.from_rows([[1, 1], [1, 0]])
         full3 = SftMatrix.from_rows([[3]])
-        assert decide_flow_equivalence_irreducible(full2, fib)
-        assert not decide_flow_equivalence_irreducible(full2, full3)
+        assert decide_flow_equivalence(full2, fib).is_yes
+        assert decide_flow_equivalence(full2, full3).is_no
         assert FlowInvariant.of(full2) == FlowInvariant.of(fib)
         assert parry_sullivan(full2) == -1 and parry_sullivan(fib) == -1
         assert parry_sullivan(full3) == -2

@@ -10,6 +10,7 @@ from blockeq import (
     SL,
     BlockShape,
     BlockedMatrix,
+    Certificate,
     DimensionError,
     IntMatrix,
     Quiver,
@@ -492,6 +493,46 @@ class TestDecideRepIsomorphism:
             v = decide_rep_isomorphism(r2, r3, q, SearchBudget(8, max_nodes))
             assert v.report.nodes_expanded == max_nodes
             assert v.status == ("no" if max_nodes == 36 else "unknown")
+
+    def test_refutation_stops_at_the_first_differing_edge(self, monkeypatch):
+        # Both edges differ, but the first certificate is edge e's cokernel,
+        # so edge f's classes are never computed.
+        q = Quiver(2, [("e", 0, 1), ("f", 0, 1)])
+        r1 = ZRep(q, [Z, Z], [IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[1]])])
+        r2 = ZRep(q, [Z, Z], [IntMatrix.from_rows([[3]]), IntMatrix.from_rows([[0]])])
+        calls = count_calls(monkeypatch, hom_classes)
+        v = decide_rep_isomorphism(r1, r2, q)
+        assert v.certificate == Certificate("edge-cokernel[e]", "C2", "C3")
+        assert v.report.nodes_expanded == 0
+        assert len(calls) == 2
+
+    def test_vertex_refutation_computes_no_edge_class(self, monkeypatch):
+        q = edge_quiver()
+        r1 = ZRep(q, [Z, Z2], [IntMatrix.from_rows([[1]])])
+        r2 = ZRep(q, [Z, Z3], [IntMatrix.from_rows([[1]])])
+        calls = count_calls(monkeypatch, hom_classes)
+        v = decide_rep_isomorphism(r1, r2, q)
+        assert v.certificate == Certificate("vertex-group[1]", "C2", "C3")
+        assert calls == []
+
+    def test_bounded_search_on_free_groups_pinned(self):
+        # Z^2 -> Z^2 with f = diag(2, 6) against U*f*V: the deepening search
+        # over free vertex groups draws 11,104 candidates before the family.
+        q = edge_quiver()
+        free2 = IntMatrix.zero(2, 0)
+        f = IntMatrix.diagonal([2, 6])
+        u = IntMatrix.from_rows([[1, 1], [0, 1]])
+        w = IntMatrix.from_rows([[2, 1], [1, 1]])
+        r1 = ZRep(q, [free2, free2], [f])
+        r2 = ZRep(q, [free2, free2], [u * f * w])
+        v = decide_rep_isomorphism(r1, r2, q)
+        assert v.is_yes and v.report.nodes_expanded == 11104
+        assert v.witness[0] == IntMatrix.from_rows(
+            [[-1, -2, 0, 0], [1, 1, 0, 0], [0, 0, -1, -2], [0, 0, 0, -1]]
+        )
+        assert is_morphism([v.witness[0].submatrix(range(2), range(2)),
+                            v.witness[0].submatrix(range(2, 4), range(2, 4))],
+                           r1, r2, q)
 
     def test_oracle_agreement_small(self):
         rng = random.Random(51)

@@ -15,7 +15,6 @@ from blockeq import (
     bowen_franks,
     condense,
     decide_flow_equivalence,
-    decide_flow_equivalence_irreducible,
     is_irreducible,
     iota_embed,
     parry_sullivan,
@@ -97,28 +96,25 @@ class TestIrreducibility:
 
 
 class TestFranksDecision:
+    """The complete decision on irreducible shifts, read through the one
+    three-valued decide_flow_equivalence."""
+
     def test_reflexive(self):
-        assert decide_flow_equivalence_irreducible(FIB, FIB)
+        assert decide_flow_equivalence(FIB, FIB).is_yes
 
     def test_full2_fib(self):
-        assert decide_flow_equivalence_irreducible(FULL2, FIB)
+        assert decide_flow_equivalence(FULL2, FIB).is_yes
 
     def test_full2_full3(self):
-        assert not decide_flow_equivalence_irreducible(FULL2, FULL3)
+        assert decide_flow_equivalence(FULL2, FULL3).is_no
 
     def test_cycle_carveout(self):
         cycle2 = SftMatrix.from_rows([[0, 1], [1, 0]])
         fixed = SftMatrix.from_rows([[1]])
-        assert decide_flow_equivalence_irreducible(cycle2, fixed)
+        assert decide_flow_equivalence(cycle2, fixed).is_yes
         # A single cycle never matches a nontrivial shift even if invariants
         # were to collide.
-        assert not decide_flow_equivalence_irreducible(cycle2, FULL2)
-
-    def test_rejects_reducible(self):
-        with pytest.raises(ValueError):
-            decide_flow_equivalence_irreducible(
-                SftMatrix.from_rows([[1, 1], [0, 1]]), FIB
-            )
+        assert decide_flow_equivalence(cycle2, FULL2).is_no
 
     def test_equivalence_relation_on_samples(self):
         rng = random.Random(41)
@@ -130,20 +126,20 @@ class TestFranksDecision:
             )
             if is_irreducible(a):
                 mats.append(a)
-        for a in mats:
-            assert decide_flow_equivalence_irreducible(a, a)
-        for a in mats:
-            for b in mats:
-                assert decide_flow_equivalence_irreducible(
-                    a, b
-                ) == decide_flow_equivalence_irreducible(b, a)
-        for a in mats:
-            for b in mats:
-                for c in mats:
-                    if decide_flow_equivalence_irreducible(
-                        a, b
-                    ) and decide_flow_equivalence_irreducible(b, c):
-                        assert decide_flow_equivalence_irreducible(a, c)
+        status = {
+            (i, j): decide_flow_equivalence(a, b).status
+            for i, a in enumerate(mats)
+            for j, b in enumerate(mats)
+        }
+        assert set(status.values()) == {"yes", "no"}
+        equivalent = {pair: s == "yes" for pair, s in status.items()}
+        for i in range(len(mats)):
+            assert equivalent[i, i]
+            for j in range(len(mats)):
+                assert equivalent[i, j] == equivalent[j, i]
+                for k in range(len(mats)):
+                    if equivalent[i, j] and equivalent[j, k]:
+                        assert equivalent[i, k]
 
 
 class TestCondense:
