@@ -185,6 +185,15 @@ def _differences(items_a, items_b):
             yield Certificate(name, str(va), str(vb))
 
 
+def _first_difference(items_a, items_b):
+    """The no verdict certified by the first pair of (certificate name,
+    value) items that differ, or None.  Items are read only up to that
+    pair, so invariants computed on demand stop there; blocked refutation,
+    rep-iso and irreducible flow-eq all refute through this."""
+    first = next(_differences(items_a, items_b), None)
+    return None if first is None else Verdict.no(first, BudgetReport(0, 0))
+
+
 def _unit_pivot_cokernels(a: BlockedMatrix):
     """The function s -> cokernel(a.restrict(s)) on convex subsets s, after
     eliminating every 1x1 diagonal block equal to +-1 once (see
@@ -235,23 +244,22 @@ def _profile_fields(a: BlockedMatrix, group: str):
     entries of its other fields, which compute each entry when asked."""
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
-    poset = a.shape.poset
+    shape = a.shape
+    poset = shape.poset
     cok = _unit_pivot_cokernels(a)
-    # The nonempty diagonal blocks, as diagonal_blocks meets them; det_signs
-    # comes after it in certificate order, so it finds the list complete.
-    blocks = []
+    # Element i's diagonal block is sizes[i - 1]; each generator reads the
+    # sizes itself, so the fields can be consumed in any order.
+    sizes = tuple(zip(shape.row_sizes, shape.col_sizes))
 
     def diagonal_blocks():
-        for i in poset.elements():
-            blk = a.diagonal_block(i)
-            if blk.rows or blk.cols:
-                blocks.append((i, blk))
-                yield i, (blk.rows, blk.cols), cok((i,))
+        for i, size in enumerate(sizes, start=1):
+            if any(size):
+                yield i, size, cok((i,))
 
     def det_signs():
-        for i, blk in blocks:
-            if group == SL and blk.rows == blk.cols:
-                d = determinant(blk)
+        for i, (rows, cols) in enumerate(sizes, start=1):
+            if group == SL and rows == cols > 0:
+                d = determinant(a.diagonal_block(i))
                 yield i, 0 if d == 0 else (1 if d > 0 else -1)
 
     def convex_cokernels():
@@ -800,9 +808,8 @@ def _refute(a, b, group):
     """A no verdict certified by the first invariant difference, or None.
     The two sides' invariants are computed in certificate order and only up
     to that difference: it is differences()[0] of the two full profiles."""
-    first = next(_differences(_certificate_order(*_profile_fields(a, group)),
-                              _certificate_order(*_profile_fields(b, group))), None)
-    return None if first is None else Verdict.no(first, BudgetReport(0, 0))
+    return _first_difference(_certificate_order(*_profile_fields(a, group)),
+                             _certificate_order(*_profile_fields(b, group)))
 
 
 def _search(engine, a, b, side):
@@ -814,17 +821,25 @@ def _search(engine, a, b, side):
     rows, cols = engine.rows, engine.cols
     u_ent, w_ent, _, w_inv_ent = witnesses[0]
     u, w = IntMatrix._trusted(rows, rows, u_ent), IntMatrix._trusted(cols, cols, w_ent)
-    # For "uav-inv", V = W^-1 comes from the word; V*W = I is re-checked, so
-    # U*a*W = b is the defining equation on both sides.
+    # For "uav-inv", V = W^-1 comes from the word.
     v = w if side == SIDE_UAV else IntMatrix._trusted(cols, cols, w_inv_ent)
+    return _verified_yes(engine, a, b, u, v, w, report), w
+
+
+def _verified_yes(engine, a, b, u, v, v_inv, report):
+    """Verdict.yes(u, v, report), the one way a blocked yes is built, once
+    U*a*V^-1 = b, V*V^-1 = I and the membership of U and V in the engine's
+    two groups are re-checked.  A caller whose V is its own V^-1 passes it
+    as both, and V*V^-1 = I is not checked: on side "uav", where the
+    equation is U*a*V = b, and for the +-1 diagonal V of a finite group."""
     if (
-        u * a.matrix * w != b.matrix
-        or (side == SIDE_UAV_INV and v * w != IntMatrix.identity(cols))
+        u * a.matrix * v_inv != b.matrix
+        or (v_inv is not v and v * v_inv != IntMatrix.identity(engine.cols))
         or not group_membership(u, engine.shape.row_square(), engine.groups[0])
         or not group_membership(v, engine.shape.col_square(), engine.groups[1])
     ):  # pragma: no cover - soundness guard
         raise AssertionError("witness failed re-verification")
-    return Verdict.yes(u, v, report), w
+    return Verdict.yes(u, v, report)
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +903,7 @@ def decide_with_unit(
                     return Verdict.unknown(BudgetReport(checked, 0))
                 checked += 1
                 if ua * v == b.matrix and condition2(v):
-                    return Verdict.yes(u, v, BudgetReport(checked, 0))
+                    return _verified_yes(engine, a, b, u, v, v, BudgetReport(checked, 0))
         return Verdict.no(
             Certificate(
                 "finite-enumeration",
@@ -902,11 +917,9 @@ def decide_with_unit(
     if refuted is not None:
         return refuted
     base, v1_inv = _search(engine, a, b, SIDE_UAV_INV)
-    if not base.is_yes:
+    if not base.is_yes or condition2(v1_inv):
         return base
     u1, v1 = base.witness
-    if condition2(v1_inv):
-        return Verdict.yes(u1, v1, base.report)
 
     # Stabilizer coset sweep: every (1)-witness is (U2*U1, V2*V1) for a
     # stabilizer pair (U2, V2) of b, so test condition (2) along the coset;
@@ -915,14 +928,7 @@ def decide_with_unit(
         # u2 * b * w2 = b, so (u2, v2) with v2 = w2^-1 stabilizes b, and the
         # composite V = v2 * v1 has V^-1 = v1^-1 * w2.
         v_inv = v1_inv * w2
-        if condition2(v_inv):
-            u, v = u2 * u1, w2_inv * v1
-            if v * v_inv != IntMatrix.identity(n) or (
-                u * a.matrix * v_inv != b.matrix
-            ):  # pragma: no cover - soundness guard
-                raise AssertionError("stabilizer composition failed")
-            return (u, v)
-        return None
+        return (u2 * u1, w2_inv * v1, v_inv) if condition2(v_inv) else None
 
     # The sweep may spend only what the search left of the node budget.
     spent = base.report.nodes_expanded
@@ -933,5 +939,5 @@ def decide_with_unit(
     total = BudgetReport(spent + report.nodes_expanded,
                          max(base.report.depth_reached, report.depth_reached))
     if found is not None:
-        return Verdict.yes(found[0], found[1], total)
+        return _verified_yes(engine, a, b, *found, total)
     return Verdict.unknown(total)

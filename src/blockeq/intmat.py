@@ -39,7 +39,8 @@ class DimensionError(ValueError):
 
 def _check_ints(values, what="entry"):
     for e in values:
-        if not isinstance(e, int) or isinstance(e, bool):
+        # An exact int passes on its type alone; bool is an int subclass.
+        if type(e) is not int and (not isinstance(e, int) or isinstance(e, bool)):
             raise TypeError(f"non-integer {what} {e!r}")
 
 
@@ -98,6 +99,7 @@ class IntMatrix:
 
     @classmethod
     def zero(cls, rows, cols):
+        _check_ints((rows, cols), "dimension")
         if rows < 0 or cols < 0:
             raise DimensionError("negative matrix dimension")
         return cls._trusted(rows, cols, (0,) * (rows * cols))
@@ -265,9 +267,11 @@ class FgAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _check_ints((self.free_rank,), "free rank")
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         object.__setattr__(self, "torsion", tuple(self.torsion))
+        _check_ints(self.torsion, "invariant factor")
         prev = None
         for d in self.torsion:
             if d < 2:
@@ -448,8 +452,6 @@ def _eliminate(a: IntMatrix):
                         break
             if restart:
                 continue
-            if any(s[i][k] for i in range(k + 1, m)):
-                continue
             # Pivot must divide every remaining entry for the chain to hold.
             offender = None
             pivot = srk[k]
@@ -520,14 +522,7 @@ def smith_diagonal(a: IntMatrix) -> tuple:
     rows = [row for row in a.to_rows() if any(row)]
     pivots = []
     while rows:
-        pi = pj = None
-        best = 0
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    av = -v if v < 0 else v
-                    if pi is None or av < best:
-                        pi, pj, best = i, j, av
+        pi, pj = _find_pivot(rows, len(rows), len(rows[0]), 0)
         while True:
             prow = rows[pi]
             p = prow[pj]
@@ -598,16 +593,11 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rank(a: IntMatrix) -> int:
-    return sum(1 for d in smith_diagonal(a) if d != 0)
-
-
 def cokernel(a: IntMatrix) -> FgAbelianGroup:
     """cok(a) = Z^rows / im_Z(a)."""
     diag = smith_diagonal(a)
-    torsion = tuple(d for d in diag if d >= 2)
-    r = sum(1 for d in diag if d != 0)
-    return FgAbelianGroup(a.rows - r, torsion)
+    torsion = tuple([d for d in diag if d >= 2])
+    return FgAbelianGroup(a.rows - len(diag) + diag.count(0), torsion)
 
 
 def solve_matrix(a: IntMatrix, b: IntMatrix, dec=None) -> IntMatrix | None:

@@ -16,7 +16,7 @@ from dataclasses import InitVar, dataclass, field
 from itertools import chain, product
 from math import gcd, lcm
 
-from .equiv import BudgetReport, Certificate, SearchBudget, Verdict, _differences
+from .equiv import BudgetReport, Certificate, SearchBudget, Verdict, _first_difference
 from .intmat import (
     DimensionError,
     FgAbelianGroup,
@@ -51,10 +51,13 @@ class Quiver:
 
     def __post_init__(self):
         _check_ints((self.vertices,), "vertex count")
-        edges = tuple(
-            e if isinstance(e, Edge) else Edge(e[0], e[1], e[2]) for e in self.edges
-        )
-        for e in edges:
+        edges = []
+        for e in self.edges:
+            if not isinstance(e, Edge):
+                if not isinstance(e, (tuple, list)) or len(e) != 3:
+                    raise ValueError(f"edge {e!r} is not an (id, src, dst) triple")
+                e = Edge(*e)
+            edges.append(e)
             if not isinstance(e.id, str):
                 raise ValueError(f"edge id must be a string, got {e.id!r}")
             _check_ints((e.src, e.dst), "edge endpoint")
@@ -62,7 +65,7 @@ class Quiver:
                 raise ValueError(f"edge {e.id} endpoint out of range")
         if len({e.id for e in edges}) != len(edges):
             raise ValueError("duplicate edge ids")
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(edges))
 
     def __repr__(self):
         return f"Quiver({self.vertices}, {[(e.id, e.src, e.dst) for e in self.edges]})"
@@ -323,8 +326,6 @@ def enumerate_isomorphisms(src: PresentedGroup, dst: PresentedGroup):
             f"group order {order} exceeds the enumeration cap {ISO_ENUMERATION_CAP}"
         )
     n = src.normal_gens
-    if n == 0:
-        return [IntMatrix(0, 0, ())]
     orders = dst.orders
     by_order = {}
     for el in product(*(range(d) for d in orders)):
@@ -368,7 +369,7 @@ def _rep_invariants(rep: ZRep):
     representation, in the one order a refutation reports them: each vertex
     group, then the kernel, image and cokernel of each edge map, edge by
     edge.  The edge classes are computed on demand, so a refutation that
-    stops at the first difference (equiv._differences) skips the rest."""
+    stops at the first difference (equiv._first_difference) skips the rest."""
     for v, g in enumerate(rep.groups):
         yield f"vertex-group[{v}]", g.group
     for e, f in zip(rep.quiver.edges, rep.normal_edge_maps):
@@ -431,9 +432,9 @@ def decide_rep_isomorphism(
     if rep1.quiver != quiver or rep2.quiver != quiver:
         raise ValueError("representations live on different quivers")
 
-    first = next(_differences(_rep_invariants(rep1), _rep_invariants(rep2)), None)
-    if first is not None:
-        return Verdict.no(first, BudgetReport(0, 0))
+    refuted = _first_difference(_rep_invariants(rep1), _rep_invariants(rep2))
+    if refuted is not None:
+        return refuted
 
     pairs = list(zip(rep1.groups, rep2.groups))
     finite = all(

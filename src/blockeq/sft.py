@@ -18,6 +18,7 @@ from .equiv import (
     Certificate,
     SearchBudget,
     Verdict,
+    _first_difference,
     decide_blocked_equivalence,
     SIDE_UAV,
 )
@@ -119,27 +120,9 @@ def is_irreducible(a: SftMatrix) -> bool:
 def is_single_cycle(a: SftMatrix) -> bool:
     """A trivial shift: the digraph is one directed cycle (finite orbit).
     Irreducible with every out-degree 1 leaves n edges to give every vertex
-    an in-edge, so every in-degree is 1 as well."""
-    return is_irreducible(a) and all(sum(row) == 1 for row in a.matrix.to_rows())
-
-
-def _irreducible_certificate(a: SftMatrix, a2: SftMatrix):
-    """(certificate, invariant): the invariant separating two irreducible
-    shifts, or None when they are flow equivalent (single-cycle flags, then
-    Parry-Sullivan, then Bowen-Franks), and the FlowInvariant of `a` when it
-    was computed (else None)."""
-    t1, t2 = is_single_cycle(a), is_single_cycle(a2)
-    if t1 or t2:
-        if t1 and t2:
-            return None, None
-        return Certificate("single-cycle", str(t1), str(t2)), None
-    i1, i2 = FlowInvariant.of(a), FlowInvariant.of(a2)
-    if i1.parry_sullivan != i2.parry_sullivan:
-        ps1, ps2 = int_to_str(i1.parry_sullivan), int_to_str(i2.parry_sullivan)
-        return Certificate("parry-sullivan", ps1, ps2), i1
-    if i1.bowen_franks != i2.bowen_franks:
-        return Certificate("bowen-franks", str(i1.bowen_franks), str(i2.bowen_franks)), i1
-    return None, i1
+    an in-edge, so every in-degree is 1 as well.  The out-degrees are read
+    first, so a shift with another out-degree costs no reachability pass."""
+    return all(sum(row) == 1 for row in a.matrix.to_rows()) and is_irreducible(a)
 
 
 @dataclass(frozen=True)
@@ -270,12 +253,17 @@ def _decide_flow(a: SftMatrix, a2: SftMatrix, budget: SearchBudget):
         ), None
 
     if is_irreducible(a) and is_irreducible(a2):
-        cert, inv = _irreducible_certificate(a, a2)
-        if cert is not None:
-            return Verdict.no(cert, BudgetReport(0, 0)), None
-        if inv is None:
-            inv = FlowInvariant.of(a)
-        return Verdict("yes", report=BudgetReport(0, 0)), inv
+        # Franks: the single-cycle flag, Parry-Sullivan and Bowen-Franks
+        # decide, in that order; two single cycles agree on all three.
+        sides = [(is_single_cycle(m), FlowInvariant.of(m)) for m in (a, a2)]
+        refuted = _first_difference(*(
+            [("single-cycle", flag), ("parry-sullivan", int_to_str(inv.parry_sullivan)),
+             ("bowen-franks", inv.bowen_franks)]
+            for flag, inv in sides
+        ))
+        if refuted is not None:
+            return refuted, None
+        return Verdict("yes", report=BudgetReport(0, 0)), sides[0][1]
 
     c1 = condense(a)
     c2 = condense(a2)

@@ -25,7 +25,7 @@ from blockeq import (
     invariant_profile,
     smith_normal_form,
 )
-from blockeq.equiv import _refute
+from blockeq.equiv import _profile_fields, _refute
 from blockeq.intmat import DimensionError, invert_unimodular, solve_matrix
 from blockeq.poset_block import ShapeError, antichain_poset, chain_poset, group_membership
 
@@ -104,6 +104,16 @@ class TestInvariantProfile:
         with pytest.raises(ValueError, match="diagonal-det-sign"):
             invariant_profile(a, SL).differences(invariant_profile(a, GL))
         assert invariant_profile(a, GL).differences(invariant_profile(a, UNIT_RESTRICTED)) == []
+
+    def test_det_signs_read_first(self):
+        # Each field generator stands alone: det_signs once read a list that
+        # diagonal_blocks filled as it ran, and read first it yielded ().
+        shape = BlockShape.square(chain_poset(3), (1, 2, 1))
+        a = BlockedMatrix(shape, IntMatrix.from_rows(
+            [[-3, 1, 0, 2], [0, 2, 1, 1], [0, 1, 3, 0], [0, 0, 0, -5]]))
+        _, _, det_signs, _ = _profile_fields(a, SL)
+        assert tuple(det_signs) == invariant_profile(a, SL).det_signs == (
+            (1, -1), (2, 1), (3, -1))
 
     def test_rectangular_accepted(self):
         shape = BlockShape(chain_poset(2), (1, 2), (2, 1))
@@ -902,6 +912,26 @@ class TestDecideWithUnit:
                                 budget=SearchBudget(8, nodes)) == found
         assert decide_with_unit(a, b, x, y, group=GL,
                                 budget=SearchBudget(8, nodes - 1)).status == "unknown"
+
+    def test_every_yes_rechecks_group_membership(self, monkeypatch):
+        # A yes is built by one guard, which re-checks that U and V lie in
+        # their groups.  The sweep yes of the coset instance above checks
+        # the search's witness and its own pair (4 calls; 2 when only the
+        # search's was checked), the finite yes its one pair (2; once 0).
+        calls = count_calls(monkeypatch, group_membership)
+        shape = BlockShape.square(Poset(1), (2,))
+        a = BlockedMatrix(shape, IntMatrix.from_rows([[2, 0], [0, 0]]))
+        v = decide_with_unit(a, a, IntMatrix.column([1, 1]), IntMatrix.column([0, 1]),
+                             group=SL, budget=SearchBudget(6, 50_000))
+        assert v.is_yes and len(calls) == 4
+        calls.clear()
+        shape = BlockShape.square(antichain_poset(2), (1, 1))
+        a = BlockedMatrix(shape, IntMatrix.diagonal([2, 3]))
+        b = BlockedMatrix(shape, IntMatrix.diagonal([-2, 3]))
+        v = decide_with_unit(a, b, IntMatrix.column([1, 0]), IntMatrix.column([-1, 0]),
+                             group=GL)
+        assert v.is_yes and len(calls) == 2
+        assert [(m, g) for m, _, g in calls] == [(v.witness[0], GL), (v.witness[1], GL)]
 
     def test_dimension_errors(self):
         a = single_block(1)

@@ -25,7 +25,6 @@ from blockeq import (
 )
 from blockeq.intmat import (
     invert_unimodular,
-    rank,
     smith_diagonal,
     solve_matrix,
 )
@@ -240,7 +239,7 @@ class TestCokernel:
         calls = count_calls(monkeypatch, smith_normal_form)
         rng = random.Random(12)
         a = rand_matrix(rng, 4, 5, -9, 9)
-        assert cokernel(a).free_rank == 4 - rank(a)
+        assert cokernel(a).free_rank == 4 - sum(1 for d in smith_diagonal(a) if d)
         assert bowen_franks(SftMatrix.from_rows([[1, 1], [1, 0]])).is_trivial
         shape = BlockShape.square(chain_poset(3), (1, 2, 1))
         rows = [[rng.randint(-3, 3) if c >= r else 0 for c in range(4)] for r in range(4)]
@@ -418,6 +417,23 @@ class TestEntryValidation:
     def test_rejects_non_integer_dimensions(self, rows, cols):
         with pytest.raises(TypeError, match="non-integer dimension"):
             IntMatrix(rows, cols, (1, 2))
+
+    @pytest.mark.parametrize("rows, cols", [(True, 2), (2, False), (2.0, 1), (1, "2")])
+    def test_zero_rejects_non_integer_dimensions(self, rows, cols):
+        # zero(True, 2) once built a 1x2 matrix whose repr read "Truex2".
+        with pytest.raises(TypeError, match="non-integer dimension"):
+            IntMatrix.zero(rows, cols)
+
+    @pytest.mark.parametrize("free_rank, torsion, what", [
+        (True, (), "free rank"), (1.0, (), "free rank"), ("1", (), "free rank"),
+        (0, (2.5,), "invariant factor"), (0, (2, 4.0), "invariant factor"),
+        (0, (True,), "invariant factor"),
+    ])
+    def test_group_rejects_non_integer_counts(self, free_rank, torsion, what):
+        # FgAbelianGroup(True) once equalled FgAbelianGroup(1), and
+        # FgAbelianGroup(0, (2.5,)) built and then failed inside str().
+        with pytest.raises(TypeError, match=f"non-integer {what}"):
+            FgAbelianGroup(free_rank, torsion)
 
     def test_rejects_negative_dimensions(self):
         with pytest.raises(DimensionError, match="negative matrix dimension"):

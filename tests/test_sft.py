@@ -116,6 +116,19 @@ class TestFranksDecision:
         # were to collide.
         assert decide_flow_equivalence(cycle2, FULL2).is_no
 
+    @pytest.mark.parametrize("left, right, certificate", [
+        ([[0, 1], [1, 0]], [[2]], ("single-cycle", "True", "False")),
+        ([[2]], [[3]], ("parry-sullivan", "-1", "-2")),
+        # det(I - A) = -4 on both sides; cok(I - A) is C4 against C2 x C2.
+        ([[0, 2], [2, 1]], [[1, 2], [2, 1]], ("bowen-franks", "C4", "C2 x C2")),
+    ])
+    def test_no_names_the_first_differing_invariant(self, left, right, certificate):
+        # The order is the single-cycle flag, Parry-Sullivan, Bowen-Franks.
+        v = decide_flow_equivalence(SftMatrix.from_rows(left), SftMatrix.from_rows(right))
+        assert v.is_no and v.witness is None
+        assert (v.certificate.name, v.certificate.left, v.certificate.right) == certificate
+        assert (v.report.nodes_expanded, v.report.depth_reached) == (0, 0)
+
     def test_equivalence_relation_on_samples(self):
         rng = random.Random(41)
         mats = []

@@ -151,6 +151,14 @@ def test_quiver_edge_endpoints_must_be_ints(src, dst, as_edge):
         Quiver(2, [("e", 0, 1), edge])
 
 
+@pytest.mark.parametrize("edge", [("e", 0), ("e", 0, 1, 1), (), "e01", 5])
+def test_quiver_edges_must_be_triples(edge):
+    # ("e", 0) once raised IndexError, and ("e", 0, 1, 1) dropped its last
+    # entry.
+    with pytest.raises(ValueError, match=r"is not an \(id, src, dst\) triple"):
+        Quiver(2, [edge])
+
+
 def test_sft_matrix_compares_matrices():
     assert SftMatrix.from_rows([[2]]) == SftMatrix(IntMatrix.from_rows([[2]]))
     assert SftMatrix.from_rows([[2]]) != SftMatrix.from_rows([[1]])
