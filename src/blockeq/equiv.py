@@ -38,7 +38,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import islice
 
 from . import _kernels
 from .intmat import (
@@ -846,17 +846,65 @@ def _verified_yes(engine, a, b, u, v, v_inv, report):
 # Unit-vector condition (the two-equation decision)
 
 
-def _sign_products(engine, axis):
-    """Every product of the engine's sign flips on one side, in lexicographic
-    order of entries, made one at a time: the whole group of that side when
-    it has no transvection."""
-    n = engine.rows if axis == _LEFT else engine.cols
-    coords = [k for ax, (_, k, _, _) in engine.moves if ax == axis]
-    for signs in product((-1, 1), repeat=len(coords)):
-        diag = [1] * n
-        for k, sign in zip(coords, signs):
-            diag[k] = sign
-        yield IntMatrix.diagonal(diag)
+def _sign_pairs(engine, a: IntMatrix, b: IntMatrix):
+    """Every pair (D_U, D_V) of +-1 diagonal matrices in the engine's two
+    groups with D_U*a*D_V = b, one pair per distinct D_V, in closed form.
+
+    Bit i of a GF(2) vector stands for -1 at row i of D_U, and bit rows + j
+    for -1 at column j of D_V.  A pair exists only when |a_ij| = |b_ij|
+    everywhere, and then each nonzero entry is one equation, d_i + e_j =
+    [a_ij != b_ij].  A block whose determinant must be +1 (every block under
+    SL, a 1x1 block of V under UNIT_RESTRICTED) adds the equation that its
+    bits sum to 0.  The reduced echelon form, pivots at the lowest bit,
+    gives one particular solution (free bits 0) and one null-space vector
+    per free bit.  A row with a column pivot holds column bits only, so the
+    vectors of free row bits leave D_V alone, and the k vectors of free
+    column bits change it independently: their 2^k sums give the 2^k
+    distinct D_V.  The first pair is the particular solution, (I, I) when
+    a = b.
+    """
+    rows, cols, shape = engine.rows, engine.cols, engine.shape
+    equations = []
+    for k, (p, q) in enumerate(zip(a.entries, b.entries)):
+        if p != q and p != -q:
+            return
+        if p:
+            i, j = divmod(k, cols)
+            equations.append((1 << i | 1 << (rows + j), p != q))
+    for base, offsets, sizes, group in (
+        (0, shape.row_offsets, shape.row_sizes, engine.groups[0]),
+        (rows, shape.col_offsets, shape.col_sizes, engine.groups[1]),
+    ):
+        for offset, size in zip(offsets, sizes):
+            if size and (group == SL or (group == UNIT_RESTRICTED and size == 1)):
+                equations.append((((1 << size) - 1) << (base + offset), False))
+    pivots = {}  # pivot bit -> (mask, rhs), fully reduced against each other
+    for mask, rhs in equations:
+        for bit, (m, r) in pivots.items():
+            if mask & bit:
+                mask, rhs = mask ^ m, rhs ^ r
+        if not mask:
+            if rhs:
+                return
+            continue
+        bit = mask & -mask
+        for other, (m, r) in pivots.items():
+            if m & bit:
+                pivots[other] = (m ^ mask, r ^ rhs)
+        pivots[bit] = (mask, rhs)
+    particular = sum(bit for bit, (_, rhs) in pivots.items() if rhs)
+    v_basis = []
+    for j in range(rows, rows + cols):
+        free = 1 << j
+        if free not in pivots:
+            v_basis.append(free | sum(bit for bit, (m, _) in pivots.items() if m & free))
+    for chosen in range(1 << len(v_basis)):
+        s = particular
+        for k, vec in enumerate(v_basis):
+            if chosen >> k & 1:
+                s ^= vec
+        yield (IntMatrix.diagonal([-1 if s >> i & 1 else 1 for i in range(rows)]),
+               IntMatrix.diagonal([-1 if s >> j & 1 else 1 for j in range(rows, rows + cols)]))
 
 
 def decide_with_unit(
@@ -872,9 +920,13 @@ def decide_with_unit(
         (1)  U*a*V^-1 = b, and
         (2)  (V^-1)^T x - y  in  im_Z(b^T).
 
-    Complete (yes/no) when the generators hold no transvection, so that the
-    pair group is finite; otherwise the engine searches (1)-witnesses and
-    sweeps the stabilizer coset for (2).
+    Complete (yes/no) when the generators hold no transvection: the pair
+    group is then its +-1 diagonal pairs, and _sign_pairs(a, b) lists every
+    V that meets (1), one node each.  Otherwise the engine searches a
+    (1)-witness (U1, V1), and every other one is (U2*U1, V2*V1) for a
+    stabilizer pair (U2, V2) of b.  The sign pairs of b's stabilizer,
+    _sign_pairs(b, b), are tried first, one node each, and the stabilizer
+    sweep gets the budget left.  Every yes is re-verified by _verified_yes.
     """
     _require_same_shape(a, b)
     n = a.shape.total_cols
@@ -893,21 +945,18 @@ def decide_with_unit(
 
     if all(kind == "f" for _, (kind, _, _, _) in engine.moves):
         # A transvection has infinite order; without one the group is
-        # exactly the products of its sign flips.  Each V is a +-1 diagonal
-        # matrix, hence its own inverse.  Each pair checked costs one node.
+        # exactly its +-1 diagonal pairs.  Each V is its own inverse.
         checked = 0
-        for u in _sign_products(engine, _LEFT):
-            ua = u * a.matrix
-            for v in _sign_products(engine, _RIGHT):
-                if checked == budget.max_nodes:
-                    return Verdict.unknown(BudgetReport(checked, 0))
-                checked += 1
-                if ua * v == b.matrix and condition2(v):
-                    return _verified_yes(engine, a, b, u, v, v, BudgetReport(checked, 0))
+        for u, v in _sign_pairs(engine, a.matrix, b.matrix):
+            if checked == budget.max_nodes:
+                return Verdict.unknown(BudgetReport(checked, 0))
+            checked += 1
+            if condition2(v):
+                return _verified_yes(engine, a, b, u, v, v, BudgetReport(checked, 0))
         return Verdict.no(
             Certificate(
                 "finite-enumeration",
-                f"all {checked} group pairs enumerated",
+                f"all {checked} V with U*a*V = b enumerated",
                 "none satisfies conditions (1) and (2)",
             ),
             BudgetReport(checked, 0),
@@ -921,23 +970,33 @@ def decide_with_unit(
         return base
     u1, v1 = base.witness
 
-    # Stabilizer coset sweep: every (1)-witness is (U2*U1, V2*V1) for a
-    # stabilizer pair (U2, V2) of b, so test condition (2) along the coset;
-    # the identity pair gives V1 itself, refuted just above.
+    # Test condition (2) along the coset; the identity pair gives V1 itself,
+    # refuted just above.
     def check(u2: IntMatrix, w2: IntMatrix, w2_inv: IntMatrix):
         # u2 * b * w2 = b, so (u2, v2) with v2 = w2^-1 stabilizes b, and the
         # composite V = v2 * v1 has V^-1 = v1^-1 * w2.
         v_inv = v1_inv * w2
         return (u2 * u1, w2_inv * v1, v_inv) if condition2(v_inv) else None
 
-    # The sweep may spend only what the search left of the node budget.
-    spent = base.report.nodes_expanded
-    if spent >= budget.max_nodes:
-        return Verdict.unknown(base.report)
-    engine.budget = SearchBudget(budget.max_depth, budget.max_nodes - spent)
-    found, report, _ = engine.stabilizer_sweep(b.matrix, check)
-    total = BudgetReport(spent + report.nodes_expanded,
-                         max(base.report.depth_reached, report.depth_reached))
+    # The sign pairs of b first: (-I, -I) is a word of 2n flips, deeper
+    # than the sweep reaches.  With D_U*b*D_V = b, D_V is check's W2 and its
+    # own inverse.
+    spent, depth = base.report.nodes_expanded, base.report.depth_reached
+    found = None
+    for d_u, d_v in islice(_sign_pairs(engine, b.matrix, b.matrix), 1, None):
+        if spent >= budget.max_nodes:
+            break
+        spent += 1
+        found = check(d_u, d_v, d_v)
+        if found is not None:
+            break
+    # The sweep may spend only what the search and the sign pairs left.
+    if found is None and spent < budget.max_nodes:
+        engine.budget = SearchBudget(budget.max_depth, budget.max_nodes - spent)
+        found, report, _ = engine.stabilizer_sweep(b.matrix, check)
+        spent += report.nodes_expanded
+        depth = max(depth, report.depth_reached)
+    total = BudgetReport(spent, depth)
     if found is not None:
         return _verified_yes(engine, a, b, *found, total)
     return Verdict.unknown(total)

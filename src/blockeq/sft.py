@@ -71,7 +71,9 @@ class FlowInvariant:
 
     @classmethod
     def of(cls, a: SftMatrix):
-        return cls(bowen_franks(a), parry_sullivan(a))
+        """Both invariants of a, from one I - A."""
+        m = _i_minus_a(a)
+        return cls(cokernel(m), determinant(m))
 
 
 def _i_minus_a(a: SftMatrix) -> IntMatrix:

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice, product
 from math import lcm
 
 import pytest
@@ -25,7 +26,7 @@ from blockeq import (
     invariant_profile,
     smith_normal_form,
 )
-from blockeq.equiv import _profile_fields, _refute
+from blockeq.equiv import _Engine, _profile_fields, _refute, _sign_pairs
 from blockeq.intmat import DimensionError, invert_unimodular, solve_matrix
 from blockeq.poset_block import ShapeError, antichain_poset, chain_poset, group_membership
 
@@ -34,11 +35,23 @@ from helpers import (
     count_calls,
     make_solver,
     rand_blocked,
+    rand_poset,
     rand_square_shape,
     rand_unit_biased_blocked,
     scramble,
     sign_unimodulars,
 )
+
+
+def without_sign_stage(monkeypatch):
+    """Leave decide_with_unit's sign stage only the identity pair, which it
+    skips, so that the stabilizer sweep answers as it did before the stage
+    ran and the sweep's own outputs stay pinned."""
+    import blockeq.equiv as equiv
+
+    real = equiv._sign_pairs
+    monkeypatch.setattr(equiv, "_sign_pairs",
+                        lambda engine, a, b: islice(real(engine, a, b), 1))
 
 
 def single_block(value):
@@ -659,10 +672,11 @@ class TestPackedStates:
         if headroom == 0:
             assert len(widths) > 4
 
-    @pytest.mark.parametrize("seed, group", [(16, GL), (20, SL)])
+    @pytest.mark.parametrize("seed, group", [(19, GL), (24, SL)])
     def test_search_and_sweep_compile_each_width_once(self, monkeypatch, seed, group):
         # decide_with_unit's search and stabilizer sweep share one engine,
-        # which compiles the moves of each width once.
+        # which compiles the moves of each width once.  No sign pair of B
+        # settles these two instances, so the sweep runs.
         import blockeq.equiv as equiv
 
         widths = packing_widths(monkeypatch, None)
@@ -791,6 +805,90 @@ class TestDecideWithUnitOracle:
                 assert verdict.is_yes == oracle, (shape, group, trial)
 
 
+class TestSignPairs:
+    @staticmethod
+    def brute(engine, a, b):
+        """{D_V: [D_U, ...]} over every +-1 diagonal pair in the engine's
+        groups with D_U*a*D_V = b."""
+        shape, rows, cols = engine.shape, engine.rows, engine.cols
+        members = [
+            [d for d in product((1, -1), repeat=n)
+             if group_membership(IntMatrix.diagonal(d), sq, g)]
+            for n, sq, g in ((rows, shape.row_square(), engine.groups[0]),
+                             (cols, shape.col_square(), engine.groups[1]))
+        ]
+        out = {}
+        for du in members[0]:
+            for dv in members[1]:
+                if all(du[k // cols] * p * dv[k % cols] == q
+                       for k, (p, q) in enumerate(zip(a.entries, b.entries))):
+                    out.setdefault(dv, []).append(du)
+        return out
+
+    @pytest.mark.parametrize("group", [GL, SL, UNIT_RESTRICTED])
+    def test_matches_brute_force(self, group):
+        # Seeded shapes of 1-4 elements with 0-2 rows and columns each (so
+        # zero-size blocks and rectangles), at most 6 coordinates a side;
+        # some rows and columns are zeroed.  b is a sign image of a, or one
+        # with one entry's sign or size changed, or a itself.
+        rng = random.Random(29)
+        solvable = 0
+        for trial in range(150):
+            size = rng.randint(1, 4)
+            poset = rand_poset(rng, size)
+            if group == SL and trial % 2:
+                sizes = tuple(rng.choice((0, 2)) for _ in range(size))
+                row_sizes = col_sizes = sizes
+            else:
+                row_sizes = tuple(rng.randint(0, 2) for _ in range(size))
+                col_sizes = tuple(rng.randint(0, 2) for _ in range(size))
+            if not (0 < sum(row_sizes) <= 6 and 0 < sum(col_sizes) <= 6):
+                continue
+            shape = BlockShape(poset, row_sizes, col_sizes)
+            m = rand_blocked(rng, shape, -2, 2).matrix
+            rows, cols = m.to_rows(), m.cols
+            if rng.random() < 0.3:
+                rows[rng.randrange(len(rows))] = [0] * cols
+            if rng.random() < 0.3:
+                c = rng.randrange(cols)
+                for row in rows:
+                    row[c] = 0
+            a = IntMatrix.from_rows(rows)
+            du = [rng.choice((1, -1)) for _ in range(a.rows)]
+            dv = [rng.choice((1, -1)) for _ in range(cols)]
+            b = IntMatrix.diagonal(du) * a * IntMatrix.diagonal(dv)
+            kind = trial % 4
+            if kind in (1, 2) and any(b.entries):
+                k = rng.choice([k for k, e in enumerate(b.entries) if e])
+                e = list(b.entries)
+                e[k] = -e[k] if kind == 1 else 2 * e[k]
+                b = IntMatrix(b.rows, cols, e)
+            elif kind == 3:
+                b = a
+            engine = _Engine(shape, group, SearchBudget())
+            pairs = list(_sign_pairs(engine, a, b))
+            expected = self.brute(engine, a, b)
+            got = {tuple(d_v[j, j] for j in range(cols)): d_u for d_u, d_v in pairs}
+            assert len(got) == len(pairs) and set(got) == set(expected), trial
+            for d_v, d_u in got.items():
+                assert tuple(d_u[i, i] for i in range(a.rows)) in expected[d_v], trial
+            if b is a:
+                assert pairs[0] == (IntMatrix.identity(a.rows), IntMatrix.identity(cols))
+            solvable += bool(pairs)
+        assert solvable > 40
+
+    def test_minus_identity_is_in_sl_on_even_blocks(self):
+        shape = BlockShape.square(chain_poset(2), (2, 2))
+        a = IntMatrix.from_rows([[1, 2, 0, 1], [0, 1, 1, 0], [0, 0, 3, 1], [0, 0, 0, 1]])
+        minus = IntMatrix.diagonal([-1] * 4)
+        pairs = list(_sign_pairs(_Engine(shape, SL, SearchBudget()), a, a))
+        assert (minus, minus) in pairs and len(pairs) == 2
+        odd = BlockShape.square(chain_poset(2), (1, 3))
+        assert list(_sign_pairs(_Engine(odd, SL, SearchBudget()), a, a)) == [
+            (IntMatrix.identity(4), IntMatrix.identity(4))
+        ]
+
+
 class TestUnitRestricted:
     def test_restriction_refutes_where_gl_succeeds(self):
         shape = BlockShape.square(antichain_poset(2), (1, 1))
@@ -891,23 +989,26 @@ class TestDecideWithUnit:
         assert solve_matrix(b.matrix.transpose(), v.transpose() * x - y) is not None
 
     def test_finite_branch_stays_within_the_node_budget(self):
-        # GL on six 1x1 blocks has 64 x 64 sign pairs, and none moves
-        # x = (1, ..., 1) into im(B^T) = 2Z^6; all 4,096 were checked at any
-        # budget.  A yes found within the budget stays as it was.
+        # GL on six 1x1 blocks has 64 sign matrices V with D*A*V = A (each
+        # with D = V), and none moves x = (1, ..., 1) into im(B^T) = 2Z^6;
+        # all 64 are checked at any budget.  A yes found within the budget
+        # stays as it was: only V = diag(1, -1, 1, 1, -1, 1) moves x onto y
+        # mod 3Z^6, the 19th V listed.
         shape = BlockShape.square(antichain_poset(6), (1,) * 6)
         a = BlockedMatrix(shape, IntMatrix.diagonal([2] * 6))
         x, y = IntMatrix.column([1] * 6), IntMatrix.zero(6, 1)
-        for max_nodes, status in ((10, "unknown"), (4_095, "unknown"), (4_096, "no")):
+        for max_nodes, status in ((10, "unknown"), (63, "unknown"), (64, "no")):
             verdict = decide_with_unit(a, a, x, y, group=GL,
                                        budget=SearchBudget(8, max_nodes))
             assert verdict.status == status
             assert verdict.report.nodes_expanded == max_nodes
-        b = BlockedMatrix(shape, IntMatrix.diagonal([2, -2, 2, 2, -2, 2]))
-        x = IntMatrix.column([1, 1, 1, 1, 1, 2])
-        y = IntMatrix.column([1, -1, 1, 1, -1, 0])
+        a = BlockedMatrix(shape, IntMatrix.diagonal([3] * 6))
+        b = BlockedMatrix(shape, IntMatrix.diagonal([3, -3, 3, 3, -3, 3]))
+        y = IntMatrix.column([1, -1, 1, 1, -1, 1])
         found = decide_with_unit(a, b, x, y, group=GL)
         nodes = found.report.nodes_expanded
-        assert found.is_yes and 1 < nodes < 4_096
+        assert found.is_yes and found.witness[1] == IntMatrix.diagonal([1, -1, 1, 1, -1, 1])
+        assert nodes == 19
         assert decide_with_unit(a, b, x, y, group=GL,
                                 budget=SearchBudget(8, nodes)) == found
         assert decide_with_unit(a, b, x, y, group=GL,
@@ -954,7 +1055,8 @@ class TestDecideWithUnit:
     # -V^-1) satisfies both conditions while the search's first witness
     # usually fails (2) and the coset sweep runs.  Seed 19 is found in the
     # pairwise-product pass, seed 16 runs out of budget.  The expected
-    # outputs pin the sweep's enumeration order and first accepted element.
+    # outputs pin the sweep's enumeration order and first accepted element,
+    # with the sign stage, which settles all seven, left out.
     @pytest.mark.parametrize(
         "seed, max_depth, max_nodes, status, witness, report",
         [
@@ -984,24 +1086,76 @@ class TestDecideWithUnit:
         ],
     )
     def test_stabilizer_sweep_pinned_outputs(
-        self, seed, max_depth, max_nodes, status, witness, report
+        self, monkeypatch, seed, max_depth, max_nodes, status, witness, report
     ):
-        rng = random.Random(seed)
-        shape = rand_square_shape(rng, max_poset=3, max_block=2)
-        a = rand_blocked(rng, shape, -2, 2)
-        _, v, b = scramble(rng, a, GL, 4)
-        n = shape.total_cols
-        x = IntMatrix.column([rng.randint(-2, 2) for _ in range(n)])
-        r = IntMatrix.column([rng.randint(-1, 1) for _ in range(n)])
-        y = IntMatrix.zero(n, 1) - v.transpose() * x - b.matrix.transpose() * r
-        verdict = decide_with_unit(
-            a, b, x, y, group=GL, budget=SearchBudget(max_depth, max_nodes)
-        )
+        without_sign_stage(monkeypatch)
+        verdict = decide_with_unit(*sweep_instance(seed, GL), group=GL,
+                                   budget=SearchBudget(max_depth, max_nodes))
         assert verdict.status == status
         got = verdict.witness and tuple(m.entries for m in verdict.witness)
         assert got == witness
         rep = verdict.report
         assert (rep.nodes_expanded, rep.depth_reached) == report
+
+    # The instances above with the sign stage: a sign pair of B settles six
+    # of them before the sweep, seed 16 among them, whose sweep runs out of
+    # budget.  No sign pair meets (2) at seed 19, so its sweep answers, 3
+    # nodes (its 3 sign pairs other than the identity) later.
+    @pytest.mark.parametrize(
+        "seed, max_depth, max_nodes, witness, report",
+        [
+            (11, 6, 20_000,
+             ((-1, 0, 0, 0, -1, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+              (-1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)), (26, 1)),
+            (17, 6, 20_000,
+             ((-1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1),
+              (-1, 0, 0, 0, 0, -1, 1, 0, 0, 0, -1, 0, 0, 0, 0, -1)), (69, 2)),
+            (20, 6, 20_000,
+             ((-1, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1, 0,
+               0, 0, 0, 1, 1),
+              (-1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0,
+               0, 0, 0, 1, 1)), (591, 4)),
+            (27, 6, 20_000,
+             ((1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1),
+              (1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, -1, -1)), (38, 1)),
+            (45, 6, 20_000,
+             ((-1, 0, 0, 0, 1, 1, 0, 0, -1), (-1, 0, 0, 0, -1, 0, 0, 0, 1)),
+             (183, 3)),
+            (19, 2, 20_000,
+             ((1, 0, 0, -1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0,
+               0, 0, 0, 0, 1),
+              (1, 0, 0, 1, 1, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0,
+               0, 0, 0, 0, 1)), (3298, 2)),
+            (16, 4, 2_000,
+             ((-1, 0, 0, 1, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1),
+              (-1, 0, 0, 0, 0, -1, 1, 0, 0, 0, -1, 0, 0, 0, 0, -1)), (65, 2)),
+        ],
+    )
+    def test_sign_stage_pinned_outputs(self, seed, max_depth, max_nodes, witness, report):
+        verdict = decide_with_unit(*sweep_instance(seed, GL), group=GL,
+                                   budget=SearchBudget(max_depth, max_nodes))
+        assert verdict.is_yes
+        assert tuple(m.entries for m in verdict.witness) == witness
+        rep = verdict.report
+        assert (rep.nodes_expanded, rep.depth_reached) == report
+
+    def test_sign_pair_settles_what_the_sweep_cannot_reach(self, monkeypatch):
+        # Seed 16 above: B = U*A*V and y is met by (-U, -V), a word of 2n
+        # flips.  The sweep spends the whole budget without it; the sign
+        # stage answers yes, re-verified here from scratch.
+        a, b, x, y = sweep_instance(16, GL)
+        budget = SearchBudget(4, 2_000)
+        verdict = decide_with_unit(a, b, x, y, group=GL, budget=budget)
+        assert verdict.is_yes and verdict.report.nodes_expanded < budget.max_nodes
+        u, v = verdict.witness
+        v_inv = invert_unimodular(v)
+        assert u * a.matrix * v_inv == b.matrix
+        assert group_membership(u, b.shape.row_square(), GL)
+        assert group_membership(v, b.shape.col_square(), GL)
+        assert solve_matrix(b.matrix.transpose(), v_inv.transpose() * x - y) is not None
+        without_sign_stage(monkeypatch)
+        swept = decide_with_unit(a, b, x, y, group=GL, budget=budget)
+        assert swept.is_unknown and swept.report.nodes_expanded == budget.max_nodes
 
     def test_report_stays_within_the_node_budget(self):
         # The stabilizer sweep is charged only what the search left, so a
@@ -1239,6 +1393,8 @@ class TestStabilizerSweepKnownChildren:
     def test_outputs_match_full_rebuild(self, monkeypatch):
         import blockeq.equiv as equiv
 
+        # The sign stage would settle most instances before the sweep.
+        without_sign_stage(monkeypatch)
         swept = []
         truncated = []
         fast = equiv._Engine.stabilizer_sweep

@@ -1,8 +1,9 @@
 """Print where a benchmark workload spends its op time, by op kind.
 
 Builds the corpus with perfbench/workloads.build(name, seed, workdir), times
-every op three times in corpus order and keeps its fastest run.  For each op
-kind it prints the count, the total seconds, the share of all op time and
+every op three times in corpus order and keeps its fastest run.  An op that
+returns a Verdict is counted under its kind and status, such as
+"unit/unknown".  For each such kind it prints the count, the total seconds, the share of all op time and
 the mean milliseconds, most expensive kind first, and then the kinds of the
 ops at the p50 and the p90 of the per-op times (the percentiles the
 benchmark reports, statistics.median and the ninth decile of
@@ -30,25 +31,31 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
+from blockeq import Verdict  # noqa: E402
 
 RUNS = 3
 
 
 def op_times(name, seed):
-    """[(kind, seconds)] for every op of the corpus, the fastest of RUNS."""
+    """[(kind, seconds)] for every op of the corpus, the fastest of RUNS;
+    the kind of an op that returns a Verdict carries its status."""
     out = []
     with tempfile.TemporaryDirectory() as workdir:
         for op in workloads.build(name, seed, workdir):
             best = math.inf
+            result = None
             for _ in range(RUNS):
                 start = time.perf_counter()
                 try:
                     with contextlib.redirect_stderr(io.StringIO()):
-                        op.run()
+                        result = op.run()
                 except Exception:  # an op that raises still took its time
                     pass
                 best = min(best, time.perf_counter() - start)
-            out.append((op.kind, best))
+            kind = op.kind
+            if isinstance(result, Verdict):
+                kind = f"{kind}/{result.status}"
+            out.append((kind, best))
     return out
 
 
@@ -69,10 +76,10 @@ def report(name, seed):
         kinds[kind].append(t)
     lines = [f"{name} seed {seed}: {len(times)} ops, {total:.3f} s "
              f"(fastest of {RUNS} runs per op)",
-             f"{'kind':<24}{'count':>7}{'total_s':>10}{'share':>8}{'mean_ms':>10}"]
+             f"{'kind':<28}{'count':>7}{'total_s':>10}{'share':>8}{'mean_ms':>10}"]
     for kind, ts in sorted(kinds.items(), key=lambda kv: -sum(kv[1])):
         s = sum(ts)
-        lines.append(f"{kind:<24}{len(ts):>7}{s:>10.3f}{s / total:>8.1%}"
+        lines.append(f"{kind:<28}{len(ts):>7}{s:>10.3f}{s / total:>8.1%}"
                      f"{s / len(ts) * 1e3:>10.3f}")
     lines.append(f"p50 op: {holders(times, 0.5)}; p90 op: {holders(times, 0.9)}")
     return "\n".join(lines)

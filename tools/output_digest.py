@@ -4,7 +4,9 @@ Builds the corpus with perfbench/workloads.build(name, seed, workdir), runs
 each op once in corpus order, and hashes each op's kind together with the
 repr of its result: for a CLI op that is its exit code and stdout, and an op
 that raises contributes its exception.  Two checkouts that print the same
-digest for a workload and seed gave the same outputs on it.
+digest for a workload and seed gave the same outputs on it.  Below the total
+line, one indented line per op kind gives the same sha256 over that kind's
+ops alone, so two checkouts whose totals differ show which kinds differ.
 
     python3 tools/output_digest.py search 1 5
     python3 tools/output_digest.py invariants_cli 5
@@ -29,8 +31,10 @@ import workloads  # noqa: E402
 
 
 def digest(name, seed):
-    """(sha256 hex digest, number of ops) for one workload and seed."""
+    """(sha256 hex digest, number of ops, {kind: (hex digest, number of
+    ops)}) for one workload and seed."""
     h = hashlib.sha256()
+    kinds = {}
     with tempfile.TemporaryDirectory() as workdir:
         ops = workloads.build(name, seed, workdir)
         for op in ops:
@@ -39,8 +43,13 @@ def digest(name, seed):
                     out = op.run()
             except Exception as exc:  # an op that raises is an output too
                 out = exc
-            h.update(f"{op.kind}\0{out!r}\n".encode())
-    return h.hexdigest(), len(ops)
+            line = f"{op.kind}\0{out!r}\n".encode()
+            h.update(line)
+            kind = kinds.setdefault(op.kind, [hashlib.sha256(), 0])
+            kind[0].update(line)
+            kind[1] += 1
+    per_kind = {k: (kh.hexdigest(), c) for k, (kh, c) in sorted(kinds.items())}
+    return h.hexdigest(), len(ops), per_kind
 
 
 def main(argv=None):
@@ -49,8 +58,11 @@ def main(argv=None):
     parser.add_argument("seeds", type=int, nargs="+")
     args = parser.parse_args(argv)
     for seed in args.seeds:
-        hexdigest, n = digest(args.workload, seed)
-        print(f"{args.workload} seed {seed}: {hexdigest} ({n} ops)", flush=True)
+        hexdigest, n, per_kind = digest(args.workload, seed)
+        print(f"{args.workload} seed {seed}: {hexdigest} ({n} ops)")
+        for kind, (kind_hex, count) in per_kind.items():
+            print(f"  {kind}: {kind_hex} ({count} ops)")
+        sys.stdout.flush()
     return 0
 
 
