@@ -30,6 +30,11 @@ witnesses are exactly those of the plain expansion.  The stabilizer sweep
 walks the orbit of b by the same rule, and it skips the harvest of a placed
 child when that harvest is the identity: the edge back to P, and the edge
 X --m2--> Y for commuting m2 when P --m2--> m2(P) --m1--> Y are tree edges.
+
+Budgets: a search charges its own nodes, two roots first, and never more
+than max_nodes.  The sweep is a generator bounded by max_depth alone that
+yields once per node; decide_with_unit charges those nodes, its sign pairs
+and the finite enumeration in one loop after the search's.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 
 from . import _kernels
 from .intmat import (
@@ -609,13 +614,17 @@ class _Engine:
         return joins, count, False
 
     def search(self, a: IntMatrix, b: IntMatrix):
-        """Find (U, W) with U*a*W = b; returns (witnesses, report, truncated).
+        """Find (U, W) with U*a*W = b; returns (witnesses, report).
 
         witnesses is the (possibly empty) list of the words (U, W, U^-1, W^-1)
-        of minimal-depth joins, as entry tuples, ordered by (U, W).
+        of minimal-depth joins, as entry tuples, ordered by (U, W).  The two
+        roots cost a node each, so a budget without room for both gives no
+        witness and reports only the nodes it has.
         """
-        packing, (fwd, bwd) = self._start(a.entries, b.entries)
         nodes = 2
+        if self.budget.max_nodes < nodes:
+            return [], BudgetReport(self.budget.max_nodes, 0)
+        packing, (fwd, bwd) = self._start(a.entries, b.entries)
         truncated = False
         joins = []
         if b.entries == a.entries:
@@ -640,22 +649,25 @@ class _Engine:
                 joins = [(o, s) for s, o in level_joins]
         report = BudgetReport(nodes, fwd.depth + bwd.depth)
         if not joins:
-            return [], report, truncated
+            return [], report
         depth_of = lambda pair: fwd.depth_of(pair[0]) + bwd.depth_of(pair[1])
         best = min(depth_of(p) for p in joins)
         out = [self._witness(fwd, bwd, f, b_) for f, b_ in joins if depth_of((f, b_)) == best]
         out.sort(key=lambda word: word[:2])
-        return out, report, truncated
+        return out, report
 
-    def stabilizer_sweep(self, b: IntMatrix, check):
-        """Enumerate stabilizer pairs (U, W) with U*b*W = b other than the
-        identity, calling check(U, W, W^-1) on each until it returns a result
-        or the budget runs out.
+    def stabilizer_sweep(self, b: IntMatrix):
+        """Walk the stabilizer of b, yielding (level, element) once for every
+        node the walk spends: the root, each new orbit state and each
+        non-tree edge.  element is a stabilizer pair (U, W) with U*b*W = b,
+        as (U, W, W^-1), the first time the pair is harvested, and None
+        otherwise; level is the number of breadth-first levels begun.  Only
+        max_depth bounds the walk: the caller meters its nodes and stops it.
 
         Schreier-style: breadth-first search of the orbit of b keeps a tree
-        word for each state, and every non-tree edge X --g--> Y contributes
+        word for each state, and every non-tree edge X --g--> Y harvests
         the stabilizer element word(Y)^-1 * g * word(X).  A second pass tests
-        pairwise products of the harvested elements within the budget.  Tree
+        pairwise products of the harvested elements, one node each.  Tree
         words carry their inverses, (U, W, U^-1, W^-1), built move by move
         with the inverse alphabet, so W^-1 comes from matrix products alone
         and no Smith normal form is computed.  Only the words of records that
@@ -663,13 +675,10 @@ class _Engine:
 
         Children are placed by the known-children rule of the search, without
         a move or a lookup.  For X = m1(P), two kinds of non-tree edge give
-        the identity, which seen holds from the start, and are not
-        harvested: X --m1^-1--> P, and X --m2--> Y for m2 commuting with m1
-        when P --m2--> Q and Q --m1--> Y are tree edges, as then word(Y) =
-        m1*m2*word(P).  Each such edge still costs one unit of budget.
-
-        Returns (result, report, truncated) where result is check's first
-        non-None value.
+        the identity, which is seen from the start, and are not multiplied
+        out: X --m1^-1--> P, and X --m2--> Y for m2 commuting with m1 when
+        P --m2--> Q and Q --m1--> Y are tree edges, as then word(Y) =
+        m1*m2*word(P).  Each such edge is still a node.
         """
         rows, cols = self.rows, self.cols
         mat_mul = _kernels.mat_mul
@@ -677,9 +686,7 @@ class _Engine:
         root = self._replay(())
         seen = {root[:2]}
         sigmas = []
-        work = 1
-        truncated = False
-        depth = 0
+        level = 0
         words = {0: root}
 
         def word(idx):
@@ -687,19 +694,20 @@ class _Engine:
                 words[idx] = self._replay(_chain_moves(side, idx))
             return words[idx]
 
-        def offer(u2, w2, w2_inv):
-            return check(IntMatrix._trusted(rows, rows, u2),
-                         IntMatrix._trusted(cols, cols, w2),
-                         IntMatrix._trusted(cols, cols, w2_inv))
+        def element(u2, w2, w2_inv):
+            return (IntMatrix._trusted(rows, rows, u2),
+                    IntMatrix._trusted(cols, cols, w2),
+                    IntMatrix._trusted(cols, cols, w2_inv))
 
+        yield level, None
         states, via, parents = side.states, side.moves, side.parents
         visited, kids = side.visited, side.kids
         inverse_index = self.inverse_index
-        max_nodes = self.budget.max_nodes
         apply_move = _apply_move
-        while side.frontier and depth < self.budget.max_depth and not truncated:
+        while side.frontier and level < self.budget.max_depth:
             packing = self._fit(packing, side, (side,))
             moves = packing.moves
+            level += 1
             for idx in side.begin_level():
                 state, m1, parent = states[idx], via[idx], parents[idx]
                 known = self._known_children(side, idx)
@@ -708,16 +716,12 @@ class _Engine:
                         child = apply_move(state, moves[move_idx])
                         hit = visited.get(child)
                         if hit is None:
-                            if work + 1 > max_nodes:
-                                truncated = True
-                                break
-                            hit = len(states)
+                            hit = visited[child] = len(states)
                             states.append(child)
                             via.append(move_idx)
                             parents.append(idx)
-                            visited[child] = hit
-                            work += 1
                             known[move_idx] = hit
+                            yield level, None
                             continue
                         known[move_idx] = hit
                         identity = False
@@ -733,48 +737,32 @@ class _Engine:
                         )
                     # Non-tree edge: harvest word(Y)^-1 * g * word(X), which
                     # seen already holds when it is the identity.
-                    if work + 1 > max_nodes:
-                        truncated = True
-                        break
-                    work += 1
                     if identity:
+                        yield level, None
                         continue
                     gu, gw, _, gw_inv = self._step(word(idx), move_idx)
                     _, wy, uy_inv, wy_inv = word(hit)
                     sig = (mat_mul(rows, rows, uy_inv, rows, gu),
                            mat_mul(cols, cols, gw, cols, wy_inv))
                     if sig in seen:
+                        yield level, None
                         continue
                     seen.add(sig)
                     sigmas.append((*sig, mat_mul(cols, cols, wy, cols, gw_inv)))
-                    res = offer(*sigmas[-1])
-                    if res is not None:
-                        return res, BudgetReport(work, depth + 1), truncated
-                if truncated:
-                    break
+                    yield level, element(*sigmas[-1])
                 kids.append(known)
             side.bits += 1
-            depth += 1
 
-        # Products of harvested stabilizer elements, budget permitting;
-        # (w2*w1)^-1 = w1^-1 * w2^-1.
+        # Products of harvested stabilizer elements; (w2*w1)^-1 = w1^-1 * w2^-1.
         for u1, w1, w1_inv in sigmas:
             for u2, w2, w2_inv in sigmas:
-                if work + 1 > self.budget.max_nodes:
-                    truncated = True
-                    break
-                work += 1
                 sig = (mat_mul(rows, rows, u1, rows, u2),
                        mat_mul(cols, cols, w2, cols, w1))
                 if sig in seen:
+                    yield level, None
                     continue
                 seen.add(sig)
-                res = offer(*sig, mat_mul(cols, cols, w1_inv, cols, w2_inv))
-                if res is not None:
-                    return res, BudgetReport(work, depth), truncated
-            if truncated:
-                break
-        return None, BudgetReport(work, depth), truncated
+                yield level, element(*sig, mat_mul(cols, cols, w1_inv, cols, w2_inv))
 
 
 def _require_same_shape(a: BlockedMatrix, b: BlockedMatrix):
@@ -815,7 +803,7 @@ def _refute(a, b, group):
 def _search(engine, a, b, side):
     """The engine's verdict on U*a*V = b (side "uav") or U*a*V^-1 = b, and
     the verified W with U*a*W = b of a yes (else None)."""
-    witnesses, report, _ = engine.search(a.matrix, b.matrix)
+    witnesses, report = engine.search(a.matrix, b.matrix)
     if not witnesses:
         return Verdict.unknown(report), None
     rows, cols = engine.rows, engine.cols
@@ -922,11 +910,13 @@ def decide_with_unit(
 
     Complete (yes/no) when the generators hold no transvection: the pair
     group is then its +-1 diagonal pairs, and _sign_pairs(a, b) lists every
-    V that meets (1), one node each.  Otherwise the engine searches a
-    (1)-witness (U1, V1), and every other one is (U2*U1, V2*V1) for a
-    stabilizer pair (U2, V2) of b.  The sign pairs of b's stabilizer,
-    _sign_pairs(b, b), are tried first, one node each, and the stabilizer
-    sweep gets the budget left.  Every yes is re-verified by _verified_yes.
+    V that meets (1).  Otherwise the engine searches a (1)-witness (U1, V1),
+    and every other one is (U2*U1, V2*V1) for a stabilizer pair (U2, V2) of
+    b: the candidates are the sign pairs of b's stabilizer, _sign_pairs(b,
+    b), then the nodes of the stabilizer sweep, each composed with (U1,
+    V1).  One loop charges a node per candidate, after the search's nodes,
+    and stops at max_nodes; it solves (2) once per distinct V^-1.  Every
+    yes is re-verified by _verified_yes.
     """
     _require_same_shape(a, b)
     n = a.shape.total_cols
@@ -943,60 +933,54 @@ def decide_with_unit(
     def condition2(v_inv: IntMatrix):
         return solve_matrix(bt, v_inv.transpose() * x - y, bt_snf()) is not None
 
-    if all(kind == "f" for _, (kind, _, _, _) in engine.moves):
+    finite = all(kind == "f" for _, (kind, _, _, _) in engine.moves)
+    if finite:
         # A transvection has infinite order; without one the group is
         # exactly its +-1 diagonal pairs.  Each V is its own inverse.
-        checked = 0
-        for u, v in _sign_pairs(engine, a.matrix, b.matrix):
-            if checked == budget.max_nodes:
-                return Verdict.unknown(BudgetReport(checked, 0))
-            checked += 1
-            if condition2(v):
-                return _verified_yes(engine, a, b, u, v, v, BudgetReport(checked, 0))
+        spent = depth = 0
+        refuted = set()
+        candidates = ((0, (u, v, v)) for u, v in _sign_pairs(engine, a.matrix, b.matrix))
+    else:
+        certified = _refute(a, b, group)
+        if certified is not None:
+            return certified
+        base, v1_inv = _search(engine, a, b, SIDE_UAV_INV)
+        if not base.is_yes or condition2(v1_inv):
+            return base
+        u1, v1 = base.witness
+        spent, depth = base.report.nodes_expanded, base.report.depth_reached
+        refuted = {v1_inv}
+        # The sign pairs of b come first: (-I, -I) is a word of 2n flips,
+        # deeper than the sweep reaches, and D_V is its own inverse.  With
+        # U2*b*W2 = b, the pair (U2*U1, W2^-1*V1) meets (1) and has V^-1 =
+        # V1^-1*W2.
+        signs = ((0, (d_u, d_v, d_v))
+                 for d_u, d_v in islice(_sign_pairs(engine, b.matrix, b.matrix), 1, None))
+        candidates = (
+            (level, e and (e[0] * u1, e[2] * v1, v1_inv * e[1]))
+            for level, e in chain(signs, engine.stabilizer_sweep(b.matrix))
+        )
+
+    # One node per candidate; condition (2) reads only V^-1, so each
+    # distinct V^-1 is solved once.
+    for level, candidate in candidates:
+        depth = max(depth, level)
+        if spent >= budget.max_nodes:
+            return Verdict.unknown(BudgetReport(spent, depth))
+        spent += 1
+        if candidate is None or candidate[2] in refuted:
+            continue
+        if condition2(candidate[2]):
+            return _verified_yes(engine, a, b, *candidate, BudgetReport(spent, depth))
+        refuted.add(candidate[2])
+    report = BudgetReport(spent, depth)
+    if finite:
         return Verdict.no(
             Certificate(
                 "finite-enumeration",
-                f"all {checked} V with U*a*V = b enumerated",
+                f"all {spent} V with U*a*V = b enumerated",
                 "none satisfies conditions (1) and (2)",
             ),
-            BudgetReport(checked, 0),
+            report,
         )
-
-    refuted = _refute(a, b, group)
-    if refuted is not None:
-        return refuted
-    base, v1_inv = _search(engine, a, b, SIDE_UAV_INV)
-    if not base.is_yes or condition2(v1_inv):
-        return base
-    u1, v1 = base.witness
-
-    # Test condition (2) along the coset; the identity pair gives V1 itself,
-    # refuted just above.
-    def check(u2: IntMatrix, w2: IntMatrix, w2_inv: IntMatrix):
-        # u2 * b * w2 = b, so (u2, v2) with v2 = w2^-1 stabilizes b, and the
-        # composite V = v2 * v1 has V^-1 = v1^-1 * w2.
-        v_inv = v1_inv * w2
-        return (u2 * u1, w2_inv * v1, v_inv) if condition2(v_inv) else None
-
-    # The sign pairs of b first: (-I, -I) is a word of 2n flips, deeper
-    # than the sweep reaches.  With D_U*b*D_V = b, D_V is check's W2 and its
-    # own inverse.
-    spent, depth = base.report.nodes_expanded, base.report.depth_reached
-    found = None
-    for d_u, d_v in islice(_sign_pairs(engine, b.matrix, b.matrix), 1, None):
-        if spent >= budget.max_nodes:
-            break
-        spent += 1
-        found = check(d_u, d_v, d_v)
-        if found is not None:
-            break
-    # The sweep may spend only what the search and the sign pairs left.
-    if found is None and spent < budget.max_nodes:
-        engine.budget = SearchBudget(budget.max_depth, budget.max_nodes - spent)
-        found, report, _ = engine.stabilizer_sweep(b.matrix, check)
-        spent += report.nodes_expanded
-        depth = max(depth, report.depth_reached)
-    total = BudgetReport(spent, depth)
-    if found is not None:
-        return _verified_yes(engine, a, b, *found, total)
-    return Verdict.unknown(total)
+    return Verdict.unknown(report)

@@ -16,12 +16,15 @@ from blockeq import (
     UNIT_RESTRICTED,
     BlockShape,
     BlockedMatrix,
+    BudgetReport,
     IntMatrix,
     Poset,
     SearchBudget,
+    SftMatrix,
     blocked_identity,
     cokernel,
     decide_blocked_equivalence,
+    decide_flow_equivalence,
     decide_with_unit,
     invariant_profile,
     smith_normal_form,
@@ -579,7 +582,7 @@ class TestPackedStates:
             group = (GL, SL)[i % 2]
             a = rand_blocked(rng, shape, -3, 3)
             _, _, b = scramble(rng, a, group, 6)
-            # A budget of one node is spent by the two roots.
+            # A budget of one node has no room for the two roots.
             for budget in (SearchBudget(8, 2_000), SearchBudget(3, 40), SearchBudget(4, 1)):
                 packed, reference = packed_and_tuple_verdicts(monkeypatch, a, b, group,
                                                               SIDE_UAV, budget)
@@ -997,11 +1000,14 @@ class TestDecideWithUnit:
         shape = BlockShape.square(antichain_poset(6), (1,) * 6)
         a = BlockedMatrix(shape, IntMatrix.diagonal([2] * 6))
         x, y = IntMatrix.column([1] * 6), IntMatrix.zero(6, 1)
-        for max_nodes, status in ((10, "unknown"), (63, "unknown"), (64, "no")):
+        for max_nodes, status in ((10, "unknown"), (63, "unknown"), (64, "no"),
+                                  (10**6, "no")):
             verdict = decide_with_unit(a, a, x, y, group=GL,
                                        budget=SearchBudget(8, max_nodes))
             assert verdict.status == status
-            assert verdict.report.nodes_expanded == max_nodes
+            assert verdict.report == BudgetReport(min(max_nodes, 64), 0)
+        # The no certificate counts every D_V the branch enumerated.
+        assert verdict.certificate.left == "all 64 V with U*a*V = b enumerated"
         a = BlockedMatrix(shape, IntMatrix.diagonal([3] * 6))
         b = BlockedMatrix(shape, IntMatrix.diagonal([3, -3, 3, 3, -3, 3]))
         y = IntMatrix.column([1, -1, 1, 1, -1, 1])
@@ -1158,8 +1164,8 @@ class TestDecideWithUnit:
         assert swept.is_unknown and swept.report.nodes_expanded == budget.max_nodes
 
     def test_report_stays_within_the_node_budget(self):
-        # The stabilizer sweep is charged only what the search left, so a
-        # report never passes max_nodes.
+        # One meter charges the search's nodes, the sign stage and the
+        # sweep, so a report never passes max_nodes.
         budget = SearchBudget(6, 200)
         nodes = [
             decide_with_unit(*sweep_instance(seed, group), group=group,
@@ -1168,6 +1174,58 @@ class TestDecideWithUnit:
         ]
         assert max(nodes) <= budget.max_nodes
         assert budget.max_nodes in nodes  # some instances run out of budget
+
+    def test_meter_stops_at_max_nodes_in_each_stage(self, monkeypatch):
+        # Seed 19 at depth 2: the search's yes costs 98 nodes and fails (2),
+        # and no sign pair of B meets (2), so the sign stage is charged
+        # nodes 99-101 and the sweep, which has no yes this early, node 102
+        # on.  The meter stops at exactly max_nodes in either stage: it
+        # solves (2) for V1 and each sign pair it charged, and draws from
+        # the sweep only the nodes it charged and the one it refused.
+        import blockeq.equiv as equiv
+
+        a, b, x, y = sweep_instance(19, GL)
+        solves = count_calls(monkeypatch, solve_matrix)
+        drawn = []
+        sweep = equiv._Engine.stabilizer_sweep
+
+        def spy(engine, b):
+            for item in sweep(engine, b):
+                drawn.append(item)
+                yield item
+
+        monkeypatch.setattr(equiv._Engine, "stabilizer_sweep", spy)
+        for max_nodes in range(98, 140):
+            solves.clear()
+            drawn.clear()
+            verdict = decide_with_unit(a, b, x, y, group=GL,
+                                       budget=SearchBudget(2, max_nodes))
+            assert verdict.is_unknown
+            assert verdict.report == BudgetReport(max_nodes, 2)
+            assert len(drawn) == max(0, max_nodes - 100)
+            if max_nodes <= 101:
+                assert len(solves) == max_nodes - 97
+
+    def test_condition_two_is_solved_once_per_distinct_v_inverse(self, monkeypatch):
+        # Seed 58 under SL: the search's V1 fails (2), and the sign stage
+        # and the whole sweep offer pairs whose V^-1 = V1^-1*W repeat.
+        # Condition (2) reads only V^-1, so it is solved once for each
+        # distinct one, not once per offer.
+        import blockeq.equiv as equiv
+
+        a, b, x, y = sweep_instance(58, SL)
+        budget = SearchBudget(4, 3_000)
+        engine = _Engine(b.shape, SL, budget)
+        _, v1_inv = equiv._search(engine, a, b, SIDE_UAV_INV)
+        ws = [d_v for _, d_v in _sign_pairs(engine, b.matrix, b.matrix)]
+        offered, _, cut = recorded_sweep(equiv._Engine.stabilizer_sweep, engine, b.matrix)
+        ws += [IntMatrix(b.matrix.cols, b.matrix.cols, w) for _, w, _ in offered]
+        distinct = {v1_inv * w for w in ws}
+        assert not cut and len(ws) > len(distinct)
+        solves = count_calls(monkeypatch, solve_matrix)
+        verdict = decide_with_unit(a, b, x, y, group=SL, budget=budget)
+        assert verdict.is_unknown and verdict.report.nodes_expanded < budget.max_nodes
+        assert len(solves) <= len(distinct)
 
     def test_rectangular_constructed_instances(self):
         # Build instances whose answer is yes by construction:
@@ -1230,10 +1288,12 @@ class TupleSide:
 
 def tuple_search(engine, a, b):
     """The engine's search on entry-tuple states, building every child: the
-    same (witnesses, report, truncated) as the packed search."""
+    same (witnesses, report) as the packed search."""
     from blockeq.equiv import BudgetReport
 
     rows, cols, max_nodes = engine.rows, engine.cols, engine.budget.max_nodes
+    if max_nodes < 2:  # no room for both roots
+        return [], BudgetReport(max_nodes, 0)
     fwd, bwd = TupleSide(a.entries), TupleSide(b.entries)
 
     def expand(side, other, moves, count):
@@ -1270,20 +1330,20 @@ def tuple_search(engine, a, b):
             joins = [(f, b_) for b_, f in level_joins]
     report = BudgetReport(nodes, fwd.depth + bwd.depth)
     if not joins:
-        return [], report, truncated
+        return [], report
     depth_of = lambda pair: fwd.depths[pair[0]] + bwd.depths[pair[1]]
     best = min(map(depth_of, joins))
     out = [engine._witness(fwd, bwd, f, b_) for f, b_ in joins if depth_of((f, b_)) == best]
     out.sort(key=lambda word: word[:2])
-    return out, report, truncated
+    return out, report
 
 
-def reference_sweep(engine, b, check):
+def reference_sweep(engine, b):
     """The stabilizer sweep without the known-children rule: every child is
     built by a move on entry tuples and looked up, and every non-tree edge is
-    harvested."""
+    harvested.  It yields what the engine's sweep yields."""
     from blockeq import _kernels
-    from blockeq.equiv import BudgetReport, _chain_moves
+    from blockeq.equiv import _chain_moves
 
     rows, cols = engine.rows, engine.cols
     mat_mul = _kernels.mat_mul
@@ -1291,9 +1351,7 @@ def reference_sweep(engine, b, check):
     root = engine._replay(())
     seen = {root[:2]}
     sigmas = []
-    work = 1
-    truncated = False
-    depth = 0
+    level = 0
     words = {0: root}
 
     def word(idx):
@@ -1301,61 +1359,44 @@ def reference_sweep(engine, b, check):
             words[idx] = engine._replay(_chain_moves(side, idx))
         return words[idx]
 
-    def offer(u2, w2, w2_inv):
-        return check(IntMatrix(rows, rows, u2), IntMatrix(cols, cols, w2),
-                     IntMatrix(cols, cols, w2_inv))
+    def element(u2, w2, w2_inv):
+        return (IntMatrix(rows, rows, u2), IntMatrix(cols, cols, w2),
+                IntMatrix(cols, cols, w2_inv))
 
-    while side.frontier and depth < engine.budget.max_depth and not truncated:
+    yield level, None
+    while side.frontier and level < engine.budget.max_depth:
         new_frontier = []
+        level += 1
         for idx in side.frontier:
             entries = side.states[idx]
             for move_idx, (axis, move) in enumerate(engine.moves):
                 child = tuple_move(axis, move, entries, rows, cols)
                 hit = side.visited.get(child)
                 if hit is None:
-                    if work + 1 > engine.budget.max_nodes:
-                        truncated = True
-                        break
                     new_frontier.append(side.add(child, move_idx, idx))
-                    work += 1
+                    yield level, None
                     continue
-                if work + 1 > engine.budget.max_nodes:
-                    truncated = True
-                    break
-                work += 1
                 gu, gw, _, gw_inv = engine._step(word(idx), move_idx)
                 _, wy, uy_inv, wy_inv = word(hit)
                 sig = (mat_mul(rows, rows, uy_inv, rows, gu),
                        mat_mul(cols, cols, gw, cols, wy_inv))
                 if sig in seen:
+                    yield level, None
                     continue
                 seen.add(sig)
                 sigmas.append((*sig, mat_mul(cols, cols, wy, cols, gw_inv)))
-                res = offer(*sigmas[-1])
-                if res is not None:
-                    return res, BudgetReport(work, depth + 1), truncated
-            if truncated:
-                break
+                yield level, element(*sigmas[-1])
         side.frontier = new_frontier
-        depth += 1
 
     for u1, w1, w1_inv in sigmas:
         for u2, w2, w2_inv in sigmas:
-            if work + 1 > engine.budget.max_nodes:
-                truncated = True
-                break
-            work += 1
             sig = (mat_mul(rows, rows, u1, rows, u2),
                    mat_mul(cols, cols, w2, cols, w1))
             if sig in seen:
+                yield level, None
                 continue
             seen.add(sig)
-            res = offer(*sig, mat_mul(cols, cols, w1_inv, cols, w2_inv))
-            if res is not None:
-                return res, BudgetReport(work, depth), truncated
-        if truncated:
-            break
-    return None, BudgetReport(work, depth), truncated
+            yield level, element(*sig, mat_mul(cols, cols, w1_inv, cols, w2_inv))
 
 
 def sweep_instance(seed, group):
@@ -1374,15 +1415,75 @@ def sweep_instance(seed, group):
 
 
 def recorded_sweep(sweep, engine, b):
-    """Run a sweep whose check accepts nothing; returns every offered
-    element's entries in order, the report and the truncation flag."""
+    """Meter a sweep to the engine's max_nodes as decide_with_unit does,
+    accepting no element; returns every offered element's entries in order,
+    the report and whether the budget cut the sweep short."""
+    from blockeq.equiv import BudgetReport
+
     offered = []
+    nodes = depth = 0
+    for level, element in sweep(engine, b):
+        depth = max(depth, level)
+        if nodes >= engine.budget.max_nodes:
+            return offered, BudgetReport(nodes, depth), True
+        nodes += 1
+        if element is not None:
+            offered.append(tuple(m.entries for m in element))
+    return offered, BudgetReport(nodes, depth), False
 
-    def check(u, w, w_inv):
-        offered.append((u.entries, w.entries, w_inv.entries))
 
-    _, report, truncated = sweep(engine, b, check)
-    return offered, report, truncated
+class TestNodeBudget:
+    """No report passes max_nodes: the search needs a node for each root,
+    and decide_with_unit and flow-eq charge one meter."""
+
+    CHAIN = BlockShape.square(chain_poset(2), (1, 1))
+    A = BlockedMatrix(CHAIN, IntMatrix.from_rows([[5, 1], [0, 5]]))
+    B = BlockedMatrix(CHAIN, IntMatrix.from_rows([[5, 4], [0, 5]]))
+    # Two alignments; the second is searched on what the first left.
+    FLOW_A = SftMatrix.from_rows([[6, 4, 0, 0], [0, 6, 0, 0], [0, 0, 6, 1], [0, 0, 0, 6]])
+    FLOW_B = SftMatrix.from_rows([[6, 1, 0, 0], [0, 6, 0, 0], [0, 0, 6, 4], [0, 0, 0, 6]])
+
+    def test_search_without_room_for_both_roots(self):
+        # Each of the two roots costs a node, so one node answers nothing,
+        # not even for a = b.
+        budget = SearchBudget(8, 1)
+        for b in (self.A, self.B):
+            verdict = decide_blocked_equivalence(self.A, b, group=SL, budget=budget)
+            assert verdict.is_unknown and verdict.report == BudgetReport(1, 0)
+        assert decide_blocked_equivalence(self.A, self.A, group=SL,
+                                          budget=SearchBudget(8, 2)).is_yes
+
+    @pytest.mark.parametrize("depth, max_nodes", [(1, 7), (2, 11), (4, 27)])
+    def test_flow_alignment_left_one_node(self, depth, max_nodes):
+        # The first alignment's search ends unknown one node short of the
+        # budget.  The second alignment's roots are equal, but one node left
+        # has no room for both, so the verdict is unknown at max_nodes; one
+        # node more makes it yes.
+        verdict = decide_flow_equivalence(self.FLOW_A, self.FLOW_B,
+                                          SearchBudget(depth, max_nodes))
+        assert verdict.is_unknown
+        assert verdict.report == BudgetReport(max_nodes, depth)
+        verdict = decide_flow_equivalence(self.FLOW_A, self.FLOW_B,
+                                          SearchBudget(depth, max_nodes + 1))
+        assert verdict.is_yes and verdict.report.nodes_expanded == max_nodes + 1
+
+    def test_no_report_passes_max_nodes(self):
+        sweep_a = BlockedMatrix(BlockShape.square(Poset(1), (2,)),
+                                IntMatrix.from_rows([[2, 0], [0, 0]]))
+        x, y = IntMatrix.column([1, 1]), IntMatrix.column([0, 1])
+        for max_nodes in range(1, 41):
+            for depth in (1, 2, 4, 8):
+                budget = SearchBudget(depth, max_nodes)
+                verdicts = [
+                    decide_blocked_equivalence(self.A, self.A, group=SL, budget=budget),
+                    decide_blocked_equivalence(self.A, self.B, group=SL, budget=budget),
+                    decide_with_unit(self.A, self.A, x, y, group=SL, budget=budget),
+                    decide_with_unit(self.A, self.B, y, x, group=GL, budget=budget),
+                    decide_with_unit(sweep_a, sweep_a, x, y, group=SL, budget=budget),
+                    decide_flow_equivalence(self.FLOW_A, self.FLOW_B, budget),
+                ]
+                for verdict in verdicts:
+                    assert verdict.report.nodes_expanded <= max_nodes, (budget, verdict)
 
 
 class TestStabilizerSweepKnownChildren:
@@ -1400,30 +1501,36 @@ class TestStabilizerSweepKnownChildren:
         fast = equiv._Engine.stabilizer_sweep
 
         def spy(sweep):
-            def run(engine, b, check):
-                result = sweep(engine, b, check)
-                swept.append(result[1])
-                truncated.append(result[2])
-                return result
+            def run(engine, b):
+                yielded = []
+                swept.append(yielded)
+                for level, element in sweep(engine, b):
+                    yielded.append((level, element and [m.entries for m in element]))
+                    yield level, element
             return run
 
         for seed in range(150):
             for group in (GL, SL):
                 a, b, x, y = sweep_instance(seed, group)
                 budget = self.BUDGETS[seed % len(self.BUDGETS)]
+                sweeps_before = len(swept)
                 got = []
                 for sweep in (fast, reference_sweep):
                     monkeypatch.setattr(equiv._Engine, "stabilizer_sweep", spy(sweep))
                     got.append(decide_with_unit(a, b, x, y, group=group, budget=budget))
                 fast_v, ref_v = got
+                if len(swept) > sweeps_before:
+                    truncated.append(fast_v.is_unknown
+                                     and fast_v.report.nodes_expanded == budget.max_nodes)
                 assert fast_v.status == ref_v.status, (seed, group)
                 assert fast_v.report == ref_v.report, (seed, group)
                 assert (fast_v.witness and [m.entries for m in fast_v.witness]) == (
                     ref_v.witness and [m.entries for m in ref_v.witness]
                 ), (seed, group)
                 assert fast_v.certificate == ref_v.certificate
-        # Every sweep ran once through each implementation.
-        assert swept[::2] == swept[1::2] and truncated[::2] == truncated[1::2]
+        # Every sweep ran once through each implementation, with the same
+        # yields up to where decide_with_unit stopped it.
+        assert swept[::2] == swept[1::2] and 2 * len(truncated) == len(swept)
         assert len(swept) >= 2 * 40
         assert any(truncated) and not all(truncated)
 
@@ -1437,6 +1544,17 @@ class TestStabilizerSweepKnownChildren:
             fast = recorded_sweep(equiv._Engine.stabilizer_sweep, engine, b.matrix)
             assert fast == recorded_sweep(reference_sweep, engine, b.matrix)
             assert fast[0]
+
+    def test_sweep_reads_no_node_budget(self):
+        # The walk is bounded by max_depth only; its caller meters the nodes.
+        _, b, _, _ = sweep_instance(16, GL)
+        runs = [
+            list(islice(_Engine(b.shape, GL, SearchBudget(4, max_nodes))
+                        .stabilizer_sweep(b.matrix), 500))
+            for max_nodes in (1, 10**6)
+        ]
+        assert len(runs[0]) == 500 and runs[0] == runs[1]
+        assert any(element is not None for _, element in runs[0])
 
     def test_identity_harvests_multiply_nothing(self, monkeypatch):
         # Harvests along X = m1(P) --m1^-1--> P and around commuting squares
@@ -1466,11 +1584,11 @@ class TestStabilizerSweepKnownChildren:
         calls.clear()
         a = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1], [0, 0, 5]])
         b = IntMatrix.from_rows([[2, 3, 1], [0, 3, 1], [0, 0, 5]])
-        witnesses, _, _ = engine.search(a, b)
+        witnesses, _ = engine.search(a, b)
         assert witnesses
         for chain in ([0], [1, 2, 0], list(range(len(engine.moves)))):
             engine._replay(chain)
-        engine.stabilizer_sweep(b, lambda u, w, w_inv: None)
+        assert recorded_sweep(equiv._Engine.stabilizer_sweep, engine, b)[0]
         assert calls == []
 
 
